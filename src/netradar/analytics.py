@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-import warnings
+import statistics
 from collections import Counter, deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-import numpy as np
-from scipy import stats as scipy_stats
-
 from .model import FilteredTree, Ip, RadarDataset
-
-Series = "list[tuple[int, int]]"
 
 SLIDING = "sliding"
 BLOCKED = "blocked"
@@ -85,18 +79,16 @@ def detect_peaks(
         raise ValueError(f"need at least 10 points, got {len(series)}")
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    values = np.asarray([value for _, value in series], dtype=float)
-    median = float(np.median(values))
-    mad = float(np.median(np.abs(values - median)))
+    values = [float(value) for _, value in series]
+    median = statistics.median(values)
+    mad = statistics.median([abs(value - median) for value in values])
     degenerate = mad == 0.0
     scale = mad if mad > 0.0 else min_scale_frac * max(abs(median), 1.0)
     threshold = k * scale
-    deltas = values - median
-    if direction == "up":
-        flagged = deltas > threshold
-    else:
-        flagged = -deltas > threshold
-    indices = [series[i][0] for i in np.nonzero(flagged)[0]]
+    sign = 1.0 if direction == "up" else -1.0
+    indices = [
+        index for (index, _), value in zip(series, values) if sign * (value - median) > threshold
+    ]
     return PeakDetection(indices=indices, degenerate=degenerate, median=median, threshold=threshold)
 
 
@@ -279,14 +271,28 @@ def size_vs_discovery_correlation(components):
     if len(components) < 2:
         raise ValueError("need at least 2 components")
     pairs = [(c.size, discovery_time(c)) for c in components]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy_stats.ConstantInputWarning)
-        rho = scipy_stats.spearmanr(
-            [size for size, _ in pairs], [time for _, time in pairs]
-        ).statistic
-    if math.isnan(rho):
+    try:
+        rho = statistics.correlation(
+            _average_ranks([size for size, _ in pairs]), _average_ranks([time for _, time in pairs])
+        )
+    except statistics.StatisticsError:  # all ranks tied on one side
         rho = 0.0
-    return pairs, float(rho)
+    return pairs, rho
+
+
+def _average_ranks(values) -> list[float]:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and values[order[stop]] == values[order[start]]:
+            stop += 1
+        for position in order[start:stop]:
+            ranks[position] = (start + stop + 1) / 2.0
+        start = stop
+    return ranks
 
 
 # -- plot-ready emitters -----------------------------------------------------

@@ -125,16 +125,15 @@ def simulate_tracetree_from_traceroute(routes) -> RawTraceTree:
     each route backward from its terminal, stop at the first (hop, ttl)
     already seen.  Yields the records a tree measurement would have
     produced had routing matched the recorded routes."""
-    seen: set[tuple[IPv4Address, int]] = set()
+    seen: set[TtlNode] = set()
     records: list[ProbeRecord] = []
     for destination, hops in routes.items():
         for node in reversed(hops):
             records.append(ProbeRecord(node.hop, node.ttl, destination))
             if isinstance(node.hop, Ip):
-                key = (node.hop.address, node.ttl)
-                if key in seen:
+                if node in seen:
                     break
-                seen.add(key)
+                seen.add(node)
     return RawTraceTree.from_records(records)
 
 

@@ -3,12 +3,26 @@
 Hops, (hop, ttl) observations, probe records, raw and filtered routing
 trees, measurement rounds, and the plain-text round-log format that ties
 them together on disk.
+
+Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
+slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
+callers that read it, and hashes and compares by the address integer, so
+sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
+its dotted quad once and caches it for the round log.  A `Star` compares
+by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
+named tuples over hops.  Inside the hot loops (simulator, transport,
+tracetree, raw-tree reconstruction) addresses are keyed by their
+integer, read as `IPv4Address._ip` (what `int()` returns, without the
+method call); `IPv4Address` objects and dotted quads appear only at the
+edges: topology and destination files, the round log, CSV/DOT output,
+and the public fields callers read.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from ipaddress import IPv4Address
+from typing import NamedTuple
 
 MAX_TTL_DEFAULT = 30
 
@@ -27,29 +41,84 @@ class TtlRangeError(RoundLogParseError):
     """A record's ttl lies outside [1, max_ttl]."""
 
 
-@dataclass(frozen=True)
-class Ip:
-    """A concrete IPv4 hop."""
+class _Frozen:
+    """Base of the hop types: their fields are set once, in __init__."""
 
-    address: IPv4Address
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Ip(_Frozen):
+    """A concrete IPv4 hop.
+
+    Equal to, and hashed like, every other Ip of the same address;
+    immutable.  `address` is the IPv4Address; the dotted quad is rendered
+    once and cached.
+    """
+
+    __slots__ = ("address", "_int", "_text")
+
+    def __init__(self, address: IPv4Address):
+        object.__setattr__(self, "address", address)
+        object.__setattr__(self, "_int", int(address))
+        object.__setattr__(self, "_text", None)
+
+    def __eq__(self, other):
+        if other.__class__ is Ip:
+            return self._int == other._int
+        return NotImplemented
+
+    def __hash__(self):
+        return self._int  # an IPv4 integer is its own hash
 
     def __str__(self):
-        return str(self.address)
+        text = self._text
+        if text is None:
+            text = str(self.address)
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __repr__(self):
+        return f"Ip(address={self.address!r})"
+
+    def __reduce__(self):
+        return Ip, (self.address,)
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(_Frozen):
     """A timeout marker.
 
     `key` keeps distinct stars distinct: measurement stars carry the
     destination they were probed towards, merged stars carry the parent
-    they hang under.  A star always renders as `*`.
+    they hang under.  A star always renders as `*` and never equals an Ip.
     """
 
-    key: str = ""
+    __slots__ = ("key",)
+
+    def __init__(self, key: str = ""):
+        object.__setattr__(self, "key", key)
+
+    def __eq__(self, other):
+        if other.__class__ is Star:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __str__(self):
         return "*"
+
+    def __repr__(self):
+        return f"Star(key={self.key!r})"
+
+    def __reduce__(self):
+        return Star, (self.key,)
 
 
 Hop = Ip | Star
@@ -64,20 +133,18 @@ def hop_sort_key(hop: Hop) -> tuple:
     """Sort key for hops: IPs first, ordered numerically octet by octet;
     stars last, ordered by their disambiguating key."""
     if isinstance(hop, Ip):
-        return (0, int(hop.address), "")
+        return (0, hop._int, "")
     return (1, 0, hop.key)
 
 
-@dataclass(frozen=True)
-class TtlNode:
+class TtlNode(NamedTuple):
     """A hop observed at a specific distance: the node type of raw trees."""
 
     hop: Hop
     ttl: int
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     """One emitted probe and its outcome: the reply source (or a star on
     timeout) at `ttl` on the way towards `destination`.  One log line per
     record."""
@@ -108,28 +175,35 @@ class RawTraceTree:
 
     @classmethod
     def from_records(cls, records, complete: bool = True) -> "RawTraceTree":
-        nodes: set[TtlNode] = set()
-        by_dest: dict[IPv4Address, dict[int, list[Hop]]] = {}
-        terminals: dict[IPv4Address, TtlNode] = {}
-        for rec in records:
-            nodes.add(TtlNode(rec.source, rec.ttl))
-            buckets = by_dest.setdefault(rec.destination, {})
-            hops = buckets.setdefault(rec.ttl, [])
-            if rec.source not in hops:
-                hops.append(rec.source)
-            cur = terminals.get(rec.destination)
-            if cur is None or rec.ttl > cur.ttl:
-                terminals[rec.destination] = TtlNode(rec.source, rec.ttl)
+        records = list(records)
+        # one TtlNode object per (hop, ttl), shared by the node set, the
+        # per-destination buckets and the edges
+        nodes: dict[TtlNode, TtlNode] = {}
+        # destination int -> (destination, {ttl: nodes in first-sighting order})
+        by_dest: dict[int, tuple[IPv4Address, dict[int, list[TtlNode]]]] = {}
+        for source, ttl, destination in records:
+            node = TtlNode(source, ttl)
+            node = nodes.setdefault(node, node)
+            entry = by_dest.get(destination._ip)
+            if entry is None:
+                entry = by_dest[destination._ip] = (destination, {})
+            seen_at = entry[1].get(ttl)
+            if seen_at is None:
+                entry[1][ttl] = [node]
+            elif node not in seen_at:
+                seen_at.append(node)
         edges: set[tuple[TtlNode, TtlNode]] = set()
-        for buckets in by_dest.values():
-            for ttl, hops in buckets.items():
-                uppers = buckets.get(ttl + 1)
-                if not uppers:
-                    continue
-                for low in hops:
-                    for high in uppers:
-                        edges.add((TtlNode(low, ttl), TtlNode(high, ttl + 1)))
-        return cls(list(records), nodes, edges, terminals, complete)
+        terminals: dict[IPv4Address, TtlNode] = {}
+        for destination, buckets in by_dest.values():
+            # the terminal is the first record at the highest ttl
+            terminals[destination] = buckets[max(buckets)][0]
+            for ttl, lows in buckets.items():
+                highs = buckets.get(ttl + 1)
+                if highs:
+                    for low in lows:
+                        for high in highs:
+                            edges.add((low, high))
+        return cls(records, set(nodes), edges, terminals, complete)
 
 
 @dataclass(frozen=True)
@@ -149,8 +223,12 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
     space separators, newline line ends.
     """
     lines = [f"#round {index} {float(start_time)!r} {float(end_time)!r}"]
-    for rec in raw.records:
-        lines.append(f"{rec.source} {rec.ttl} {rec.destination}")
+    dest_text: dict[int, str] = {}  # str(IPv4Address) is costly: once per destination
+    for source, ttl, destination in raw.records:
+        text = dest_text.get(destination._ip)
+        if text is None:
+            text = dest_text[destination._ip] = str(destination)
+        lines.append(f"{source} {ttl} {text}")
     lines.append("#end")
     return "\n".join(lines) + "\n"
 
@@ -165,6 +243,11 @@ def parse_round_log(text: str, max_ttl: int = MAX_TTL_DEFAULT) -> list[tuple[Rou
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
     records: list[ProbeRecord] = []
+    # one object per distinct text across the document: a log repeats its
+    # hops and destinations round after round
+    destinations: dict[str, IPv4Address] = {}
+    hops: dict[str, Ip] = {}
+    stars: dict[str, Star] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#round"):
             if meta is not None:
@@ -195,17 +278,23 @@ def parse_round_log(text: str, max_ttl: int = MAX_TTL_DEFAULT) -> list[tuple[Rou
                 raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
             if not 1 <= ttl <= max_ttl:
                 raise TtlRangeError(f"ttl {ttl} outside [1, {max_ttl}]", line_no)
-            try:
-                destination = IPv4Address(dest_txt)
-            except ValueError:
-                raise RoundLogParseError(f"bad destination address {dest_txt!r}", line_no) from None
-            if src_txt == "*":
-                source: Hop = Star(str(destination))
-            else:
+            destination = destinations.get(dest_txt)
+            if destination is None:
                 try:
-                    source = Ip(IPv4Address(src_txt))
+                    destination = destinations[dest_txt] = IPv4Address(dest_txt)
                 except ValueError:
-                    raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
+                    raise RoundLogParseError(f"bad destination address {dest_txt!r}", line_no) from None
+            if src_txt == "*":
+                source = stars.get(dest_txt)
+                if source is None:
+                    source = stars[dest_txt] = Star(str(destination))
+            else:
+                source = hops.get(src_txt)
+                if source is None:
+                    try:
+                        source = hops[src_txt] = Ip(IPv4Address(src_txt))
+                    except ValueError:
+                        raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
             records.append(ProbeRecord(source, ttl, destination))
     if meta is not None:
         raise RoundLogParseError("missing #end for final round")

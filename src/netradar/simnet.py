@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -113,8 +114,7 @@ class Topology:
     events: list[ScheduledEvent] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SimReply:
+class SimReply(NamedTuple):
     """Outcome of one probe.  `hops` is the distance of the node that
     answered (or would have answered), which drives the latency model."""
 
@@ -283,8 +283,9 @@ class SimState:
         self._applied_time = float("-inf")
         self._pp_counters: dict[str, int] = {}
         self._buckets: dict[str, list[float]] = {}
-        self._addr_to_node = {a: n for n, a in self.addresses.items()}
-        self._paths: dict[tuple[str, IPv4Address], tuple[str, ...] | None] = {}
+        # routing is keyed by the address integer, never by IPv4Address
+        self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
+        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
         self._monitor_parents: dict[str, str] | None = None
 
     # -- events ------------------------------------------------------------
@@ -304,7 +305,7 @@ class SimState:
     def _invalidate_routes(self) -> None:
         self._paths.clear()
         self._monitor_parents = None
-        self._addr_to_node = {a: n for n, a in self.addresses.items()}
+        self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
 
     def _require_node(self, name: str, action: str) -> None:
         if name not in self.addresses:
@@ -368,7 +369,7 @@ class SimState:
     def prepare_destinations(self, destinations) -> None:
         """Warm the routing cache for a batch of destinations."""
         for dest in destinations:
-            self._path_from(self.monitor, IPv4Address(dest))
+            self._path_from(self.monitor, _address(dest)._ip)
 
     def _monitor_bfs(self) -> dict[str, str]:
         if self._monitor_parents is None:
@@ -385,7 +386,7 @@ class SimState:
             self._monitor_parents = parents
         return self._monitor_parents
 
-    def _path_from(self, start: str, dest: IPv4Address) -> tuple[str, ...] | None:
+    def _path_from(self, start: str, dest: int) -> tuple[str, ...] | None:
         key = (start, dest)
         if key in self._paths:
             return self._paths[key]
@@ -428,33 +429,36 @@ class SimState:
         balancer counters advance exactly once per traversal."""
         if ttl < 1:
             raise ValueError(f"ttl must be >= 1, got {ttl}")
-        dest = destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
+        dest = _address(destination)
+        d = dest._ip
+        target = self._addr_to_node.get(d)
+        addresses = self.addresses
+        balancers = self.balancers
         node = self.monitor
-        plan = self._path_from(node, dest)
+        plan = self._path_from(node, d)
         plan_pos = 0
         for hop_index in range(1, ttl + 1):
-            nxt = None
-            balancer = self.balancers.get(node)
             planned = None
             if plan is not None and plan_pos + 1 < len(plan):
                 planned = plan[plan_pos + 1]
-            if isinstance(balancer, PerPacket):
+            balancer = balancers.get(node)
+            if balancer is None:
+                nxt = planned
+            elif isinstance(balancer, PerPacket):
                 count = self._pp_counters.get(node, 0)
                 self._pp_counters[node] = count + 1
                 nxt = balancer.cycle[count % len(balancer.cycle)]
-            elif isinstance(balancer, PerDestination) and dest in balancer.table:
-                nxt = balancer.table[dest]
             else:
-                nxt = planned
-            if nxt is None or nxt not in self.addresses:
+                nxt = balancer.table.get(dest, planned)
+            if nxt is None or nxt not in addresses:
                 return SimReply(UNREACHABLE, None, hop_index)
             if nxt == planned:
                 plan_pos += 1
             else:
-                plan = self._path_from(nxt, dest)
+                plan = self._path_from(nxt, d)
                 plan_pos = 0
             node = nxt
-            if self.addresses[node] == dest:
+            if node == target:
                 return self._respond(node, ECHO_REPLY, hop_index, at_time)
         return self._respond(node, TIME_EXCEEDED, ttl, at_time)
 
@@ -476,6 +480,10 @@ class SimState:
             bucket[0] = tokens
             return SimReply(SILENCE, None, hops)
         return SimReply(kind, self.addresses[node], hops)
+
+
+def _address(value) -> IPv4Address:
+    return value if isinstance(value, IPv4Address) else IPv4Address(value)
 
 
 def _copy_balancer(balancer):

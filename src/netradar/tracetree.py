@@ -73,7 +73,10 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
     if not tasks:
         raise ValueError("no destination tasks")
     destinations = [t.destination for t in tasks]
-    if len(set(destinations)) != len(destinations):
+    # the probe state is keyed by (address int, ttl); records and tokens
+    # carry the caller's IPv4Address objects, so nothing is built per probe
+    by_int = {d._ip: d for d in destinations}
+    if len(by_int) != len(destinations):
         raise ValueError("duplicate destinations in task list")
     for task in tasks:
         if not 1 <= task.assumed_distance <= config.max_ttl:
@@ -89,61 +92,66 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
         prepare(destinations)
 
     clock = transport.clock
-    to_probe: deque[tuple[IPv4Address, int]] = deque()
-    queued: set[tuple[IPv4Address, int]] = set()
-    inflight: dict[tuple[IPv4Address, int], object] = {}
-    seen: set[tuple[IPv4Address, int]] = set()
+    to_probe: deque[tuple[int, int]] = deque()
+    queued: set[tuple[int, int]] = set()
+    inflight: dict[tuple[int, int], object] = {}
+    seen: set[tuple[int, int]] = set()
     records: list[ProbeRecord] = []
-    echo_at: dict[IPv4Address, int] = {}
-    assumed = {t.destination: t.assumed_distance for t in tasks}
+    hops: dict[int, Ip] = {}  # one Ip per replying address this round
+    echo_at: dict[int, int] = {}
+    assumed = {t.destination._ip: t.assumed_distance for t in tasks}
     reply_buffer: deque = deque()
     stats = TracetreeStats()
     started = clock.now()
 
-    def push(dest: IPv4Address, ttl: int) -> None:
+    def push(d: int, ttl: int) -> None:
         # one probe per (destination, ttl) per round
-        if ttl >= 1 and (dest, ttl) not in queued:
-            queued.add((dest, ttl))
-            to_probe.append((dest, ttl))
+        if ttl >= 1 and (d, ttl) not in queued:
+            queued.add((d, ttl))
+            to_probe.append((d, ttl))
 
-    for task in tasks:
-        push(task.destination, task.assumed_distance)
+    for d, distance in assumed.items():
+        push(d, distance)
 
-    def emit(source, ttl: int, dest: IPv4Address, echo_from_dest: bool) -> None:
-        records.append(ProbeRecord(source, ttl, dest))
-        if restart_from is not None and ttl == assumed[dest] and not echo_from_dest:
-            push(dest, restart_from)
+    def emit(source, ttl: int, d: int, echo_from_dest: bool) -> None:
+        records.append(ProbeRecord(source, ttl, by_int[d]))
+        if restart_from is not None and ttl == assumed[d] and not echo_from_dest:
+            push(d, restart_from)
 
     def send_one() -> None:
-        dest, ttl = to_probe.popleft()
+        key = to_probe.popleft()
+        dest = by_int[key[0]]
         while True:
             try:
-                token = transport.send(dest, ttl)
+                token = transport.send(dest, key[1])
                 break
             except TransportBackpressureError as bp:
                 clock.sleep(bp.retry_at - clock.now())
-        inflight[(dest, ttl)] = token
+        inflight[key] = token
         stats.probes_sent += 1
         clock.sleep(config.inter_probe_delay)
 
     def handle_reply(reply) -> None:
-        key = (reply.token.destination, reply.token.ttl)
+        key = (reply.token.destination._ip, reply.token.ttl)
         token = inflight.get(key)
         if token is None or token.seq != reply.token.seq or reply.late:
             # answer after the timeout (or a stray): ignored, counted
             stats.late_replies += 1
             return
         del inflight[key]
-        dest, ttl = key
-        source = Ip(reply.source)
-        echo = reply.kind == "echo_reply" and reply.source == dest
+        d, ttl = key
+        s = reply.source._ip
+        source = hops.get(s)
+        if source is None:
+            source = hops[s] = Ip(reply.source)
+        echo = s == d and reply.kind == "echo_reply"
         if echo:
-            echo_at[dest] = min(echo_at.get(dest, ttl), ttl)
-        emit(source, ttl, dest, echo)
-        if (reply.source, ttl) not in seen:
-            seen.add((reply.source, ttl))
+            echo_at[d] = min(echo_at.get(d, ttl), ttl)
+        emit(source, ttl, d, echo)
+        if (s, ttl) not in seen:
+            seen.add((s, ttl))
             if ttl > 1:
-                push(dest, ttl - 1)
+                push(d, ttl - 1)
 
     try:
         while to_probe or inflight:
@@ -170,14 +178,14 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
                 for key in expired:
                     token = inflight.pop(key)
                     transport.expire(token)
-                    dest, ttl = key
-                    emit(Star(str(dest)), ttl, dest, False)
+                    d, ttl = key
+                    emit(Star(str(by_int[d])), ttl, d, False)
                     if ttl > 1:
-                        push(dest, ttl - 1)
+                        push(d, ttl - 1)
     except TransportError:
         stats.complete = False
 
     stats.duration = clock.now() - started
     raw = RawTraceTree.from_records(records, complete=stats.complete)
-    distances = {d: echo_at.get(d) for d in destinations}
+    distances = {dest: echo_at.get(d) for d, dest in by_int.items()}
     return TracetreeResult(raw=raw, distances=distances, stats=stats)

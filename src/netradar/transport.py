@@ -12,9 +12,10 @@ import heapq
 import time
 from dataclasses import dataclass
 from ipaddress import IPv4Address
+from typing import NamedTuple
 
 from .model import Ip
-from .simnet import ECHO_REPLY, SILENCE, TIME_EXCEEDED, UNREACHABLE, SimState, Topology
+from .simnet import ECHO_REPLY, TIME_EXCEEDED, SimState, Topology
 
 
 class TransportError(RuntimeError):
@@ -33,8 +34,7 @@ class TransportBackpressureError(TransportError):
         self.retry_at = retry_at
 
 
-@dataclass(frozen=True)
-class ProbeToken:
+class ProbeToken(NamedTuple):
     """Identifies one in-flight probe within a measurement."""
 
     destination: IPv4Address
@@ -43,8 +43,7 @@ class ProbeToken:
     seq: int
 
 
-@dataclass(frozen=True)
-class TransportReply:
+class TransportReply(NamedTuple):
     """A wire answer matched back to its probe token."""
 
     token: ProbeToken
@@ -114,7 +113,10 @@ class SimTransport:
         self.per_hop_delay = per_hop_delay
         self.rate_cap = rate_cap
         self.stats = TransportStats()
-        self._pending: list[tuple[float, int, TransportReply]] = []
+        self._pending: list[tuple[float, int]] = []  # (arrival, seq) heap
+        self._replies: dict[int, TransportReply] = {}  # seq -> reply not yet delivered
+        # seqs the caller timed out whose reply is still pending; an
+        # unanswered probe has nothing pending, so it is never recorded
         self._expired: set[int] = set()
         self._seq = 0
         self._last_send: float | None = None
@@ -152,8 +154,8 @@ class SimTransport:
         self.stats.sent += 1
         if outcome.kind in (TIME_EXCEEDED, ECHO_REPLY):
             arrival = now + 2.0 * self.per_hop_delay * outcome.hops
-            reply = TransportReply(token, outcome.source, outcome.kind, arrival)
-            heapq.heappush(self._pending, (arrival, token.seq, reply))
+            self._replies[self._seq] = TransportReply(token, outcome.source, outcome.kind, arrival)
+            heapq.heappush(self._pending, (arrival, self._seq))
         else:
             self.stats.unanswered += 1
         return token
@@ -171,13 +173,12 @@ class SimTransport:
         now = self.clock.now()
         out = []
         while self._pending and self._pending[0][0] <= now:
-            _, seq, reply = heapq.heappop(self._pending)
+            _, seq = heapq.heappop(self._pending)
+            reply = self._replies.pop(seq)
             if seq in self._expired:
                 self._expired.discard(seq)
                 self.stats.late += 1
-                reply = TransportReply(
-                    reply.token, reply.source, reply.kind, reply.received_at, late=True
-                )
+                reply = reply._replace(late=True)
             else:
                 self.stats.delivered += 1
             out.append(reply)
@@ -185,7 +186,8 @@ class SimTransport:
 
     def expire(self, token: ProbeToken) -> None:
         """The caller timed this token out; a later arrival is flagged late."""
-        self._expired.add(token.seq)
+        if token.seq in self._replies:
+            self._expired.add(token.seq)
 
     def close(self) -> None:
         self._closed = True

@@ -4,7 +4,6 @@ from __future__ import annotations
 import random
 from ipaddress import IPv4Address
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +345,43 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             size_vs_discovery_correlation([new_component({"10.50.0.1"}, 0, 0)])
 
+    @pytest.mark.parametrize(
+        "sizes, times, expected",
+        [
+            # scipy.stats.spearmanr on the same inputs
+            ([1, 9], [1, 2], 0.9999999999999999),
+            ([1, 2, 2, 5, 7, 7, 7, 3], [1, 1, 2, 2, 3, 1, 4, 2], 0.5549426628886425),
+            ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [2, 7, 1, 8, 2, 8, 1, 8, 2, 8], 0.13471506281091267),
+            ([5, 4, 3, 2, 1], [1, 2, 3, 4, 5], -0.9999999999999999),
+            ([1, 3], [1, 1], 0.0),  # zero variance: scipy gives nan
+        ],
+    )
+    def test_matches_average_rank_spearman(self, sizes, times, expected):
+        comps = [
+            new_component({f"10.{70 + i}.0.{j}" for j in range(size)}, 0, time - 1)
+            for i, (size, time) in enumerate(zip(sizes, times))
+        ]
+        pairs, rho = size_vs_discovery_correlation(comps)
+        assert pairs == list(zip(sizes, times))
+        assert rho == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_scipy_on_random_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            sizes = [rng.randint(1, 4) for _ in range(n)]
+            times = [rng.randint(1, 4) for _ in range(n)]
+            comps = [
+                new_component({f"10.{70 + i}.0.{j}" for j in range(size)}, 0, time - 1)
+                for i, (size, time) in enumerate(zip(sizes, times))
+            ]
+            _, rho = size_vs_discovery_correlation(comps)
+            if len(set(sizes)) == 1 or len(set(times)) == 1:
+                assert rho == 0.0
+            else:
+                assert rho == pytest.approx(float(stats.spearmanr(sizes, times).statistic), abs=1e-12)
+
 
 def brute_force_components(dataset, reference, observation):
     """Oracle: boolean transitive closure over the induced new-address
@@ -353,7 +389,7 @@ def brute_force_components(dataset, reference, observation):
     fresh = sorted(new_addresses(dataset, reference, observation))
     index = {a: i for i, a in enumerate(fresh)}
     n = len(fresh)
-    reach = np.eye(n, dtype=bool)
+    reach = [[i == j for j in range(n)] for i in range(n)]
     start, stop = observation
     for rec in dataset.rounds:
         if not start <= rec.index < stop:
@@ -366,13 +402,18 @@ def brute_force_components(dataset, reference, observation):
             if isinstance(parent, Ip) and isinstance(child, Ip):
                 a, b = parent.address, child.address
                 if a in index and b in index:
-                    reach[index[a], index[b]] = True
-                    reach[index[b], index[a]] = True
-    for _ in range(n):
-        reach = reach @ reach | reach
+                    reach[index[a]][index[b]] = True
+                    reach[index[b]][index[a]] = True
+    for _ in range(n.bit_length()):
+        # boolean matrix square, or-ed with itself: k squarings reach
+        # paths of up to 2**k links
+        reach = [
+            [reach[i][j] or any(reach[i][m] and reach[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
     groups = set()
     for i in range(n):
-        groups.add(frozenset(fresh[j] for j in range(n) if reach[i, j]))
+        groups.add(frozenset(fresh[j] for j in range(n) if reach[i][j]))
     return groups
 
 

@@ -1,0 +1,44 @@
+"""The names the traced benchmark wraps must stay where it looks them up.
+
+`perfbench/tracing.py` patches functions at the names their callers
+resolve at call time (modules bind them with `from ... import`).  A
+refactor that inlines or renames one of them would silently drop that
+layer from a `--trace 1` run; this test makes it fail instead.
+"""
+from __future__ import annotations
+
+import pytest
+
+from netradar import cli, radar
+from netradar.model import RawTraceTree
+from netradar.simnet import SimState
+from netradar.transport import SimTransport
+
+
+@pytest.mark.parametrize("name", ["tracetree", "filter_tree", "serialize_round"])
+def test_radar_calls_through_module_names(name):
+    assert callable(radar.__dict__.get(name))
+
+
+@pytest.mark.parametrize("name", ["parse_round_log", "filter_tree"])
+def test_cli_calls_through_module_names(name):
+    assert callable(cli.__dict__.get(name))
+
+
+def test_from_records_is_a_classmethod():
+    assert isinstance(RawTraceTree.__dict__.get("from_records"), classmethod)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (SimState, "route_probe"),
+        (SimState, "apply_events"),
+        (SimState, "prepare_destinations"),
+        (SimTransport, "send"),
+        (SimTransport, "poll"),
+        (SimTransport, "expire"),
+    ],
+)
+def test_simulator_methods(cls, name):
+    assert callable(cls.__dict__.get(name))

@@ -1,6 +1,7 @@
 """Round-log format, raw-tree reconstruction, and the core data types."""
 from __future__ import annotations
 
+import pickle
 from ipaddress import IPv4Address
 
 import pytest
@@ -20,6 +21,9 @@ from netradar.model import (
     parse_round_log,
     serialize_round,
 )
+from netradar.simnet import load_topology
+from netradar.tracetree import DestinationTask, tracetree
+from netradar.transport import SimTransport
 
 
 def rec(source: str, ttl: int, dest: str) -> ProbeRecord:
@@ -206,3 +210,86 @@ def test_reconstruction_invariants(records):
     assert raw.nodes == {TtlNode(r.source, r.ttl) for r in records}
     for low, high in raw.edges:
         assert high.ttl == low.ttl + 1
+
+
+# -- value semantics of the hop and record types -------------------------------
+
+
+def probed_hop(address: IPv4Address, ttl: int):
+    """The hop tracetree records for `address` answering at `ttl`, over a
+    simulated chain whose other routers take the next addresses up."""
+    names = ["mon"] + [f"r{i}" for i in range(1, ttl)] + ["dest"]
+    nodes = {name: str(IPv4Address((int(address) + 1 + i) % 2**32)) for i, name in enumerate(names[:-1])}
+    nodes["dest"] = str(address)
+    doc = {"monitor": "mon", "nodes": nodes, "links": [list(pair) for pair in zip(names, names[1:])]}
+    result = tracetree([DestinationTask(address, ttl)], SimTransport(load_topology(doc)))
+    first = result.raw.records[0]
+    assert (first.ttl, first.destination) == (ttl, address)
+    assert first.destination is address  # the caller's object, not a copy
+    return first.source
+
+
+addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
+ttls = st.integers(min_value=1, max_value=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(addresses, ttls)
+def test_ip_equal_and_hashed_alike_from_every_source(address, ttl):
+    built = Ip(address)
+    [(_, parsed)] = parse_round_log(f"#round 0 0.0 1.0\n{address} {ttl} {address}\n#end\n")
+    from_log = parsed.records[0].source
+    for other in (from_log, probed_hop(address, ttl), ip(str(address)), pickle.loads(pickle.dumps(built))):
+        assert isinstance(other, Ip)
+        assert other == built and built == other
+        assert hash(other) == hash(built)
+        assert other.address == address
+    assert len({built, from_log, Ip(IPv4Address(int(address)))}) == 1
+    assert parsed.records[0].destination == address
+
+
+@settings(max_examples=60, deadline=None)
+@given(addresses, st.text(max_size=12))
+def test_ip_never_equals_a_star(address, key):
+    for star in (Star(key), Star(str(address)), Star()):
+        assert Ip(address) != star and star != Ip(address)
+        assert len({Ip(address), star}) == 2
+    assert Ip(address) != address  # a hop is not its address
+    assert Star(key) == Star(key) and hash(Star(key)) == hash(Star(key))
+
+
+@settings(max_examples=60, deadline=None)
+@given(addresses, st.text(max_size=12))
+def test_hop_rendering(address, key):
+    hop = Ip(address)
+    assert str(hop) == str(hop) == str(address)  # rendered, then served from the cache
+    assert str(Star(key)) == "*"
+
+
+@settings(max_examples=100, deadline=None)
+@given(addresses, addresses, st.text(max_size=8), st.text(max_size=8))
+def test_hop_sort_key_order_is_unchanged(a, b, key_a, key_b):
+    # IPs numerically, then stars by key: the order the DOT output and the
+    # filter's BFS depend on
+    assert hop_sort_key(Ip(a)) == (0, int(a), "")
+    assert hop_sort_key(Star(key_a)) == (1, 0, key_a)
+    assert (hop_sort_key(Ip(a)) < hop_sort_key(Ip(b))) == (int(a) < int(b))
+    assert hop_sort_key(Ip(a)) < hop_sort_key(Star(key_b))
+    assert (hop_sort_key(Star(key_a)) < hop_sort_key(Star(key_b))) == (key_a < key_b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(addresses, ttls)
+def test_hops_nodes_and_records_are_immutable(address, ttl):
+    hop = Ip(address)
+    node = TtlNode(hop, ttl)
+    record = ProbeRecord(hop, ttl, address)
+    fields = [(node, "hop"), (node, "ttl"), (record, "source"), (record, "destination")]
+    fields += [(hop, "address"), (Star("k"), "key")]
+    for value, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        del hop.address
+    assert node == TtlNode(Ip(address), ttl) and hash(node) == hash(TtlNode(Ip(address), ttl))
+    assert record == ProbeRecord(ip(str(address)), ttl, IPv4Address(str(address)))

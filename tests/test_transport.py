@@ -6,6 +6,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from conftest import CHAIN_DOC
+from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import SimState, load_topology
 from netradar.transport import (
     SimTransport,
@@ -128,3 +129,40 @@ def test_engine_pacing_spaces_sends():
     tracetree([DestinationTask(D, 3)], transport, config)
     gaps = [b - a for a, b in zip(sent_times, sent_times[1:])]
     assert gaps and all(gap >= 0.02 - 1e-9 for gap in gaps)
+
+
+class TestExpiredBookkeeping:
+    def test_unanswered_probes_leave_nothing_behind(self, fig1_topology):
+        # the silent router times out a probe every round; with no reply
+        # pending for it, its seq must not be kept
+        transport = SimTransport(fig1_topology)
+        destinations = [IPv4Address(a) for a in ("10.0.1.14", "10.0.1.15", "10.0.1.16")]
+        sizes = []
+
+        class Sink:
+            def write(self, record):
+                sizes.append(len(transport._expired))
+
+        run_radar(RadarConfig(destinations=destinations, rounds=120), transport, Sink())
+        assert transport.stats.unanswered >= 120
+        assert sizes == [0] * 120
+
+    def test_late_replies_still_flagged(self):
+        # three hops at 0.5 s each way: the ttl-3 reply lands 3 s after its
+        # send, past the engine's 2 s timeout
+        from netradar.tracetree import DestinationTask, tracetree
+
+        transport = chain_transport(per_hop_delay=0.5)
+        for _ in range(3):
+            result = tracetree([DestinationTask(D, 3)], transport)
+            assert result.stats.late_replies == 1
+            assert transport._expired <= transport._replies.keys()
+        assert transport.stats.late == 3
+        assert not transport._expired  # every late reply has arrived
+
+    def test_expire_after_delivery_records_nothing(self):
+        transport = chain_transport()
+        token = transport.send(D, 3)
+        transport.poll(transport.clock.now() + 1.0)
+        transport.expire(token)
+        assert not transport._expired
