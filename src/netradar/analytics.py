@@ -298,65 +298,47 @@ def _average_ranks(values) -> list[float]:
 # -- plot-ready emitters -----------------------------------------------------
 
 
-def series_to_csv(series, value_name: str = "value") -> str:
-    """CSV with columns: round,<value_name>."""
+def rows_to_csv(header, rows) -> str:
+    """CSV text: the header row, then one line per row, `\n`-terminated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", value_name])
-    for index, value in series:
-        writer.writerow([index, value])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def series_to_csv(series, value_name: str = "value") -> str:
+    """CSV with columns: round,<value_name>."""
+    return rows_to_csv(["round", value_name], series)
 
 
 def histogram_to_csv(histogram: dict, key_name: str, count_name: str = "count") -> str:
     """CSV with columns: <key_name>,<count_name>, keys ascending."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([key_name, count_name])
-    for key in sorted(histogram):
-        writer.writerow([key, histogram[key]])
-    return buf.getvalue()
+    return rows_to_csv([key_name, count_name], ((key, histogram[key]) for key in sorted(histogram)))
 
 
 def components_to_csv(components) -> str:
     """CSV with columns: size,first_round,last_round,discovery_time,addresses
     (addresses joined by `|`)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "first_round", "last_round", "discovery_time", "addresses"])
-    for comp in components:
-        writer.writerow(
-            [
+    return rows_to_csv(
+        ["size", "first_round", "last_round", "discovery_time", "addresses"],
+        (
+            (
                 comp.size,
                 comp.first_round,
                 comp.last_round,
                 discovery_time(comp),
                 "|".join(str(a) for a in sorted(comp.addresses)),
-            ]
-        )
-    return buf.getvalue()
+            )
+            for comp in components
+        ),
+    )
 
 
 def correlation_to_csv(pairs, rho: float) -> str:
     """CSV of (size, discovery_time) pairs; the coefficient rides in a
     leading comment line."""
-    buf = io.StringIO()
-    buf.write(f"# spearman_rho={rho}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "discovery_time"])
-    for size, time in pairs:
-        writer.writerow([size, time])
-    return buf.getvalue()
-
-
-def curves_to_csv(curve, x_name: str, y_name: str = "distinct_ips") -> str:
-    """CSV of a cumulative curve."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([x_name, y_name])
-    for x, y in curve:
-        writer.writerow([x, y])
-    return buf.getvalue()
+    return f"# spearman_rho={rho}\n" + rows_to_csv(["size", "discovery_time"], pairs)
 
 
 def component_neighborhood_dot(dataset: RadarDataset, reference, observation, name: str = "components") -> str:

@@ -25,7 +25,7 @@ from .model import (
 )
 from .radar import RadarConfig
 from .tracetree import TracetreeConfig
-from .transport import TransportBackpressureError
+from .transport import send_paced
 
 
 @dataclass
@@ -47,18 +47,6 @@ class TracerouteRound:
             for node in hops
             if isinstance(node.hop, Ip)
         }
-
-
-def _send_paced(transport, destination, ttl, pace):
-    clock = transport.clock
-    while True:
-        try:
-            token = transport.send(destination, ttl)
-            break
-        except TransportBackpressureError as bp:
-            clock.sleep(bp.retry_at - clock.now())
-    clock.sleep(pace)
-    return token
 
 
 def _await_reply(transport, token, timeout):
@@ -90,7 +78,7 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
     for destination in destinations:
         hops: list[TtlNode] = []
         for ttl in range(1, config.max_ttl + 1):
-            token = _send_paced(transport, destination, ttl, config.inter_probe_delay)
+            token = send_paced(transport, destination, ttl, config.inter_probe_delay)
             reply = _await_reply(transport, token, config.timeout)
             if reply is None:
                 hop: Hop = Star(str(destination))
@@ -135,11 +123,6 @@ def simulate_tracetree_from_traceroute(routes) -> RawTraceTree:
                     break
                 seen.add(node)
     return RawTraceTree.from_records(records)
-
-
-def destination_chains(raw: RawTraceTree) -> dict[IPv4Address, list[TtlNode]]:
-    """Per-destination (hop, ttl) chains of a raw tree, for load counting."""
-    return routes_from_records(raw.records)
 
 
 def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:

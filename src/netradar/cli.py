@@ -104,7 +104,6 @@ def cmd_radar_run(args) -> int:
     config = RadarConfig(
         destinations=destinations,
         inter_round_delay=args.inter_round,
-        default_distance=args.max_ttl,
         rounds=args.rounds,
         tracetree=_measurement_config(args),
     )
@@ -124,7 +123,6 @@ def cmd_tracetree_once(args) -> int:
     config = RadarConfig(
         destinations=destinations,
         inter_round_delay=0.0,
-        default_distance=args.max_ttl,
         rounds=1,
         tracetree=_measurement_config(args),
     )
@@ -253,20 +251,20 @@ def cmd_compare(args) -> int:
     tt_rounds, tt_packets = baseline.cumulative_discovery_curves(tracetree_obs)
 
     prefix = args.out_prefix
-    rounds_rows = ["round,traceroute_ips,tracetree_ips"]
-    for (r, y_tr), (_, y_tt) in zip(tr_rounds, tt_rounds):
-        rounds_rows.append(f"{r},{y_tr},{y_tt}")
-    Path(f"{prefix}.curves_rounds.csv").write_text("\n".join(rounds_rows) + "\n", encoding="utf-8")
-
-    packet_rows = ["tool,cum_packets,distinct_ips"]
-    for x, y in tr_packets:
-        packet_rows.append(f"traceroute,{x},{y}")
-    for x, y in tt_packets:
-        packet_rows.append(f"tracetree,{x},{y}")
-    Path(f"{prefix}.curves_packets.csv").write_text("\n".join(packet_rows) + "\n", encoding="utf-8")
+    rounds_rows = [(r, y_tr, y_tt) for (r, y_tr), (_, y_tt) in zip(tr_rounds, tt_rounds)]
+    Path(f"{prefix}.curves_rounds.csv").write_text(
+        analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
+        encoding="utf-8",
+    )
+    packet_rows = [("traceroute", x, y) for x, y in tr_packets]
+    packet_rows += [("tracetree", x, y) for x, y in tt_packets]
+    Path(f"{prefix}.curves_packets.csv").write_text(
+        analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),
+        encoding="utf-8",
+    )
 
     load_tr = baseline.link_load_distribution(last_routes, root=root)
-    load_tt = baseline.link_load_distribution(baseline.destination_chains(last_simulated))
+    load_tt = baseline.link_load_distribution(baseline.routes_from_records(last_simulated.records))
     Path(f"{prefix}.load_traceroute.csv").write_text(
         analytics.histogram_to_csv(load_tr, "times_probed", "links"), encoding="utf-8"
     )
@@ -301,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     radar = sub.add_parser("radar", help="periodic measurement rounds")
     radar_sub = radar.add_subparsers(dest="subcommand", required=True)
-    radar_run = radar_sub.add_parser("run", help="run rounds and append them to a dataset file")
+    radar_run = radar_sub.add_parser("run", help="run rounds and write them to a dataset file (overwritten)")
     _add_measurement_flags(radar_run, with_rounds=True)
-    radar_run.add_argument("--out", required=True, help="dataset file to write")
+    radar_run.add_argument("--out", required=True, help="dataset file to write; an existing file is overwritten")
     radar_run.set_defaults(func=cmd_radar_run)
 
     tracetree_cmd = sub.add_parser("tracetree", help="tree measurement")

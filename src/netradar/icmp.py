@@ -21,12 +21,12 @@ from ipaddress import IPv4Address
 
 from .transport import (
     ProbeToken,
-    TransportBackpressureError,
     TransportClosedError,
     TransportError,
     TransportReply,
     TransportStats,
     WallClock,
+    check_rate_cap,
 )
 
 ICMP_ECHO_REQUEST = 8
@@ -111,11 +111,7 @@ class IcmpTransport:
             destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
         )
         now = self.clock.now()
-        if self.rate_cap:
-            min_gap = 1.0 / self.rate_cap
-            if self._last_send is not None and now - self._last_send < min_gap * 0.99:
-                self.stats.backpressure_events += 1
-                raise TransportBackpressureError(self._last_send + min_gap)
+        check_rate_cap(self, now)
         index = self._dest_index.setdefault(destination, len(self._dest_index))
         if index >= (1 << (16 - _TTL_BITS)):
             raise TransportError("too many destinations for the sequence encoding")
@@ -129,7 +125,13 @@ class IcmpTransport:
             self._sock.sendto(self._build_packet(wire_seq), (str(destination), 0))
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        self._tokens[(self._nonce, wire_seq)] = token
+        # the wire seq repeats every round: the probe it replaces can no
+        # longer be matched, so it need not be remembered as expired either
+        key = (self._nonce, wire_seq)
+        replaced = self._tokens.get(key)
+        if replaced is not None:
+            self._expired.discard(replaced.seq)
+        self._tokens[key] = token
         self._last_send = now
         self.stats.sent += 1
         return token

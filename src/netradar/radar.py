@@ -3,7 +3,7 @@
 Each round runs one tree measurement, filters it, persists it, then
 updates the distance cache: destinations answer next round from the
 distance they answered at this round; destinations that were not seen
-fall back to the default maximal distance.
+fall back to the maximal distance, `tracetree.max_ttl`.
 """
 from __future__ import annotations
 
@@ -12,29 +12,22 @@ from ipaddress import IPv4Address
 from pathlib import Path
 
 from .filtering import filter_tree
-from .model import Hop, RadarDataset, RoundRecord, serialize_round
+from .model import MAX_TTL_DEFAULT, Hop, RadarDataset, RoundRecord, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
-DEFAULT_DISTANCE = 30
 
 
 @dataclass
 class RadarConfig:
     destinations: list[IPv4Address]
     inter_round_delay: float = DEFAULT_INTER_ROUND_DELAY
-    default_distance: int = DEFAULT_DISTANCE
     rounds: int | None = None  # None: run until interrupted
     tracetree: TracetreeConfig = field(default_factory=TracetreeConfig)
 
     def __post_init__(self):
         if self.inter_round_delay < 0:
             raise ValueError("inter_round_delay must be >= 0")
-        if self.default_distance != self.tracetree.max_ttl:
-            raise ValueError(
-                f"default_distance ({self.default_distance}) must equal "
-                f"tracetree.max_ttl ({self.tracetree.max_ttl})"
-            )
 
 
 def load_destinations(path) -> list[IPv4Address]:
@@ -53,9 +46,9 @@ def load_destinations(path) -> list[IPv4Address]:
     return destinations
 
 
-def next_round_tasks(cache: dict, destinations, default_distance: int = DEFAULT_DISTANCE) -> list[DestinationTask]:
-    """Each destination probes from its cached distance, or from the
-    default maximal distance when the cache has nothing for it."""
+def next_round_tasks(cache: dict, destinations, default_distance: int = MAX_TTL_DEFAULT) -> list[DestinationTask]:
+    """Each destination probes from its cached distance, or from
+    `default_distance` when the cache has nothing for it."""
     return [
         DestinationTask(dest, cache.get(dest, default_distance)) for dest in destinations
     ]
@@ -64,7 +57,7 @@ def next_round_tasks(cache: dict, destinations, default_distance: int = DEFAULT_
 def update_cache(cache: dict, observed_distances: dict) -> dict:
     """Fold one round's observations into the cache.  Destinations seen
     this round keep their observed distance; destinations not seen are
-    evicted so the next round starts from the default."""
+    evicted so the next round starts from the maximal distance."""
     updated = dict(cache)
     for dest, distance in observed_distances.items():
         if distance is None:
@@ -75,7 +68,9 @@ def update_cache(cache: dict, observed_distances: dict) -> dict:
 
 
 class DatasetWriter:
-    """Round sink appending serialized round blocks to a file, in order."""
+    """Round sink writing serialized round blocks to a file, in order.
+    Opening the writer truncates the file: an existing dataset at `path`
+    is overwritten, not appended to."""
 
     def __init__(self, path):
         self._path = Path(path)
@@ -113,6 +108,8 @@ def run_radar(config: RadarConfig, transport, sink=None, monitor: Hop | None = N
         raise ValueError("no destinations configured")
     root = monitor if monitor is not None else transport.monitor_hop
     clock = transport.clock
+    # unseen destinations start, and under-estimates restart, at max_ttl
+    max_ttl = config.tracetree.max_ttl
     cache: dict[IPv4Address, int] = {}
     dataset = RadarDataset(monitor_id=str(root), parameters=config)
     index = 0
@@ -122,11 +119,9 @@ def run_radar(config: RadarConfig, transport, sink=None, monitor: Hop | None = N
             wait = next_start - clock.now()
             if wait > 0:
                 clock.sleep(wait)
-            tasks = next_round_tasks(cache, config.destinations, config.default_distance)
+            tasks = next_round_tasks(cache, config.destinations, max_ttl)
             started = clock.now()
-            result = tracetree(
-                tasks, transport, config.tracetree, restart_from=config.default_distance
-            )
+            result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl)
             finished = clock.now()
             tree, _ = filter_tree(result.raw, root)
             record = RoundRecord(

@@ -286,7 +286,7 @@ class SimState:
         # routing is keyed by the address integer, never by IPv4Address
         self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
         self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
-        self._monitor_parents: dict[str, str] | None = None
+        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
 
     # -- events ------------------------------------------------------------
 
@@ -304,7 +304,7 @@ class SimState:
 
     def _invalidate_routes(self) -> None:
         self._paths.clear()
-        self._monitor_parents = None
+        self._parents.clear()
         self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
 
     def _require_node(self, name: str, action: str) -> None:
@@ -371,11 +371,14 @@ class SimState:
         for dest in destinations:
             self._path_from(self.monitor, _address(dest)._ip)
 
-    def _monitor_bfs(self) -> dict[str, str]:
-        if self._monitor_parents is None:
-            parents: dict[str, str] = {}
-            visited = {self.monitor}
-            queue = deque([self.monitor])
+    def _bfs(self, start: str) -> dict[str, str]:
+        """Parent map of a breadth-first search from `start`, neighbours in
+        address order; cached per start until the routes change."""
+        parents = self._parents.get(start)
+        if parents is None:
+            parents = {}
+            visited = {start}
+            queue = deque([start])
             while queue:
                 node = queue.popleft()
                 for nxt in self._adj.get(node, ()):
@@ -383,8 +386,8 @@ class SimState:
                         visited.add(nxt)
                         parents[nxt] = node
                         queue.append(nxt)
-            self._monitor_parents = parents
-        return self._monitor_parents
+            self._parents[start] = parents
+        return parents
 
     def _path_from(self, start: str, dest: int) -> tuple[str, ...] | None:
         key = (start, dest)
@@ -393,33 +396,12 @@ class SimState:
         target = self._addr_to_node.get(dest)
         path: tuple[str, ...] | None = None
         if target is not None:
-            if start == self.monitor:
-                parents = self._monitor_bfs()
-                if target == start or target in parents:
-                    chain = [target]
-                    while chain[-1] != start:
-                        chain.append(parents[chain[-1]])
-                    path = tuple(reversed(chain))
-            else:
-                parents2: dict[str, str] = {}
-                visited = {start}
-                queue = deque([start])
-                found = start == target
-                while queue and not found:
-                    node = queue.popleft()
-                    for nxt in self._adj.get(node, ()):
-                        if nxt not in visited:
-                            visited.add(nxt)
-                            parents2[nxt] = node
-                            if nxt == target:
-                                found = True
-                                break
-                            queue.append(nxt)
-                if found:
-                    chain = [target]
-                    while chain[-1] != start:
-                        chain.append(parents2[chain[-1]])
-                    path = tuple(reversed(chain))
+            parents = self._bfs(start)
+            if target == start or target in parents:
+                chain = [target]
+                while chain[-1] != start:
+                    chain.append(parents[chain[-1]])
+                path = tuple(reversed(chain))
         self._paths[key] = path
         return path
 

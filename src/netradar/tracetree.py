@@ -9,23 +9,17 @@ record count and the view over (hop, ttl) pairs is a tree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address
 
 from .model import Ip, ProbeRecord, RawTraceTree, Star
-from .transport import TransportBackpressureError, TransportError
-
-ONE_PER_LOOP = "one_per_loop"
-GREEDY = "greedy"
-_STRATEGIES = (ONE_PER_LOOP, GREEDY)
+from .transport import TransportError, send_paced
 
 
 @dataclass
 class TracetreeConfig:
     max_ttl: int = 30
     timeout: float = 2.0
-    send_strategy: str = ONE_PER_LOOP
-    receive_strategy: str = ONE_PER_LOOP
     inter_probe_delay: float = 0.005
 
     def __post_init__(self):
@@ -33,8 +27,6 @@ class TracetreeConfig:
             raise ValueError(f"max_ttl must be in [1, 64], got {self.max_ttl}")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
-        if self.send_strategy not in _STRATEGIES or self.receive_strategy not in _STRATEGIES:
-            raise ValueError(f"strategies must be one of {_STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -118,19 +110,6 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
         if restart_from is not None and ttl == assumed[d] and not echo_from_dest:
             push(d, restart_from)
 
-    def send_one() -> None:
-        key = to_probe.popleft()
-        dest = by_int[key[0]]
-        while True:
-            try:
-                token = transport.send(dest, key[1])
-                break
-            except TransportBackpressureError as bp:
-                clock.sleep(bp.retry_at - clock.now())
-        inflight[key] = token
-        stats.probes_sent += 1
-        clock.sleep(config.inter_probe_delay)
-
     def handle_reply(reply) -> None:
         key = (reply.token.destination._ip, reply.token.ttl)
         token = inflight.get(key)
@@ -155,10 +134,13 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
 
     try:
         while to_probe or inflight:
+            # each pass sends at most one probe and handles at most one reply
             if to_probe:
-                send_one()
-                while to_probe and config.send_strategy == GREEDY:
-                    send_one()
+                key = to_probe.popleft()
+                inflight[key] = send_paced(
+                    transport, by_int[key[0]], key[1], config.inter_probe_delay
+                )
+                stats.probes_sent += 1
             if not reply_buffer and inflight:
                 if to_probe:
                     deadline = clock.now()
@@ -166,10 +148,8 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
                     # tokens sit in send order, so the first one expires first
                     deadline = next(iter(inflight.values())).sent_at + config.timeout
                 reply_buffer.extend(transport.poll(deadline))
-            while reply_buffer:
+            if reply_buffer:
                 handle_reply(reply_buffer.popleft())
-                if config.receive_strategy != GREEDY:
-                    break
             now = clock.now()
             # same float expression as the poll deadline (sent_at + timeout):
             # a subtraction here can disagree by one ulp and stall the sweep

@@ -63,6 +63,33 @@ class TransportStats:
     backpressure_events: int = 0
 
 
+def check_rate_cap(transport, now: float) -> None:
+    """Raise TransportBackpressureError when a send at `now` would come
+    sooner than 1/rate_cap after the transport's last send (rate_cap 0:
+    no cap).  Counts each refusal in the transport's stats."""
+    last = transport._last_send
+    if transport.rate_cap and last is not None:
+        min_gap = 1.0 / transport.rate_cap
+        # 1% slack so float rounding of paced send times never stalls a caller
+        if now - last < min_gap * 0.99:
+            transport.stats.backpressure_events += 1
+            raise TransportBackpressureError(last + min_gap)
+
+
+def send_paced(transport, destination, ttl: int, delay: float) -> ProbeToken:
+    """Send one probe, first sleeping out any rate-cap backpressure, then
+    sleep `delay` on the transport's clock.  Returns the probe's token."""
+    clock = transport.clock
+    while True:
+        try:
+            token = transport.send(destination, ttl)
+        except TransportBackpressureError as bp:
+            clock.sleep(bp.retry_at - clock.now())
+        else:
+            clock.sleep(delay)
+            return token
+
+
 class SimClock:
     """Virtual clock owned by a simulator transport; sleeping advances it."""
 
@@ -137,12 +164,7 @@ class SimTransport:
         """Emit one probe; returns its token immediately."""
         self._check_open()
         now = self.clock.now()
-        if self.rate_cap:
-            min_gap = 1.0 / self.rate_cap
-            # 1% slack so float rounding of paced send times never stalls a caller
-            if self._last_send is not None and now - self._last_send < min_gap * 0.99:
-                self.stats.backpressure_events += 1
-                raise TransportBackpressureError(self._last_send + min_gap)
+        check_rate_cap(self, now)
         self.state.apply_events(now)
         destination = (
             destination if isinstance(destination, IPv4Address) else IPv4Address(destination)

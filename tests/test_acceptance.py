@@ -25,8 +25,8 @@ from netradar.analytics import (
 from netradar.baseline import (
     cumulative_discovery_curves,
     dataset_observations,
-    destination_chains,
     link_load_distribution,
+    routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
     step_value,
@@ -130,7 +130,7 @@ def test_c3_load_balancing():
     assert tr_loads == {1: k, k: 1}  # first-hop link probed exactly k times
     tt_transport = SimTransport(load_topology(doc))
     tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport)
-    tt_loads = link_load_distribution(destination_chains(tt.raw))
+    tt_loads = link_load_distribution(routes_from_records(tt.raw.records))
     assert set(tt_loads) == {1}  # every link discovered exactly once
     print(f"[acceptance] C3 PASS: load balancing (traceroute first hop {k}x, tracetree all 1)")
 

@@ -9,7 +9,6 @@ from conftest import CHAIN_DOC, shared_prefix_doc, star_destinations, star_topol
 from netradar.baseline import (
     cumulative_discovery_curves,
     dataset_observations,
-    destination_chains,
     link_load_distribution,
     routes_from_records,
     simulate_destination_subset,
@@ -134,7 +133,7 @@ class TestLinkLoads:
     def test_tracetree_loads_all_one(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
-        loads = link_load_distribution(destination_chains(result.raw))
+        loads = link_load_distribution(routes_from_records(result.raw.records))
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one_on_star_topology(self):
@@ -142,7 +141,7 @@ class TestLinkLoads:
         transport = SimTransport(load_topology(star_topology_doc(k)))
         tasks = [DestinationTask(d, 2) for d in star_destinations(k)]
         result = tracetree(tasks, transport)
-        loads = link_load_distribution(destination_chains(result.raw))
+        loads = link_load_distribution(routes_from_records(result.raw.records))
         assert set(loads) == {1}
 
 
@@ -152,7 +151,6 @@ class TestDestinationSubset:
         config = RadarConfig(
             destinations=destinations,
             inter_round_delay=600.0,
-            default_distance=max_ttl,
             rounds=rounds,
             tracetree=TracetreeConfig(max_ttl=max_ttl),
         )
@@ -235,7 +233,6 @@ class TestDiscoveryCurves:
         transport = SimTransport(load_topology(shared_prefix_doc()))
         config = RadarConfig(
             destinations=[D1, D2],
-            default_distance=8,
             rounds=3,
             tracetree=TracetreeConfig(max_ttl=8),
         )
@@ -259,7 +256,6 @@ class TestDiscoveryCurves:
         transport = SimTransport(load_topology(doc))
         config = RadarConfig(
             destinations=[D],
-            default_distance=8,
             rounds=5,
             tracetree=TracetreeConfig(max_ttl=8),
         )

@@ -296,3 +296,23 @@ class TestCompare:
         assert "traceroute," in packets_csv and "tracetree," in packets_csv
         load_tt = (tmp_path / "cmp.load_tracetree.csv").read_text(encoding="utf-8")
         assert load_tt.splitlines()[1].startswith("1,")
+
+    def test_curve_and_load_csv_bytes(self, tmp_path):
+        doc = shared_prefix_doc()
+        topo = tmp_path / "topo.yaml"
+        topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        dests = tmp_path / "dests.txt"
+        dests.write_text("10.2.0.6\n10.2.0.7\n", encoding="utf-8")
+        log = tmp_path / "tr.rounds"
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(log)]
+        assert main(["traceroute", "once", *args]) == 0
+        prefix = str(tmp_path / "cmp")
+        assert main(["compare", "--in", str(log), "--monitor", "10.2.0.1", "--out-prefix", prefix]) == 0
+        expected = {
+            "curves_rounds": "round,traceroute_ips,tracetree_ips\n1,6,6\n",
+            "curves_packets": "tool,cum_packets,distinct_ips\ntraceroute,8,6\ntracetree,7,6\n",
+            "load_traceroute": "times_probed,links\n1,4\n2,2\n",
+            "load_tracetree": "times_probed,links\n1,5\n",
+        }
+        for name, text in expected.items():
+            assert (tmp_path / f"cmp.{name}.csv").read_bytes() == text.encode()

@@ -15,7 +15,7 @@ from netradar.icmp import (
     IcmpTransport,
     _checksum,
 )
-from netradar.transport import ProbeToken, WallClock
+from netradar.transport import ProbeToken, TransportBackpressureError, WallClock
 
 
 def test_checksum_matches_reference():
@@ -94,6 +94,58 @@ def test_decode_expired_token_flagged_late():
     reply = transport._decode(ip_header() + icmp, "10.0.0.4")
     assert reply is not None and reply.late
     assert transport.stats.late == 1
+
+
+class StubSocket:
+    """Accepts what `IcmpTransport.send` does to a socket; sends nothing."""
+
+    def __init__(self):
+        self.sent = []
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendto(self, packet, address):
+        self.sent.append((packet, address))
+
+    def close(self):
+        pass
+
+
+def stub_transport(monkeypatch, rate_cap: float = 0.0) -> IcmpTransport:
+    monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: StubSocket())
+    return IcmpTransport(rate_cap=rate_cap, nonce=0x1234)
+
+
+class TestExpiredBookkeeping:
+    def test_reused_wire_seq_drops_the_old_expired_seq(self, monkeypatch):
+        transport = stub_transport(monkeypatch)
+        destination = IPv4Address("10.0.0.4")
+        for _ in range(100):  # one unanswered probe per round
+            transport.expire(transport.send(destination, 3))
+        assert len(transport._sock.sent) == 100
+        assert len(transport._tokens) == 1
+        assert len(transport._expired) == 1
+
+    def test_latest_expired_probe_still_flagged_late(self, monkeypatch):
+        transport = stub_transport(monkeypatch)
+        destination = IPv4Address("10.0.0.4")
+        transport.expire(transport.send(destination, 3))
+        token = transport.send(destination, 3)
+        transport.expire(token)
+        icmp = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x1234, 3)
+        reply = transport._decode(ip_header() + icmp, "10.0.0.4")
+        assert reply is not None and reply.late and reply.token == token
+        assert transport._expired == set()
+
+
+def test_rate_cap_backpressure(monkeypatch):
+    transport = stub_transport(monkeypatch, rate_cap=1.0)
+    transport.send(IPv4Address("10.0.0.4"), 1)
+    with pytest.raises(TransportBackpressureError):
+        transport.send(IPv4Address("10.0.0.4"), 2)
+    assert transport.stats.backpressure_events == 1
+    assert len(transport._sock.sent) == 1
 
 
 def _can_open_raw_socket() -> bool:

@@ -26,7 +26,6 @@ def small_config(destinations, rounds, max_ttl=8, inter_round=600.0):
     return RadarConfig(
         destinations=destinations,
         inter_round_delay=inter_round,
-        default_distance=max_ttl,
         rounds=rounds,
         tracetree=TracetreeConfig(max_ttl=max_ttl),
     )
@@ -220,10 +219,6 @@ class TestSinkAndInputs:
         path.write_text("not-an-address\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1|:1:"):
             load_destinations(path)
-
-    def test_config_invariant_enforced(self):
-        with pytest.raises(ValueError, match="default_distance"):
-            RadarConfig(destinations=[D], default_distance=30, tracetree=TracetreeConfig(max_ttl=20))
 
     def test_empty_destinations_rejected(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))

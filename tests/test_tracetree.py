@@ -1,7 +1,6 @@
 """The backward tree measurement engine against the simulator."""
 from __future__ import annotations
 
-from collections import Counter
 from ipaddress import IPv4Address
 
 import pytest
@@ -11,7 +10,6 @@ from netradar.model import Ip, Star, serialize_round
 from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
 from netradar.tracetree import (
-    GREEDY,
     DestinationTask,
     TracetreeConfig,
     tracetree,
@@ -148,28 +146,6 @@ class TestInvariants:
         }
         got = {(str(a.hop), str(b.hop)) for a, b in result.raw.edges}
         assert got == expected_links
-
-    @pytest.mark.parametrize("send_strategy", ["one_per_loop", "greedy"])
-    @pytest.mark.parametrize("receive_strategy", ["one_per_loop", "greedy"])
-    def test_strategies_same_record_multiset(self, send_strategy, receive_strategy):
-        # pacing changes, content does not (no per-packet balancers here)
-        doc = shared_prefix_doc()
-        doc["nodes"]["t1"] = {"address": "10.2.0.4", "policy": "silent"}
-        baseline_multiset = None
-        config = TracetreeConfig(
-            send_strategy=send_strategy, receive_strategy=receive_strategy
-        )
-        transport = SimTransport(load_topology(doc))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, config)
-        multiset = Counter((str(r.source), r.ttl, str(r.destination)) for r in result.raw.records)
-        reference_transport = SimTransport(load_topology(doc))
-        reference = tracetree(
-            [DestinationTask(D1, 4), DestinationTask(D2, 4)], reference_transport
-        )
-        baseline_multiset = Counter(
-            (str(r.source), r.ttl, str(r.destination)) for r in reference.raw.records
-        )
-        assert multiset == baseline_multiset
 
 
 class TestRestart:
