@@ -30,23 +30,22 @@ from .transport import send_paced
 
 @dataclass
 class TracerouteRound:
-    """One classic traceroute sweep over a destination set."""
+    """One classic traceroute sweep over a destination set: one record per
+    (destination, ttl) probed, destination by destination, ttl upward."""
 
-    routes: dict[IPv4Address, list[TtlNode]]
     records: list[ProbeRecord]
-    packet_count: int
     duration: float
 
-    def to_raw(self) -> RawTraceTree:
-        return RawTraceTree.from_records(self.records)
+    @property
+    def routes(self) -> dict[IPv4Address, list[TtlNode]]:
+        return routes_from_records(self.records)
+
+    @property
+    def packet_count(self) -> int:
+        return len(self.records)
 
     def observed_ips(self) -> set[IPv4Address]:
-        return {
-            node.hop.address
-            for hops in self.routes.values()
-            for node in hops
-            if isinstance(node.hop, Ip)
-        }
+        return {rec.source.address for rec in self.records if isinstance(rec.source, Ip)}
 
 
 def _await_reply(transport, token, timeout):
@@ -73,10 +72,8 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
         prepare(list(destinations))
     clock = transport.clock
     started = clock.now()
-    routes: dict[IPv4Address, list[TtlNode]] = {}
     records: list[ProbeRecord] = []
     for destination in destinations:
-        hops: list[TtlNode] = []
         for ttl in range(1, config.max_ttl + 1):
             token = send_paced(transport, destination, ttl, config.inter_probe_delay)
             reply = _await_reply(transport, token, config.timeout)
@@ -84,17 +81,10 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
                 hop: Hop = Star(str(destination))
             else:
                 hop = Ip(reply.source)
-            hops.append(TtlNode(hop, ttl))
             records.append(ProbeRecord(hop, ttl, destination))
             if reply is not None and reply.kind == "echo_reply" and reply.source == destination:
                 break
-        routes[destination] = hops
-    return TracerouteRound(
-        routes=routes,
-        records=records,
-        packet_count=len(records),
-        duration=clock.now() - started,
-    )
+    return TracerouteRound(records=records, duration=clock.now() - started)
 
 
 def routes_from_records(records) -> dict[IPv4Address, list[TtlNode]]:

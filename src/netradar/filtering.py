@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import FilteredTree, Hop, Ip, RawTraceTree, Star, TtlNode, hop_sort_key
+from .model import FilteredTree, Hop, Ip, ProbeRecord, RawTraceTree, Star, TtlNode, hop_sort_key
 
 
 @dataclass
@@ -41,9 +41,11 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
     """
     report = FilterReport()
     root = monitor
+    raw_nodes, raw_edges, raw_terminals = raw.graph()
 
     # stage 1: merge all nodes carrying the same address
-    ip_nodes = [n for n in raw.nodes if isinstance(n.hop, Ip)]
+    merged_of = {node: _merged_hop(node) for node in raw_nodes}
+    ip_nodes = [n for n in raw_nodes if isinstance(n.hop, Ip)]
     report.merged_ip_nodes = len(ip_nodes) - len({n.hop for n in ip_nodes})
 
     out: dict[Hop, set[Hop]] = {}
@@ -66,29 +68,26 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
         del out[hop], inn[hop]
 
     ensure(root)
-    for node in raw.nodes:
-        merged = _merged_hop(node)
+    for node, merged in merged_of.items():
         ensure(merged)
         if isinstance(merged, Star):
             star_ttl[merged] = node.ttl
 
     # stage 2: parallel edges collapse, links from an address to itself go
     loops: set[Hop] = set()
-    for u_raw, v_raw in raw.edges:
-        u, v = _merged_hop(u_raw), _merged_hop(v_raw)
+    for u_raw, v_raw in raw_edges:
+        u, v = merged_of[u_raw], merged_of[v_raw]
         if u == v:
             loops.add(u)
             continue
         add_edge(u, v)
     report.loops_removed = len(loops)
 
-    for node in raw.nodes:
-        if node.ttl == 1:
-            merged = _merged_hop(node)
-            if merged != root:
-                add_edge(root, merged)
+    for node, merged in merged_of.items():
+        if node.ttl == 1 and merged != root:
+            add_edge(root, merged)
 
-    terminals: dict = {d: _merged_hop(n) for d, n in raw.terminals.items()}
+    terminals: dict = {d: merged_of[n] for d, n in raw_terminals.items()}
     terminal_hops = set(terminals.values())
 
     # stage 3: iteratively drop stars with no successor, unless some
@@ -168,7 +167,7 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
                 parent[child] = node
                 order.append(child)
                 queue.append(child)
-    if len(order) == 1 and raw.nodes:
+    if len(order) == 1 and raw_nodes:
         report.degenerate = True
 
     terminals = {d: h for d, h in terminals.items() if h in visited}
@@ -201,26 +200,21 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
 
 
 def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
-    """Re-encode a filtered tree as a raw tree with each node at its BFS
-    depth.  filter_tree on the result is the identity (idempotence)."""
-    depth = {tree.root: 0}
-    children = tree.children_map()
-    queue = deque([tree.root])
-    order = []
-    while queue:
-        node = queue.popleft()
-        for child in children[node]:
-            depth[child] = depth[node] + 1
-            order.append(child)
-            queue.append(child)
-    nodes = {TtlNode(h, depth[h]) for h in order}
-    edges = {
-        (TtlNode(p, depth[p]), TtlNode(c, depth[c]))
-        for p, c in tree.edges
-        if p != tree.root
-    }
-    terminals = {d: TtlNode(h, depth[h]) for d, h in tree.terminals.items()}
-    return RawTraceTree(records=[], nodes=nodes, edges=edges, terminals=terminals)
+    """Re-encode a filtered tree as probe records: for each destination,
+    one record per node on its terminal's root path, at the node's depth
+    in the tree.  The result is a valid round; filter_tree on it gives
+    back the same tree (idempotence)."""
+    parents = tree.parent_map()
+    records = []
+    for destination, node in tree.terminals.items():
+        path = []
+        while node != tree.root:
+            path.append(node)
+            node = parents[node]
+        # terminal first, walking backward the way tree probing emits them
+        for ttl, hop in zip(range(len(path), 0, -1), path):
+            records.append(ProbeRecord(hop, ttl, destination))
+    return RawTraceTree.from_records(records)
 
 
 def tree_to_dot(tree: FilteredTree, name: str = "tree") -> str:
@@ -240,21 +234,5 @@ def tree_to_dot(tree: FilteredTree, name: str = "tree") -> str:
         lines.append(f"  {nid} [{', '.join(attrs)}];")
     for parent, child in sorted(tree.edges, key=lambda e: (hop_sort_key(e[0]), hop_sort_key(e[1]))):
         lines.append(f"  {ids[parent]} -> {ids[child]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def raw_to_dot(raw: RawTraceTree, name: str = "raw") -> str:
-    """Graphviz DOT rendering of a raw (hop, ttl) tree."""
-
-    def node_key(n: TtlNode):
-        return (n.ttl,) + hop_sort_key(n.hop)
-
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    ids = {node: f"n{i}" for i, node in enumerate(sorted(raw.nodes, key=node_key))}
-    for node, nid in ids.items():
-        lines.append(f'  {nid} [label="{node.hop},{node.ttl}"];')
-    for low, high in sorted(raw.edges, key=lambda e: (node_key(e[0]), node_key(e[1]))):
-        lines.append(f"  {ids[low]} -> {ids[high]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

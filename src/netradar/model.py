@@ -4,6 +4,11 @@ Hops, (hop, ttl) observations, probe records, raw and filtered routing
 trees, measurement rounds, and the plain-text round-log format that ties
 them together on disk.
 
+A raw tree is its probe records, the same records the round log holds,
+one line each; its (hop, ttl) graph of nodes, edges and terminals is
+derived from them on demand and never stored.  A retained round
+therefore costs its records and nothing more.
+
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
 callers that read it, and hashes and compares by the address integer, so
@@ -11,7 +16,7 @@ sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
 its dotted quad once and caches it for the round log.  A `Star` compares
 by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
 named tuples over hops.  Inside the hot loops (simulator, transport,
-tracetree, raw-tree reconstruction) addresses are keyed by their
+tracetree, raw-graph derivation) addresses are keyed by their
 integer, read as `IPv4Address._ip` (what `int()` returns, without the
 method call); `IPv4Address` objects and dotted quads appear only at the
 edges: topology and destination files, the round log, CSV/DOT output,
@@ -156,32 +161,33 @@ class ProbeRecord(NamedTuple):
 
 @dataclass
 class RawTraceTree:
-    """Direct tree-measurement output over (hop, ttl) nodes.
+    """Direct tree-measurement output: the probe records of one round.
 
-    `records` preserves emission order.  Nodes, edges and terminals are
-    the derived view consumed by the filter: edges join ttl t to t+1 and
-    are reconstructed per destination from consecutive-ttl records, which
-    is what makes the text log a lossless serialization.  Chains that
-    stopped early (their bottom record hit an already-seen node) are
-    reattached through the records of whichever destination kept probing,
-    because the shared (hop, ttl) node appears in that chain too.
+    `records`, in emission order, is the only stored view; it is what
+    the round log serializes line for line.  `graph()` derives the
+    (hop, ttl) view the filter consumes and never caches it: edges join
+    ttl t to t+1 and are reconstructed per destination from
+    consecutive-ttl records, which is what makes the text log a lossless
+    serialization.  Chains that stopped early (their bottom record hit an
+    already-seen node) are reattached through the records of whichever
+    destination kept probing, because the shared (hop, ttl) node appears
+    in that chain too.
     """
 
     records: list[ProbeRecord]
-    nodes: set[TtlNode]
-    edges: set[tuple[TtlNode, TtlNode]]
-    terminals: dict[IPv4Address, TtlNode]
-    complete: bool = True
 
     @classmethod
-    def from_records(cls, records, complete: bool = True) -> "RawTraceTree":
-        records = list(records)
+    def from_records(cls, records) -> "RawTraceTree":
+        return cls(list(records))
+
+    def graph(self) -> tuple[set[TtlNode], set[tuple[TtlNode, TtlNode]], dict[IPv4Address, TtlNode]]:
+        """Derive `(nodes, edges, terminals)` from the records."""
         # one TtlNode object per (hop, ttl), shared by the node set, the
         # per-destination buckets and the edges
         nodes: dict[TtlNode, TtlNode] = {}
         # destination int -> (destination, {ttl: nodes in first-sighting order})
         by_dest: dict[int, tuple[IPv4Address, dict[int, list[TtlNode]]]] = {}
-        for source, ttl, destination in records:
+        for source, ttl, destination in self.records:
             node = TtlNode(source, ttl)
             node = nodes.setdefault(node, node)
             entry = by_dest.get(destination._ip)
@@ -203,7 +209,19 @@ class RawTraceTree:
                     for low in lows:
                         for high in highs:
                             edges.add((low, high))
-        return cls(records, set(nodes), edges, terminals, complete)
+        return set(nodes), edges, terminals
+
+    @property
+    def nodes(self) -> set[TtlNode]:
+        return self.graph()[0]
+
+    @property
+    def edges(self) -> set[tuple[TtlNode, TtlNode]]:
+        return self.graph()[1]
+
+    @property
+    def terminals(self) -> dict[IPv4Address, TtlNode]:
+        return self.graph()[2]
 
 
 @dataclass(frozen=True)

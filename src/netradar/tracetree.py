@@ -166,6 +166,6 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
         stats.complete = False
 
     stats.duration = clock.now() - started
-    raw = RawTraceTree.from_records(records, complete=stats.complete)
+    raw = RawTraceTree.from_records(records)
     distances = {dest: echo_at.get(d) for d, dest in by_int.items()}
     return TracetreeResult(raw=raw, distances=distances, stats=stats)

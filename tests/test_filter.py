@@ -16,6 +16,8 @@ from netradar.model import (
     TtlNode,
     hop_sort_key,
     ip,
+    parse_round_log,
+    serialize_round,
 )
 
 MONITOR = ip("10.0.0.1")
@@ -230,7 +232,10 @@ class TestFilterInvariants:
         for _ in range(100):
             raw = simulate_tracetree_from_traceroute(random_routes(rng))
             tree, _ = filter_tree(raw, MONITOR)
-            again, report = filter_tree(reencode_as_raw(tree), MONITOR)
+            # through the round log: the re-encoding is a round like any other
+            block = serialize_round(reencode_as_raw(tree), 0, 0.0, 1.0)
+            [(_, parsed)] = parse_round_log(block)
+            again, report = filter_tree(parsed, MONITOR)
             assert again.nodes == tree.nodes
             assert again.edges == tree.edges
             assert again.terminals == tree.terminals

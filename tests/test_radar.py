@@ -1,12 +1,13 @@
 """Round scheduling and the distance cache."""
 from __future__ import annotations
 
+import gc
 from ipaddress import IPv4Address
 
 import pytest
 
 from conftest import CHAIN_DOC
-from netradar.model import parse_round_log
+from netradar.model import TtlNode, parse_round_log
 from netradar.radar import (
     DatasetWriter,
     RadarConfig,
@@ -114,6 +115,20 @@ class TestRunRadar:
         assert len(dataset.rounds) == 3
         flags = [rec.complete for rec in dataset.rounds]
         assert False in flags and True in flags
+
+    def test_kept_rounds_hold_no_raw_graph(self, fig1_topology):
+        # a kept round holds its probe records; the (hop, ttl) graph is
+        # derived for the filter and dropped, so no TtlNode outlives it
+        def alive_ttl_nodes():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is TtlNode)
+
+        destinations = [IPv4Address(a) for a in ("10.0.1.14", "10.0.1.15", "10.0.1.16")]
+        before = alive_ttl_nodes()
+        dataset = run_radar(small_config(destinations, rounds=6), SimTransport(fig1_topology))
+        assert alive_ttl_nodes() == before
+        assert len(dataset.rounds) == 6
+        assert all(rec.raw.records for rec in dataset.rounds)
 
     def test_interrupt_preserves_partial_dataset(self):
         class Interrupting(SimTransport):

@@ -190,7 +190,6 @@ class TestFaults:
         transport = Flaky(load_topology(dict(CHAIN_DOC)), fail_after=2)
         result = tracetree([DestinationTask(D, 3)], transport)
         assert not result.stats.complete
-        assert not result.raw.complete
         assert len(result.raw.records) < 3
 
     def test_bad_inputs_rejected(self):
