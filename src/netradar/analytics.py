@@ -14,10 +14,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import FilteredTree, Ip, RadarDataset
+from .model import Ip, RadarDataset
 
 SLIDING = "sliding"
 BLOCKED = "blocked"
+
+# a series with zero MAD that is not constant falls back to this fraction
+# of its median as the deviation scale
+MIN_SCALE_FRAC = 0.05
 
 
 def per_round_ip_count(dataset: RadarDataset) -> list[tuple[int, int]]:
@@ -36,21 +40,12 @@ def windowed_ip_count(dataset: RadarDataset, window: int = 10, mode: str = SLIDI
         raise ValueError("window must be >= 1")
     if mode not in (SLIDING, BLOCKED):
         raise ValueError(f"mode must be {SLIDING!r} or {BLOCKED!r}")
-    per_round = [(rec.index, rec.tree.observed_ips()) for rec in dataset.rounds]
-    out = []
-    if mode == SLIDING:
-        for i in range(window - 1, len(per_round)):
-            union: set = set()
-            for _, ips in per_round[i - window + 1 : i + 1]:
-                union |= ips
-            out.append((per_round[i][0], len(union)))
-    else:
-        for i in range(0, len(per_round) - window + 1, window):
-            union = set()
-            for _, ips in per_round[i : i + window]:
-                union |= ips
-            out.append((per_round[i + window - 1][0], len(union)))
-    return out
+    per_round = [rec.tree.observed_ips() for rec in dataset.rounds]
+    step = 1 if mode == SLIDING else window
+    return [
+        (dataset.rounds[last].index, len(set().union(*per_round[last - window + 1 : last + 1])))
+        for last in range(window - 1, len(per_round), step)
+    ]
 
 
 @dataclass
@@ -65,14 +60,13 @@ def detect_peaks(
     series,
     direction: str = "up",
     k: float = 5.0,
-    min_scale_frac: float = 0.05,
 ) -> PeakDetection:
     """Flag points deviating from the series median by more than k times
     the median absolute deviation, in one direction.
 
     A constant series has zero MAD and flags nothing.  A series whose MAD
     is zero without being constant (more than half the points identical)
-    falls back to a scale of min_scale_frac * |median|, so only deviations
+    falls back to a scale of MIN_SCALE_FRAC * |median|, so only deviations
     beyond that fraction of the typical level count as peaks.
     """
     if len(series) < 10:
@@ -83,7 +77,7 @@ def detect_peaks(
     median = statistics.median(values)
     mad = statistics.median([abs(value - median) for value in values])
     degenerate = mad == 0.0
-    scale = mad if mad > 0.0 else min_scale_frac * max(abs(median), 1.0)
+    scale = mad if mad > 0.0 else MIN_SCALE_FRAC * max(abs(median), 1.0)
     threshold = k * scale
     sign = 1.0 if direction == "up" else -1.0
     indices = [
@@ -107,6 +101,22 @@ def _rounds_in(dataset: RadarDataset, bounds) -> list:
     return [rec for rec in dataset.rounds if start <= rec.index < stop]
 
 
+def _union(rounds) -> tuple[set[IPv4Address], set[tuple[IPv4Address, IPv4Address]]]:
+    """The addresses and the undirected address links, as (min, max)
+    pairs, seen over `rounds`; links through a star or from the monitor
+    do not count."""
+    addresses: set[IPv4Address] = set()
+    links: set[tuple[IPv4Address, IPv4Address]] = set()
+    for rec in rounds:
+        tree = rec.tree
+        addresses |= tree.observed_ips()
+        for child, parent in tree.parents.items():
+            if isinstance(child, Ip) and isinstance(parent, Ip) and parent != tree.root:
+                a, b = parent.address, child.address
+                links.add((a, b) if a < b else (b, a))
+    return addresses, links
+
+
 def _check_ranges(reference, observation) -> None:
     for name, (start, stop) in (("reference", reference), ("observation", observation)):
         if stop <= start:
@@ -125,13 +135,7 @@ def new_addresses(dataset: RadarDataset, reference, observation) -> set[IPv4Addr
     observation_rounds = _rounds_in(dataset, observation)
     if not observation_rounds:
         raise ValueError(f"no rounds in observation range {observation}")
-    seen_before: set[IPv4Address] = set()
-    for rec in reference_rounds:
-        seen_before |= rec.tree.observed_ips()
-    seen_during: set[IPv4Address] = set()
-    for rec in observation_rounds:
-        seen_during |= rec.tree.observed_ips()
-    return seen_during - seen_before
+    return _union(observation_rounds)[0] - _union(reference_rounds)[0]
 
 
 @dataclass(frozen=True)
@@ -155,28 +159,20 @@ def discovery_time(component: NewAddressComponent) -> int:
     return component.last_round - component.first_round + 1
 
 
-def _ip_edges(tree: FilteredTree):
-    for parent, child in tree.edges:
-        if parent == tree.root or not isinstance(parent, Ip) or not isinstance(child, Ip):
-            continue
-        yield parent.address, child.address
-
-
 def new_address_components(dataset: RadarDataset, reference, observation) -> list[NewAddressComponent]:
     """Connected components of the new-address set, in the union graph of
     the observation rounds (undirected, stars excluded)."""
     fresh = new_addresses(dataset, reference, observation)
     observation_rounds = _rounds_in(dataset, observation)
     first_seen: dict[IPv4Address, int] = {}
-    adjacency: dict[IPv4Address, set[IPv4Address]] = {a: set() for a in fresh}
     for rec in observation_rounds:
-        for address in rec.tree.observed_ips():
-            if address in adjacency and address not in first_seen:
-                first_seen[address] = rec.index
-        for a, b in _ip_edges(rec.tree):
-            if a in adjacency and b in adjacency:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        for address in rec.tree.observed_ips() & fresh:
+            first_seen.setdefault(address, rec.index)
+    adjacency: dict[IPv4Address, set[IPv4Address]] = {a: set() for a in fresh}
+    for a, b in _union(observation_rounds)[1]:
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
     components = []
     remaining = set(fresh)
     for start in sorted(fresh):
@@ -247,19 +243,10 @@ def event_graph(dataset: RadarDataset, event_round: int, before_window: int = 10
     event_records = _rounds_in(dataset, (event_round, event_round + 1))
     if not event_records:
         raise ValueError(f"no round with index {event_round}")
-    before_edges: set[tuple[IPv4Address, IPv4Address]] = set()
-    nodes: set[IPv4Address] = set()
-    for rec in before:
-        nodes |= rec.tree.observed_ips()
-        for a, b in _ip_edges(rec.tree):
-            before_edges.add((min(a, b), max(a, b)))
-    after_edges: set[tuple[IPv4Address, IPv4Address]] = set()
-    for rec in event_records:
-        nodes |= rec.tree.observed_ips()
-        for a, b in _ip_edges(rec.tree):
-            after_edges.add((min(a, b), max(a, b)))
+    before_nodes, before_edges = _union(before)
+    after_nodes, after_edges = _union(event_records)
     return EventGraph(
-        nodes=nodes,
+        nodes=before_nodes | after_nodes,
         edges=before_edges | after_edges,
         new_edges=after_edges - before_edges,
     )
@@ -345,12 +332,7 @@ def component_neighborhood_dot(dataset: RadarDataset, reference, observation, na
     """DOT rendering of the observation-window union graph with new
     addresses drawn solid black, as in island figures."""
     fresh = new_addresses(dataset, reference, observation)
-    edges: set[tuple[IPv4Address, IPv4Address]] = set()
-    nodes: set[IPv4Address] = set()
-    for rec in _rounds_in(dataset, observation):
-        nodes |= rec.tree.observed_ips()
-        for a, b in _ip_edges(rec.tree):
-            edges.add((min(a, b), max(a, b)))
+    nodes, edges = _union(_rounds_in(dataset, observation))
     lines = [f"graph {name} {{"]
     ids = {a: f"n{i}" for i, a in enumerate(sorted(nodes))}
     for address, node_id in ids.items():

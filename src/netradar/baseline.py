@@ -45,7 +45,12 @@ class TracerouteRound:
         return len(self.records)
 
     def observed_ips(self) -> set[IPv4Address]:
-        return {rec.source.address for rec in self.records if isinstance(rec.source, Ip)}
+        return record_ips(self.records)
+
+
+def record_ips(records) -> set[IPv4Address]:
+    """Distinct addresses that answered among `records`; stars do not count."""
+    return {rec.source.address for rec in records if isinstance(rec.source, Ip)}
 
 
 def _await_reply(transport, token, timeout):
@@ -157,9 +162,7 @@ def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
     rounds = []
     for rec in dataset.rounds:
         tree = rec.tree
-        parents = tree.parent_map()
-        nodes = {tree.root}
-        edges: set[tuple[Hop, Hop]] = set()
+        parents: dict[Hop, Hop] = {}
         terminals = {}
         for destination in sorted(subset):
             terminal = tree.terminals.get(destination)
@@ -167,10 +170,9 @@ def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
                 continue
             terminals[destination] = terminal
             node = terminal
-            while node not in nodes:
-                nodes.add(node)
-                parent = parents[node]
-                edges.add((parent, node))
+            while node != tree.root and node not in parents:
+                parent = tree.parents[node]
+                parents[node] = parent
                 node = parent
         rounds.append(
             RoundRecord(
@@ -178,7 +180,7 @@ def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
                 start_time=rec.start_time,
                 end_time=rec.end_time,
                 probes_sent=rec.probes_sent,
-                tree=FilteredTree(tree.root, nodes, edges, terminals),
+                tree=FilteredTree(tree.root, parents, terminals),
                 raw=None,
                 complete=rec.complete,
             )

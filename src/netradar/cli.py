@@ -189,10 +189,7 @@ def cmd_analyze(args) -> int:
         series = analytics.windowed_ip_count(dataset, window=args.window, mode=args.mode)
         text = analytics.series_to_csv(series, f"distinct_ips_w{args.window}")
     elif op == "peaks":
-        if args.window > 1:
-            series = analytics.windowed_ip_count(dataset, window=args.window)
-        else:
-            series = analytics.per_round_ip_count(dataset)
+        series = analytics.windowed_ip_count(dataset, window=args.window)
         found = analytics.detect_peaks(series, direction=args.direction, k=args.k)
         lines = [f"# direction={args.direction} k={args.k} median={found.median} threshold={found.threshold}"]
         if found.degenerate:
@@ -201,10 +198,7 @@ def cmd_analyze(args) -> int:
         lines.extend(str(i) for i in found.indices)
         text = "\n".join(lines) + "\n"
     elif op == "distribution":
-        if args.window > 1:
-            series = analytics.windowed_ip_count(dataset, window=args.window)
-        else:
-            series = analytics.per_round_ip_count(dataset)
+        series = analytics.windowed_ip_count(dataset, window=args.window)
         text = analytics.histogram_to_csv(
             analytics.value_distribution(series, bin_width=args.bin_width), "distinct_ips", "rounds"
         )
@@ -241,10 +235,8 @@ def cmd_compare(args) -> int:
     for _, raw in parsed:
         routes = baseline.routes_from_records(raw.records)
         simulated = baseline.simulate_tracetree_from_traceroute(routes)
-        ips_tr = {n.hop.address for hops in routes.values() for n in hops if isinstance(n.hop, Ip)}
-        ips_tt = {n.hop.address for n in simulated.nodes if isinstance(n.hop, Ip)}
-        traceroute_obs.append((ips_tr, len(raw.records)))
-        tracetree_obs.append((ips_tt, len(simulated.records)))
+        traceroute_obs.append((baseline.record_ips(raw.records), len(raw.records)))
+        tracetree_obs.append((baseline.record_ips(simulated.records), len(simulated.records)))
         last_routes, last_simulated = routes, simulated
 
     tr_rounds, tr_packets = baseline.cumulative_discovery_curves(traceroute_obs)

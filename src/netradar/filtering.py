@@ -175,28 +175,22 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
 
     # stage 6: iteratively drop leaves that are nobody's terminal
     child_count = {n: 0 for n in order}
-    for node in order:
-        if node != root:
-            child_count[parent[node]] += 1
-    removed: set[Hop] = set()
+    for node in parent.values():
+        child_count[node] += 1
     frontier = [n for n in order if child_count[n] == 0 and n != root]
     while frontier:
         next_frontier = []
         for leaf in frontier:
             if leaf in protected:
                 continue
-            removed.add(leaf)
+            up = parent.pop(leaf)
             report.leaves_pruned += 1
-            up = parent[leaf]
             child_count[up] -= 1
             if child_count[up] == 0 and up != root:
                 next_frontier.append(up)
         frontier = next_frontier
 
-    nodes = {n for n in order if n not in removed}
-    edges = {(parent[n], n) for n in nodes if n != root}
-    tree = FilteredTree(root=root, nodes=nodes, edges=edges, terminals=terminals)
-    return tree, report
+    return FilteredTree(root=root, parents=parent, terminals=terminals), report
 
 
 def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
@@ -204,13 +198,12 @@ def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
     one record per node on its terminal's root path, at the node's depth
     in the tree.  The result is a valid round; filter_tree on it gives
     back the same tree (idempotence)."""
-    parents = tree.parent_map()
     records = []
     for destination, node in tree.terminals.items():
         path = []
         while node != tree.root:
             path.append(node)
-            node = parents[node]
+            node = tree.parents[node]
         # terminal first, walking backward the way tree probing emits them
         for ttl, hop in zip(range(len(path), 0, -1), path):
             records.append(ProbeRecord(hop, ttl, destination))

@@ -6,8 +6,10 @@ them together on disk.
 
 A raw tree is its probe records, the same records the round log holds,
 one line each; its (hop, ttl) graph of nodes, edges and terminals is
-derived from them on demand and never stored.  A retained round
-therefore costs its records and nothing more.
+derived from them on demand and never stored.  Likewise a filtered tree
+is its parent map, child to parent; its node and edge sets are derived
+from the map.  A retained round therefore costs its records and one
+parent map and nothing more.
 
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
@@ -321,56 +323,59 @@ def parse_round_log(text: str, max_ttl: int = MAX_TTL_DEFAULT) -> list[tuple[Rou
 
 @dataclass
 class FilteredTree:
-    """Analysis-ready routing tree over hops, rooted at the monitor."""
+    """Analysis-ready routing tree over hops, rooted at the monitor.
+
+    `parents` maps each node but the root to its parent and is the only
+    stored view; `nodes`, `edges` and `children_map()` derive from it.
+    """
 
     root: Hop
-    nodes: set[Hop]
-    edges: set[tuple[Hop, Hop]]  # parent -> child
+    parents: dict[Hop, Hop]  # child -> parent
     terminals: dict[IPv4Address, Hop]
 
-    def parent_map(self) -> dict[Hop, Hop]:
-        return {child: parent for parent, child in self.edges}
+    @property
+    def nodes(self) -> set[Hop]:
+        # parent values too: a malformed map may name a parent that is no child
+        return {self.root, *self.parents, *self.parents.values()}
+
+    @property
+    def edges(self) -> set[tuple[Hop, Hop]]:
+        """(parent, child) pairs."""
+        return {(parent, child) for child, parent in self.parents.items()}
 
     def children_map(self) -> dict[Hop, list[Hop]]:
         children: dict[Hop, list[Hop]] = {n: [] for n in self.nodes}
-        for parent, child in self.edges:
+        for child, parent in self.parents.items():
             children[parent].append(child)
         return children
 
     def observed_ips(self) -> set[IPv4Address]:
         """Distinct addresses observed by probing; stars and the monitor
-        marker do not count."""
-        return {n.address for n in self.nodes if isinstance(n, Ip) and n != self.root}
+        marker (the root, never a child) do not count."""
+        return {n.address for n in self.parents if isinstance(n, Ip)}
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on violation."""
-        if self.root not in self.nodes:
-            raise ValueError("root missing from node set")
-        seen_children: set[Hop] = set()
-        for parent, child in self.edges:
+        """Check the structural invariants; raises ValueError on violation.
+
+        One parent per child and edges = nodes - 1 hold by construction."""
+        for child, parent in self.parents.items():
             if parent == child:
                 raise ValueError(f"self-loop edge at {parent}")
-            if child in seen_children:
-                raise ValueError(f"{child} has two parents")
-            seen_children.add(child)
-        if self.root in seen_children:
+        if self.root in self.parents:
             raise ValueError("root has a parent")
-        if len(self.edges) != len(self.nodes) - 1:
-            raise ValueError("edge count is not node count - 1")
         children = self.children_map()
         reached = {self.root}
         queue = deque([self.root])
         while queue:
-            node = queue.popleft()
-            for child in children[node]:
+            for child in children[queue.popleft()]:
                 if child not in reached:
                     reached.add(child)
                     queue.append(child)
-        if reached != self.nodes:
+        if reached != children.keys():
             raise ValueError("tree is not connected")
         terminal_hops = set(self.terminals.values())
-        for node in self.nodes:
-            if node != self.root and not children[node] and node not in terminal_hops:
+        for node, below in children.items():
+            if node != self.root and not below and node not in terminal_hops:
                 raise ValueError(f"leaf {node} is not any destination's terminal")
 
 

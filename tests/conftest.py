@@ -26,10 +26,14 @@ def make_tree(root: str, edges, terminals) -> FilteredTree:
     edges: [(parent, child), ...]; terminals: {destination: hop}.
     """
     root_hop = hop(root)
-    edge_set = {(hop(p), hop(c)) for p, c in edges}
-    nodes = {root_hop} | {h for e in edge_set for h in e}
+    parents = {}
+    for p, c in edges:
+        assert hop(c) not in parents, f"{c} listed as a child twice"
+        parents[hop(c)] = hop(p)
+    for p in parents.values():
+        assert p == root_hop or p in parents, f"parent {p} is neither the root nor a child"
     terms = {IPv4Address(d): hop(h) for d, h in terminals.items()}
-    return FilteredTree(root=root_hop, nodes=nodes, edges=edge_set, terminals=terms)
+    return FilteredTree(root=root_hop, parents=parents, terminals=terms)
 
 
 def dataset_from_trees(trees, monitor_id="0.0.0.0", first_index=0) -> RadarDataset:

@@ -192,7 +192,7 @@ def test_c5_distance_cache():
     assert 30 in ttls  # fresh chain started at the default maximal distance
     terminal = stale_round.tree.terminals[dest]
     assert terminal.address == dest
-    parent = stale_round.tree.parent_map()[terminal]
+    parent = stale_round.tree.parents[terminal]
     assert parent.address == IPv4Address("10.7.0.4")  # terminal link recovered in-round
     assert dataset.rounds[3].probes_sent == 4  # cache corrected for the next round
     print("[acceptance] C5 PASS: distance cache (one-round convergence, in-round recovery)")

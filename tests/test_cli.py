@@ -1,11 +1,13 @@
 """End-to-end CLI runs against simulator fixtures."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import yaml
 
 import pytest
 
-from conftest import CHAIN_DOC, shared_prefix_doc
+from conftest import CHAIN_DOC, fig1_analog_doc, shared_prefix_doc
 from netradar.cli import main
 from netradar.model import parse_round_log
 
@@ -19,9 +21,20 @@ def chain_files(tmp_path):
     return topo, dests
 
 
-@pytest.fixture
-def island_dataset(tmp_path):
-    """A 12-round dataset with a 2-node island spliced in at round 8."""
+def _radar_log(directory, doc, destinations, rounds) -> Path:
+    """Run `radar run` over a simulated topology; returns the round-log path."""
+    topo = directory / "topo.yaml"
+    topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    dests = directory / "dests.txt"
+    dests.write_text("".join(f"{d}\n" for d in destinations), encoding="utf-8")
+    out = directory / "data.rounds"
+    args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--rounds", str(rounds)]
+    assert main(["radar", "run", *args, "--max-ttl", "8", "--out", str(out)]) == 0
+    return out
+
+
+def _island_doc() -> dict:
+    """The chain with a 2-node island spliced in at round 8."""
     doc = dict(CHAIN_DOC)
     doc["events"] = [
         {
@@ -33,29 +46,34 @@ def island_dataset(tmp_path):
         },
         {"at": 8 * 600.0 - 1.0, "rewire": {"node": "r1", "remove": "r2", "add": "x0"}},
     ]
-    topo = tmp_path / "island.yaml"
-    topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    dests = tmp_path / "dests.txt"
-    dests.write_text("10.0.0.4\n", encoding="utf-8")
-    out = tmp_path / "island.rounds"
-    code = main(
-        [
-            "radar",
-            "run",
-            "--destinations",
-            str(dests),
-            "--transport",
-            f"sim:{topo}",
-            "--rounds",
-            "12",
-            "--max-ttl",
-            "8",
-            "--out",
-            str(out),
+    return doc
+
+
+def _fig1_events_doc() -> dict:
+    """The fig1 analog (silent router, both balancer kinds) growing a
+    two-node island over rounds 6 and 7 and one more new hop at round 8."""
+
+    def splice(round_, node, name, address, to):
+        # node -> name -> to replaces node -> to before the round starts
+        at = round_ * 600.0 - 1.0
+        return [
+            {"at": at, "add_island": {"nodes": {name: address}, "links": [[node, name], [name, to]]}},
+            {"at": at, "rewire": {"node": node, "remove": to}},
         ]
+
+    doc = fig1_analog_doc()
+    doc["events"] = (
+        splice(6, "j", "y0", "10.0.9.1", "o")
+        + splice(7, "y0", "y1", "10.0.9.2", "o")
+        + splice(8, "m", "z0", "10.0.9.9", "p")
     )
-    assert code == 0
-    return out
+    return doc
+
+
+@pytest.fixture
+def island_dataset(tmp_path):
+    """A 12-round dataset with a 2-node island spliced in at round 8."""
+    return _radar_log(tmp_path, _island_doc(), ["10.0.0.4"], 12)
 
 
 class TestRadarRun:
@@ -260,6 +278,288 @@ class TestAnalyze:
         bad = tmp_path / "bad.rounds"
         bad.write_text("not a round log\n", encoding="utf-8")
         assert main(["analyze", "counts", "--in", str(bad)]) == 3
+
+
+@pytest.fixture(scope="module")
+def stored_logs(tmp_path_factory):
+    """Two stored round logs: the island chain (event at round 8) and the
+    fig1 analog with stars, balancers and two new-address components
+    (events at rounds 6 to 8)."""
+    fig1 = tmp_path_factory.mktemp("fig1")
+    island = tmp_path_factory.mktemp("island")
+    return {
+        "fig1": (_radar_log(fig1, _fig1_events_doc(), ["10.0.1.14", "10.0.1.15", "10.0.1.16"], 12), 6),
+        "island": (_radar_log(island, _island_doc(), ["10.0.0.4"], 12), 8),
+    }
+
+
+def _analyze_args(operation: str, event: int) -> list[str]:
+    ranges = ["--ref", f"0:{event}", "--obs", f"{event}:12"]
+    return {
+        "counts": ["counts"],
+        "window_sliding": ["window", "--window", "4"],
+        "window_blocked": ["window", "--window", "4", "--mode", "blocked"],
+        "peaks": ["peaks", "--window", "1", "--k", "2"],
+        "peaks_down_w2": ["peaks", "--window", "2", "--direction", "down", "--k", "1"],
+        "distribution": ["distribution", "--window", "1"],
+        "distribution_w3": ["distribution", "--window", "3", "--bin-width", "2"],
+        "components": ["components", *ranges],
+        "components_dot": ["components", *ranges, "--dot"],
+        "event_graph": ["event-graph", "--round", str(event), "--before", str(event)],
+        "correlate": ["correlate", *ranges],
+    }[operation]
+
+
+# (log, operation) -> the exact output bytes; the island log has a single
+# component, so it has no correlate case
+ANALYZE_OUTPUTS = {
+    ("fig1", "components"): (
+        'size,first_round,last_round,discovery_time,addresses\n'
+        '2,6,7,2,10.0.9.1|10.0.9.2\n'
+        '1,8,8,1,10.0.9.9\n'
+    ),
+    ("fig1", "components_dot"): (
+        'graph components {\n'
+        '  n0 [label="10.0.1.2"];\n'
+        '  n1 [label="10.0.1.3"];\n'
+        '  n2 [label="10.0.1.4"];\n'
+        '  n3 [label="10.0.1.5"];\n'
+        '  n4 [label="10.0.1.6"];\n'
+        '  n5 [label="10.0.1.7"];\n'
+        '  n6 [label="10.0.1.8"];\n'
+        '  n7 [label="10.0.1.9"];\n'
+        '  n8 [label="10.0.1.10"];\n'
+        '  n9 [label="10.0.1.13"];\n'
+        '  n10 [label="10.0.1.14"];\n'
+        '  n11 [label="10.0.1.15"];\n'
+        '  n12 [label="10.0.1.16"];\n'
+        '  n13 [label="10.0.9.1", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  n14 [label="10.0.9.2", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  n15 [label="10.0.9.9", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  n0 -- n1;\n'
+        '  n0 -- n2;\n'
+        '  n0 -- n4;\n'
+        '  n1 -- n3;\n'
+        '  n2 -- n5;\n'
+        '  n3 -- n6;\n'
+        '  n3 -- n7;\n'
+        '  n4 -- n8;\n'
+        '  n6 -- n9;\n'
+        '  n7 -- n9;\n'
+        '  n8 -- n13;\n'
+        '  n9 -- n12;\n'
+        '  n9 -- n15;\n'
+        '  n11 -- n13;\n'
+        '  n11 -- n14;\n'
+        '  n12 -- n15;\n'
+        '  n13 -- n14;\n'
+        '}\n'
+    ),
+    ("fig1", "correlate"): (
+        '# spearman_rho=1.0\n'
+        'size,discovery_time\n'
+        '2,2\n'
+        '1,1\n'
+    ),
+    ("fig1", "counts"): (
+        'round,distinct_ips\n'
+        '0,12\n'
+        '1,12\n'
+        '2,12\n'
+        '3,12\n'
+        '4,12\n'
+        '5,12\n'
+        '6,13\n'
+        '7,14\n'
+        '8,15\n'
+        '9,15\n'
+        '10,15\n'
+        '11,15\n'
+    ),
+    ("fig1", "distribution"): (
+        'distinct_ips,rounds\n'
+        '12,6\n'
+        '13,1\n'
+        '14,1\n'
+        '15,4\n'
+    ),
+    ("fig1", "distribution_w3"): (
+        'distinct_ips,rounds\n'
+        '12,4\n'
+        '14,3\n'
+        '16,3\n'
+    ),
+    ("fig1", "event_graph"): (
+        'graph event {\n'
+        '  node [shape=point, width=0.08];\n'
+        '  n0 [tooltip="10.0.1.2"];\n'
+        '  n1 [tooltip="10.0.1.3"];\n'
+        '  n2 [tooltip="10.0.1.4"];\n'
+        '  n3 [tooltip="10.0.1.5"];\n'
+        '  n4 [tooltip="10.0.1.6"];\n'
+        '  n5 [tooltip="10.0.1.7"];\n'
+        '  n6 [tooltip="10.0.1.8"];\n'
+        '  n7 [tooltip="10.0.1.9"];\n'
+        '  n8 [tooltip="10.0.1.10"];\n'
+        '  n9 [tooltip="10.0.1.13"];\n'
+        '  n10 [tooltip="10.0.1.14"];\n'
+        '  n11 [tooltip="10.0.1.15"];\n'
+        '  n12 [tooltip="10.0.1.16"];\n'
+        '  n13 [tooltip="10.0.9.1"];\n'
+        '  n0 -- n1 [color=gray60];\n'
+        '  n0 -- n2 [color=gray60];\n'
+        '  n0 -- n4 [color=gray60];\n'
+        '  n1 -- n3 [color=gray60];\n'
+        '  n2 -- n5 [color=gray60];\n'
+        '  n3 -- n6 [color=gray60];\n'
+        '  n3 -- n7 [color=gray60];\n'
+        '  n4 -- n8 [color=gray60];\n'
+        '  n6 -- n9 [color=gray60];\n'
+        '  n7 -- n9 [color=gray60];\n'
+        '  n8 -- n11 [color=gray60];\n'
+        '  n8 -- n13 [penwidth=2.5, color=black];\n'
+        '  n9 -- n12 [color=gray60];\n'
+        '  n11 -- n13 [penwidth=2.5, color=black];\n'
+        '}\n'
+    ),
+    ("fig1", "peaks"): (
+        '# direction=up k=2.0 median=12.5 threshold=1.0\n'
+        'round\n'
+        '7\n'
+        '8\n'
+        '9\n'
+        '10\n'
+        '11\n'
+    ),
+    ("fig1", "peaks_down_w2"): (
+        '# direction=down k=1.0 median=14.0 threshold=1.0\n'
+        'round\n'
+    ),
+    ("fig1", "window_blocked"): (
+        'round,distinct_ips_w4\n'
+        '3,13\n'
+        '7,15\n'
+        '11,16\n'
+    ),
+    ("fig1", "window_sliding"): (
+        'round,distinct_ips_w4\n'
+        '3,13\n'
+        '4,13\n'
+        '5,13\n'
+        '6,14\n'
+        '7,15\n'
+        '8,16\n'
+        '9,16\n'
+        '10,16\n'
+        '11,16\n'
+    ),
+    ("island", "components"): (
+        'size,first_round,last_round,discovery_time,addresses\n'
+        '2,8,8,1,10.5.0.0|10.5.0.1\n'
+    ),
+    ("island", "components_dot"): (
+        'graph components {\n'
+        '  n0 [label="10.0.0.2"];\n'
+        '  n1 [label="10.0.0.4"];\n'
+        '  n2 [label="10.5.0.0", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  n3 [label="10.5.0.1", style=filled, fillcolor=black, fontcolor=white];\n'
+        '  n0 -- n2;\n'
+        '  n1 -- n3;\n'
+        '  n2 -- n3;\n'
+        '}\n'
+    ),
+    ("island", "counts"): (
+        'round,distinct_ips\n'
+        '0,3\n'
+        '1,3\n'
+        '2,3\n'
+        '3,3\n'
+        '4,3\n'
+        '5,3\n'
+        '6,3\n'
+        '7,3\n'
+        '8,4\n'
+        '9,4\n'
+        '10,4\n'
+        '11,4\n'
+    ),
+    ("island", "distribution"): (
+        'distinct_ips,rounds\n'
+        '3,8\n'
+        '4,4\n'
+    ),
+    ("island", "distribution_w3"): (
+        'distinct_ips,rounds\n'
+        '2,6\n'
+        '4,4\n'
+    ),
+    ("island", "event_graph"): (
+        'graph event {\n'
+        '  node [shape=point, width=0.08];\n'
+        '  n0 [tooltip="10.0.0.2"];\n'
+        '  n1 [tooltip="10.0.0.3"];\n'
+        '  n2 [tooltip="10.0.0.4"];\n'
+        '  n3 [tooltip="10.5.0.0"];\n'
+        '  n4 [tooltip="10.5.0.1"];\n'
+        '  n0 -- n1 [color=gray60];\n'
+        '  n0 -- n3 [penwidth=2.5, color=black];\n'
+        '  n1 -- n2 [color=gray60];\n'
+        '  n2 -- n4 [penwidth=2.5, color=black];\n'
+        '  n3 -- n4 [penwidth=2.5, color=black];\n'
+        '}\n'
+    ),
+    ("island", "peaks"): (
+        '# direction=up k=2.0 median=3.0 threshold=0.30000000000000004\n'
+        '# degenerate: zero median absolute deviation\n'
+        'round\n'
+        '8\n'
+        '9\n'
+        '10\n'
+        '11\n'
+    ),
+    ("island", "peaks_down_w2"): (
+        '# direction=down k=1.0 median=3.0 threshold=0.15000000000000002\n'
+        '# degenerate: zero median absolute deviation\n'
+        'round\n'
+    ),
+    ("island", "window_blocked"): (
+        'round,distinct_ips_w4\n'
+        '3,3\n'
+        '7,3\n'
+        '11,4\n'
+    ),
+    ("island", "window_sliding"): (
+        'round,distinct_ips_w4\n'
+        '3,3\n'
+        '4,3\n'
+        '5,3\n'
+        '6,3\n'
+        '7,3\n'
+        '8,5\n'
+        '9,5\n'
+        '10,5\n'
+        '11,4\n'
+    ),
+}
+
+
+class TestAnalyzeOutputs:
+    @pytest.mark.parametrize("operation", ["window", "peaks", "distribution"])
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_nonpositive_window_is_validation_error(self, stored_logs, capsys, operation, window):
+        path, _ = stored_logs["island"]
+        args = ["--in", str(path), "--max-ttl", "8", "--window", window]
+        assert main(["analyze", operation, *args]) == 3
+        assert "window must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log, operation", sorted(ANALYZE_OUTPUTS))
+    def test_output_bytes(self, stored_logs, tmp_path, log, operation):
+        path, event = stored_logs[log]
+        out = tmp_path / "out"
+        operation_args = _analyze_args(operation, event)
+        args = [operation_args[0], "--in", str(path), "--max-ttl", "8", "--out", str(out)]
+        assert main(["analyze", *args, *operation_args[1:]]) == 0
+        assert out.read_bytes() == ANALYZE_OUTPUTS[log, operation].encode()
 
 
 class TestCompare:

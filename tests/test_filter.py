@@ -102,7 +102,7 @@ class TestStageByStage:
         stars = [n for n in tree.nodes if isinstance(n, Star)]
         assert len(stars) == 1
         assert report.stars_merged == 1
-        parents = tree.parent_map()
+        parents = tree.parents
         assert parents[stars[0]] == ip("10.0.0.5")
         # both destinations terminate at the merged star
         assert tree.terminals[IPv4Address("10.9.0.1")] == stars[0]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netradar.model import (
+    FilteredTree,
     Ip,
     ProbeRecord,
     RawTraceTree,
@@ -165,6 +166,45 @@ class TestRawTraceTree:
         raw = RawTraceTree.from_records(records)
         assert len(raw.nodes) == 1
         assert len(raw.records) == 2
+
+
+class TestFilteredTreeValidate:
+    """validate() on trees built straight from a parents map."""
+
+    ROOT = ip("10.0.0.1")
+    DEST = IPv4Address("10.0.0.9")
+
+    def tree(self, parents, terminal="10.0.0.9") -> FilteredTree:
+        return FilteredTree(
+            root=self.ROOT,
+            parents={ip(c): ip(p) for c, p in parents.items()},
+            terminals={self.DEST: ip(terminal)},
+        )
+
+    def test_well_formed_tree_passes(self):
+        tree = self.tree({"10.0.0.2": "10.0.0.1", "10.0.0.9": "10.0.0.2"})
+        tree.validate()
+        assert tree.nodes == {self.ROOT, ip("10.0.0.2"), ip("10.0.0.9")}
+        assert tree.edges == {(self.ROOT, ip("10.0.0.2")), (ip("10.0.0.2"), ip("10.0.0.9"))}
+        assert tree.observed_ips() == {IPv4Address("10.0.0.2"), self.DEST}
+
+    @pytest.mark.parametrize(
+        "parents, message",
+        [
+            ({"10.0.0.9": "10.0.0.1", "10.0.0.5": "10.0.0.5"}, "self-loop"),
+            ({"10.0.0.9": "10.0.0.1", "10.0.0.1": "10.0.0.9"}, "root has a parent"),
+            (
+                {"10.0.0.9": "10.0.0.1", "10.0.0.5": "10.0.0.6", "10.0.0.6": "10.0.0.5"},
+                "not connected",
+            ),
+            ({"10.0.0.9": "10.0.0.1", "10.0.0.5": "10.0.0.7"}, "not connected"),
+            ({"10.0.0.9": "10.0.0.1", "10.0.0.5": "10.0.0.1"}, "leaf 10.0.0.5 is not"),
+        ],
+        ids=["self-loop", "root-with-parent", "detached-cycle", "parent-off-tree", "non-terminal-leaf"],
+    )
+    def test_violation_raises(self, parents, message):
+        with pytest.raises(ValueError, match=message):
+            self.tree(parents).validate()
 
 
 _POOL = [f"10.3.{i // 256}.{i % 256}" for i in range(40)]

@@ -193,7 +193,7 @@ class TestDistanceScenarios:
         # from the default, and still reaches the destination's terminal link
         lengthened = dataset.rounds[2]
         assert lengthened.tree.terminals[dest].address == dest
-        parent = lengthened.tree.parent_map()[lengthened.tree.terminals[dest]]
+        parent = lengthened.tree.parents[lengthened.tree.terminals[dest]]
         assert parent.address == IPv4Address("10.7.0.4")  # c -> d retained
         assert lengthened.probes_sent > dataset.rounds[1].probes_sent
 
