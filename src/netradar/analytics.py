@@ -24,9 +24,15 @@ BLOCKED = "blocked"
 MIN_SCALE_FRAC = 0.05
 
 
+def _addresses(tree) -> set[int]:
+    """The addresses a filtered tree observed, as integers; stars and the
+    monitor marker (the root, never a child) do not count."""
+    return {n._int for n in tree.parents if n.__class__ is Ip}
+
+
 def per_round_ip_count(dataset: RadarDataset) -> list[tuple[int, int]]:
     """(round index, distinct addresses observed that round)."""
-    return [(rec.index, len(rec.tree.observed_ips())) for rec in dataset.rounds]
+    return [(rec.index, len(_addresses(rec.tree))) for rec in dataset.rounds]
 
 
 def windowed_ip_count(dataset: RadarDataset, window: int = 10, mode: str = SLIDING) -> list[tuple[int, int]]:
@@ -40,7 +46,7 @@ def windowed_ip_count(dataset: RadarDataset, window: int = 10, mode: str = SLIDI
         raise ValueError("window must be >= 1")
     if mode not in (SLIDING, BLOCKED):
         raise ValueError(f"mode must be {SLIDING!r} or {BLOCKED!r}")
-    per_round = [rec.tree.observed_ips() for rec in dataset.rounds]
+    per_round = [_addresses(rec.tree) for rec in dataset.rounds]
     step = 1 if mode == SLIDING else window
     return [
         (dataset.rounds[last].index, len(set().union(*per_round[last - window + 1 : last + 1])))
@@ -101,20 +107,26 @@ def _rounds_in(dataset: RadarDataset, bounds) -> list:
     return [rec for rec in dataset.rounds if start <= rec.index < stop]
 
 
-def _union(rounds) -> tuple[set[IPv4Address], set[tuple[IPv4Address, IPv4Address]]]:
-    """The addresses and the undirected address links, as (min, max)
-    pairs, seen over `rounds`; links through a star or from the monitor
-    do not count."""
-    addresses: set[IPv4Address] = set()
-    links: set[tuple[IPv4Address, IPv4Address]] = set()
+def _union(rounds) -> tuple[dict[int, tuple[int, IPv4Address]], set[tuple[int, int]]]:
+    """Fold `rounds` once, keyed by address integer: each address seen
+    maps to (index of the first round that saw it, the address), and each
+    undirected address link is a (min, max) pair; links through a star or
+    from the monitor do not count."""
+    seen: dict[int, tuple[int, IPv4Address]] = {}
+    links: set[tuple[int, int]] = set()
     for rec in rounds:
         tree = rec.tree
-        addresses |= tree.observed_ips()
+        root = tree.root._int if tree.root.__class__ is Ip else None
         for child, parent in tree.parents.items():
-            if isinstance(child, Ip) and isinstance(parent, Ip) and parent != tree.root:
-                a, b = parent.address, child.address
+            if child.__class__ is not Ip:
+                continue
+            a = child._int
+            if a not in seen:
+                seen[a] = (rec.index, child.address)
+            if parent.__class__ is Ip and parent._int != root:
+                b = parent._int
                 links.add((a, b) if a < b else (b, a))
-    return addresses, links
+    return seen, links
 
 
 def _check_ranges(reference, observation) -> None:
@@ -125,9 +137,9 @@ def _check_ranges(reference, observation) -> None:
         raise ValueError("reference must end before the observation starts")
 
 
-def new_addresses(dataset: RadarDataset, reference, observation) -> set[IPv4Address]:
-    """Addresses seen in the observation rounds [start, stop) and in none
-    of the reference rounds [start, stop)."""
+def _fold_ranges(dataset: RadarDataset, reference, observation):
+    """One fold per range: the observation fold, its links, and the
+    integers of the addresses new in it."""
     _check_ranges(reference, observation)
     reference_rounds = _rounds_in(dataset, reference)
     if not reference_rounds:
@@ -135,7 +147,16 @@ def new_addresses(dataset: RadarDataset, reference, observation) -> set[IPv4Addr
     observation_rounds = _rounds_in(dataset, observation)
     if not observation_rounds:
         raise ValueError(f"no rounds in observation range {observation}")
-    return _union(observation_rounds)[0] - _union(reference_rounds)[0]
+    before, _ = _union(reference_rounds)
+    seen, links = _union(observation_rounds)
+    return seen, links, {a for a in seen if a not in before}
+
+
+def new_addresses(dataset: RadarDataset, reference, observation) -> set[IPv4Address]:
+    """Addresses seen in the observation rounds [start, stop) and in none
+    of the reference rounds [start, stop)."""
+    seen, _, fresh = _fold_ranges(dataset, reference, observation)
+    return {seen[a][1] for a in fresh}
 
 
 @dataclass(frozen=True)
@@ -162,14 +183,9 @@ def discovery_time(component: NewAddressComponent) -> int:
 def new_address_components(dataset: RadarDataset, reference, observation) -> list[NewAddressComponent]:
     """Connected components of the new-address set, in the union graph of
     the observation rounds (undirected, stars excluded)."""
-    fresh = new_addresses(dataset, reference, observation)
-    observation_rounds = _rounds_in(dataset, observation)
-    first_seen: dict[IPv4Address, int] = {}
-    for rec in observation_rounds:
-        for address in rec.tree.observed_ips() & fresh:
-            first_seen.setdefault(address, rec.index)
-    adjacency: dict[IPv4Address, set[IPv4Address]] = {a: set() for a in fresh}
-    for a, b in _union(observation_rounds)[1]:
+    seen, links, fresh = _fold_ranges(dataset, reference, observation)
+    adjacency: dict[int, set[int]] = {a: set() for a in fresh}
+    for a, b in links:
         if a in adjacency and b in adjacency:
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -188,10 +204,10 @@ def new_address_components(dataset: RadarDataset, reference, observation) -> lis
                     remaining.discard(neighbour)
                     members.add(neighbour)
                     queue.append(neighbour)
-        sightings = [first_seen[m] for m in members]
+        sightings = [seen[m][0] for m in members]
         components.append(
             NewAddressComponent(
-                addresses=frozenset(members),
+                addresses=frozenset(seen[m][1] for m in members),
                 first_round=min(sightings),
                 last_round=max(sightings),
             )
@@ -243,12 +259,13 @@ def event_graph(dataset: RadarDataset, event_round: int, before_window: int = 10
     event_records = _rounds_in(dataset, (event_round, event_round + 1))
     if not event_records:
         raise ValueError(f"no round with index {event_round}")
-    before_nodes, before_edges = _union(before)
-    after_nodes, after_edges = _union(event_records)
+    before_seen, before_links = _union(before)
+    after_seen, after_links = _union(event_records)
+    address = {a: address for a, (_, address) in {**after_seen, **before_seen}.items()}
     return EventGraph(
-        nodes=before_nodes | after_nodes,
-        edges=before_edges | after_edges,
-        new_edges=after_edges - before_edges,
+        nodes=set(address.values()),
+        edges={(address[a], address[b]) for a, b in before_links | after_links},
+        new_edges={(address[a], address[b]) for a, b in after_links - before_links},
     )
 
 
@@ -331,16 +348,16 @@ def correlation_to_csv(pairs, rho: float) -> str:
 def component_neighborhood_dot(dataset: RadarDataset, reference, observation, name: str = "components") -> str:
     """DOT rendering of the observation-window union graph with new
     addresses drawn solid black, as in island figures."""
-    fresh = new_addresses(dataset, reference, observation)
-    nodes, edges = _union(_rounds_in(dataset, observation))
+    seen, links, fresh = _fold_ranges(dataset, reference, observation)
     lines = [f"graph {name} {{"]
-    ids = {a: f"n{i}" for i, a in enumerate(sorted(nodes))}
-    for address, node_id in ids.items():
-        if address in fresh:
+    ids = {a: f"n{i}" for i, a in enumerate(sorted(seen))}
+    for a, node_id in ids.items():
+        address = seen[a][1]
+        if a in fresh:
             lines.append(f'  {node_id} [label="{address}", style=filled, fillcolor=black, fontcolor=white];')
         else:
             lines.append(f'  {node_id} [label="{address}"];')
-    for a, b in sorted(edges):
+    for a, b in sorted(links):
         lines.append(f"  {ids[a]} -- {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -203,10 +203,10 @@ def cmd_analyze(args) -> int:
             analytics.value_distribution(series, bin_width=args.bin_width), "distinct_ips", "rounds"
         )
     elif op == "components":
-        components = analytics.new_address_components(dataset, args.ref, args.obs)
         if args.dot:
             text = analytics.component_neighborhood_dot(dataset, args.ref, args.obs)
         else:
+            components = analytics.new_address_components(dataset, args.ref, args.obs)
             text = analytics.components_to_csv(components)
     elif op == "event-graph":
         graph = analytics.event_graph(dataset, args.round, before_window=args.before)

@@ -4,13 +4,32 @@ Six stages, in order: merge nodes sharing an address, drop self-loops,
 prune dangling stars, merge sibling stars, extract a deterministic BFS
 tree, prune leaves no destination terminated at.  The output is a
 possible routing tree from the monitor to the destinations.
+
+The filter reads a round's records directly and never derives the raw
+(hop, ttl) graph.  It works on integer node ids: an address is its own
+integer, and a star is numbered per (key, ttl) in first-record order.
+Hop objects are made only for the returned parent map, and a merged
+star's key string is built once, when its group is merged.  Nothing
+depends on set iteration order, so the output is the same under every
+hash seed.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
+from ipaddress import IPv4Address
 
-from .model import FilteredTree, Hop, Ip, ProbeRecord, RawTraceTree, Star, TtlNode, hop_sort_key
+from .model import (
+    FilteredTree,
+    Hop,
+    Ip,
+    ProbeRecord,
+    RawTraceTree,
+    Star,
+    hop_sort_key,
+    ttl_buckets,
+    ttl_links,
+)
 
 
 @dataclass
@@ -26,11 +45,8 @@ class FilterReport:
     degenerate: bool = False
 
 
-def _merged_hop(node: TtlNode) -> Hop:
-    # ttl variants of one address collapse; stars keep per-observation identity
-    if isinstance(node.hop, Ip):
-        return node.hop
-    return Star(f"{node.hop.key}/{node.ttl}")
+# node ids: an address is its own integer; stars count up from here
+_STAR_BASE = 1 << 32
 
 
 def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterReport]:
@@ -40,141 +56,170 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
     ttl-1 observation.  Destination terminals survive every stage.
     """
     report = FilterReport()
-    root = monitor
-    raw_nodes, raw_edges, raw_terminals = raw.graph()
+    records = raw.records
+    # the root is the monitor's integer, so records carrying the monitor's
+    # address merge into it
+    root = monitor._int if monitor.__class__ is Ip else -1
+    hop_of: dict[int, Hop] = {}  # address id -> an Ip record's hop, for the output
 
-    # stage 1: merge all nodes carrying the same address
-    merged_of = {node: _merged_hop(node) for node in raw_nodes}
-    ip_nodes = [n for n in raw_nodes if isinstance(n.hop, Ip)]
-    report.merged_ip_nodes = len(ip_nodes) - len({n.hop for n in ip_nodes})
+    # stage 1: merge all nodes carrying the same address.  An Ip record's
+    # node is its address; a star record's node is one id per (key, ttl),
+    # numbered in first-record order.
+    star_ids: dict[tuple[str, int], int] = {}
+    ip_ttls: set[int] = set()
+    nodes = []
+    for source, ttl, _ in records:
+        if source.__class__ is Ip:
+            node = source._int
+            hop_of[node] = source
+            ip_ttls.add(ttl << 32 | node)
+        else:
+            node = star_ids.get((source.key, ttl))
+            if node is None:
+                node = star_ids[source.key, ttl] = _STAR_BASE + len(star_ids)
+        nodes.append(node)
+    report.merged_ip_nodes = len(ip_ttls) - len(hop_of)
+    hop_of[root] = monitor
+    star_at = list(star_ids)  # star id - _STAR_BASE -> (key, ttl)
 
-    out: dict[Hop, set[Hop]] = {}
-    inn: dict[Hop, set[Hop]] = {}
-    star_ttl: dict[Hop, int] = {}
-
-    def ensure(hop: Hop) -> None:
-        out.setdefault(hop, set())
-        inn.setdefault(hop, set())
-
-    def add_edge(u: Hop, v: Hop) -> None:
-        out[u].add(v)
-        inn[v].add(u)
-
-    def drop_node(hop: Hop) -> None:
-        for p in inn[hop]:
-            out[p].discard(hop)
-        for c in out[hop]:
-            inn[c].discard(hop)
-        del out[hop], inn[hop]
-
-    ensure(root)
-    for node, merged in merged_of.items():
-        ensure(merged)
-        if isinstance(merged, Star):
-            star_ttl[merged] = node.ttl
-
-    # stage 2: parallel edges collapse, links from an address to itself go
-    loops: set[Hop] = set()
-    for u_raw, v_raw in raw_edges:
-        u, v = merged_of[u_raw], merged_of[v_raw]
+    # stage 2: parallel edges collapse, links from an address to itself go.
+    # Only stars are ever looked up by parent, so only stars get an `inn`.
+    out: dict[int, set[int]] = defaultdict(set)
+    inn: dict[int, set[int]] = defaultdict(set)
+    loops: set[int] = set()
+    by_destination = ttl_buckets(records, nodes)
+    for u, v in ttl_links(by_destination):
         if u == v:
             loops.add(u)
-            continue
-        add_edge(u, v)
+        else:
+            out[u].add(v)
+            if v >= _STAR_BASE:
+                inn[v].add(u)
     report.loops_removed = len(loops)
+    terminals: list[tuple[IPv4Address, int]] = []
+    for destination, buckets in by_destination:
+        terminals.append((destination, buckets[max(buckets)][0]))
+        for node in buckets.get(1, ()):
+            if node != root:
+                out[root].add(node)
+                if node >= _STAR_BASE:
+                    inn[node].add(root)
+    terminal_nodes = {node for _, node in terminals}
 
-    for node, merged in merged_of.items():
-        if node.ttl == 1 and merged != root:
-            add_edge(root, merged)
-
-    terminals: dict = {d: merged_of[n] for d, n in raw_terminals.items()}
-    terminal_hops = set(terminals.values())
-
-    # stage 3: iteratively drop stars with no successor, unless some
-    # destination's probing ended there
-    changed = True
-    while changed:
-        changed = False
-        for hop in [h for h in out if isinstance(h, Star)]:
-            if not out[hop] and hop not in terminal_hops:
-                drop_node(hop)
-                report.stars_pruned += 1
-                changed = True
+    # stage 3: drop stars with no successor, unless some destination's
+    # probing ended there; a drop can leave its parent star bare in turn
+    star_nodes = range(_STAR_BASE, _STAR_BASE + len(star_at))
+    bare = [s for s in star_nodes if not out.get(s) and s not in terminal_nodes]
+    pruned: set[int] = set()
+    while bare:
+        star = bare.pop()
+        pruned.add(star)
+        out.pop(star, None)
+        for p in inn.pop(star, ()):
+            succs = out[p]
+            succs.discard(star)
+            if not succs and p >= _STAR_BASE and p not in terminal_nodes:
+                bare.append(p)
+    report.stars_pruned = len(pruned)
 
     # stage 4: stars hanging under a same node become a single star
-    stars = [h for h in out if isinstance(h, Star)]
-    leader = {s: s for s in stars}
+    leader = {s: s for s in star_nodes if s not in pruned}
 
-    def find(s: Hop) -> Hop:
+    def find(s: int) -> int:
         while leader[s] != s:
             leader[s] = leader[leader[s]]
             s = leader[s]
         return s
 
-    for succs in list(out.values()):
-        group = [s for s in succs if isinstance(s, Star)]
-        for other in group[1:]:
-            ra, rb = find(group[0]), find(other)
-            if ra != rb:
-                leader[rb] = ra
-
-    groups: dict[Hop, list[Hop]] = {}
-    for s in stars:
+    first_star: dict[int, int] = {}  # parent -> its first star child
+    for s in leader:
+        for p in inn.get(s, ()):
+            other = first_star.setdefault(p, s)
+            if other != s:
+                ra, rb = find(other), find(s)
+                if ra != rb:
+                    leader[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for s in leader:
         groups.setdefault(find(s), []).append(s)
 
-    def parent_label(p: Hop) -> str:
-        return p.key if isinstance(p, Star) else str(p)
+    # a merged star is named by its parents' labels; one name is one star.
+    # Parents of deeper stars may themselves be merged stars: shallow
+    # groups go first, ties in first-record order (members are ids, ids
+    # count in first-record order).
+    key_of: dict[int, str] = {}  # merged star id -> key
+    merged_id: dict[str, int] = {}
+    rename: dict[int, int] = {}
 
-    rename: dict[Hop, Hop] = {}
-    # parents of deeper stars may themselves be renamed stars: resolve shallow first
-    for members in sorted(groups.values(), key=lambda ms: min(star_ttl[m] for m in ms)):
-        parents = set()
+    def label(node: int) -> str:
+        if node < _STAR_BASE:
+            return str(hop_of[node])
+        key = key_of.get(node)
+        if key is None:  # a star of a group not merged yet
+            key, ttl = star_at[node - _STAR_BASE]
+            key = f"{key}/{ttl}"
+        return key
+
+    def merge_order(members: list[int]) -> tuple[int, int]:
+        return min(star_at[m - _STAR_BASE][1] for m in members), min(members)
+
+    for members in sorted(groups.values(), key=merge_order):
+        group = set(members)
+        parents: set[int] = set()
+        children: set[int] = set()
         for m in members:
-            parents.update(inn[m])
-        parents -= set(members)
-        parents = {rename.get(p, p) for p in parents}
-        label = "+".join(sorted(parent_label(p) for p in parents))
-        merged_star = Star(f"@{label}")
+            parents.update(inn.pop(m, ()))
+            children.update(out.pop(m, ()))
+        parents -= group
+        children -= group
+        key = "@" + "+".join(sorted(label(p) for p in parents))
+        merged = merged_id.get(key)
+        if merged is None:
+            merged = merged_id[key] = _STAR_BASE + len(star_at) + len(key_of)
+            key_of[merged] = key
         report.stars_merged += len(members) - 1
-        in_edges: set[Hop] = set()
-        out_edges: set[Hop] = set()
+        for p in parents:
+            succs = out[p]
+            succs -= group
+            succs.add(merged)
+            inn[merged].add(p)
+        children.discard(merged)
+        for c in children:
+            if c >= _STAR_BASE:
+                preds = inn[c]
+                preds -= group
+                preds.add(merged)
+            out[merged].add(c)
         for m in members:
-            in_edges.update(inn[m])
-            out_edges.update(out[m])
-            drop_node(m)
-        ensure(merged_star)
-        star_ttl[merged_star] = min(star_ttl[m] for m in members)
-        for p in in_edges - set(members):
-            add_edge(rename.get(p, p) if p in rename else p, merged_star)
-        for c in out_edges - set(members):
-            if c != merged_star:
-                add_edge(merged_star, c)
-        for m in members:
-            rename[m] = merged_star
-    terminals = {d: rename.get(h, h) for d, h in terminals.items()}
+            rename[m] = merged
 
-    # stage 5: BFS tree from the monitor; neighbours in lexicographic
-    # order, stars after addresses, FIFO queue
-    parent: dict[Hop, Hop] = {}
+    # stage 5: BFS tree from the monitor; neighbours in numeric order,
+    # stars after addresses and ordered by key, FIFO queue
+    parent: dict[int, int] = {}
     visited = {root}
     order = [root]
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for child in sorted(out.get(node, ()), key=hop_sort_key):
+    for node in order:  # order grows while it is walked: it is the queue
+        succs = out.get(node)
+        if not succs:
+            continue
+        kids = sorted(succs)
+        if len(kids) > 1 and kids[-2] >= _STAR_BASE:
+            split = next(i for i, k in enumerate(kids) if k >= _STAR_BASE)
+            kids[split:] = sorted(kids[split:], key=key_of.__getitem__)
+        for child in kids:
             if child not in visited:
                 visited.add(child)
                 parent[child] = node
                 order.append(child)
-                queue.append(child)
-    if len(order) == 1 and raw_nodes:
+    if len(order) == 1 and records:
         report.degenerate = True
 
-    terminals = {d: h for d, h in terminals.items() if h in visited}
-    protected = set(terminals.values())
+    terminals = [(d, rename.get(n, n)) for d, n in terminals]
+    terminals = [(d, n) for d, n in terminals if n in visited]
+    protected = {n for _, n in terminals}
 
     # stage 6: iteratively drop leaves that are nobody's terminal
-    child_count = {n: 0 for n in order}
+    child_count = dict.fromkeys(order, 0)
     for node in parent.values():
         child_count[node] += 1
     frontier = [n for n in order if child_count[n] == 0 and n != root]
@@ -190,7 +235,14 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
                 next_frontier.append(up)
         frontier = next_frontier
 
-    return FilteredTree(root=root, parents=parent, terminals=terminals), report
+    for merged, key in key_of.items():
+        hop_of[merged] = Star(key)
+    tree = FilteredTree(
+        root=monitor,
+        parents={hop_of[c]: hop_of[p] for c, p in parent.items()},
+        terminals={d: hop_of[n] for d, n in terminals},
+    )
+    return tree, report
 
 
 def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:

@@ -5,11 +5,14 @@ trees, measurement rounds, and the plain-text round-log format that ties
 them together on disk.
 
 A raw tree is its probe records, the same records the round log holds,
-one line each; its (hop, ttl) graph of nodes, edges and terminals is
-derived from them on demand and never stored.  Likewise a filtered tree
-is its parent map, child to parent; its node and edge sets are derived
-from the map.  A retained round therefore costs its records and one
-parent map and nothing more.
+one line each.  Its (hop, ttl) graph of nodes, edges and terminals is a
+reader's view, derived on demand and never stored; the filter works on
+the records directly.  Both group records by destination and ttl with
+`ttl_buckets` and join consecutive ttls with `ttl_links`, so the edge
+rule is written once.  Likewise a filtered tree is its parent map,
+child to parent; its node and edge sets are derived from the map.  A
+retained round therefore costs its records and one parent map and
+nothing more.
 
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
@@ -18,11 +21,11 @@ sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
 its dotted quad once and caches it for the round log.  A `Star` compares
 by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
 named tuples over hops.  Inside the hot loops (simulator, transport,
-tracetree, raw-graph derivation) addresses are keyed by their
-integer, read as `IPv4Address._ip` (what `int()` returns, without the
-method call); `IPv4Address` objects and dotted quads appear only at the
-edges: topology and destination files, the round log, CSV/DOT output,
-and the public fields callers read.
+tracetree, filter, analytics) addresses are keyed by their integer,
+read as `IPv4Address._ip` (what `int()` returns, without the method
+call) or `Ip._int`; `IPv4Address` objects and dotted quads appear only
+at the edges: topology and destination files, the round log, CSV/DOT
+output, and the public fields callers read.
 """
 from __future__ import annotations
 
@@ -161,19 +164,54 @@ class ProbeRecord(NamedTuple):
     destination: IPv4Address
 
 
+def ttl_buckets(records, nodes) -> list[tuple[IPv4Address, dict[int, list]]]:
+    """Group the node of each record (`nodes` runs in step with `records`)
+    by destination and ttl.
+
+    One `(destination, {ttl: distinct nodes in first-sighting order})`
+    per destination, in first-record order.  A destination's terminal is
+    the first node at its highest ttl, and `ttl_links` gives the edges.
+    """
+    # keyed by the destination integer: IPv4Address.__hash__ is costly
+    by_dest: dict[int, tuple[IPv4Address, dict[int, list]]] = {}
+    for node, (_, ttl, destination) in zip(nodes, records):
+        entry = by_dest.get(destination._ip)
+        if entry is None:
+            by_dest[destination._ip] = (destination, {ttl: [node]})
+            continue
+        seen_at = entry[1].get(ttl)
+        if seen_at is None:
+            entry[1][ttl] = [node]
+        elif node not in seen_at:
+            seen_at.append(node)
+    return list(by_dest.values())
+
+
+def ttl_links(by_destination):
+    """The edges of `ttl_buckets`' output: per destination, every node at
+    ttl t links to every node at ttl t+1, as `(low, high)` pairs."""
+    for _, buckets in by_destination:
+        for ttl, lows in buckets.items():
+            highs = buckets.get(ttl + 1)
+            if highs:
+                for low in lows:
+                    for high in highs:
+                        yield low, high
+
+
 @dataclass
 class RawTraceTree:
     """Direct tree-measurement output: the probe records of one round.
 
     `records`, in emission order, is the only stored view; it is what
     the round log serializes line for line.  `graph()` derives the
-    (hop, ttl) view the filter consumes and never caches it: edges join
-    ttl t to t+1 and are reconstructed per destination from
-    consecutive-ttl records, which is what makes the text log a lossless
-    serialization.  Chains that stopped early (their bottom record hit an
-    already-seen node) are reattached through the records of whichever
-    destination kept probing, because the shared (hop, ttl) node appears
-    in that chain too.
+    (hop, ttl) view for readers and never caches it: edges join ttl t to
+    t+1 and are reconstructed per destination from consecutive-ttl
+    records, which is what makes the text log a lossless serialization.
+    Chains that stopped early (their bottom record hit an already-seen
+    node) are reattached through the records of whichever destination
+    kept probing, because the shared (hop, ttl) node appears in that chain
+    too.
     """
 
     records: list[ProbeRecord]
@@ -183,35 +221,17 @@ class RawTraceTree:
         return cls(list(records))
 
     def graph(self) -> tuple[set[TtlNode], set[tuple[TtlNode, TtlNode]], dict[IPv4Address, TtlNode]]:
-        """Derive `(nodes, edges, terminals)` from the records."""
-        # one TtlNode object per (hop, ttl), shared by the node set, the
-        # per-destination buckets and the edges
-        nodes: dict[TtlNode, TtlNode] = {}
-        # destination int -> (destination, {ttl: nodes in first-sighting order})
-        by_dest: dict[int, tuple[IPv4Address, dict[int, list[TtlNode]]]] = {}
-        for source, ttl, destination in self.records:
+        """Derive `(nodes, edges, terminals)` from the records: a reader's
+        view for tests and tools; the filter works on the records itself."""
+        # one TtlNode object per (hop, ttl), shared by the node set and the edges
+        interned: dict[TtlNode, TtlNode] = {}
+        nodes = []
+        for source, ttl, _ in self.records:
             node = TtlNode(source, ttl)
-            node = nodes.setdefault(node, node)
-            entry = by_dest.get(destination._ip)
-            if entry is None:
-                entry = by_dest[destination._ip] = (destination, {})
-            seen_at = entry[1].get(ttl)
-            if seen_at is None:
-                entry[1][ttl] = [node]
-            elif node not in seen_at:
-                seen_at.append(node)
-        edges: set[tuple[TtlNode, TtlNode]] = set()
-        terminals: dict[IPv4Address, TtlNode] = {}
-        for destination, buckets in by_dest.values():
-            # the terminal is the first record at the highest ttl
-            terminals[destination] = buckets[max(buckets)][0]
-            for ttl, lows in buckets.items():
-                highs = buckets.get(ttl + 1)
-                if highs:
-                    for low in lows:
-                        for high in highs:
-                            edges.add((low, high))
-        return set(nodes), edges, terminals
+            nodes.append(interned.setdefault(node, node))
+        by_destination = ttl_buckets(self.records, nodes)
+        terminals = {destination: buckets[max(buckets)][0] for destination, buckets in by_destination}
+        return set(interned), set(ttl_links(by_destination)), terminals
 
     @property
     def nodes(self) -> set[TtlNode]:

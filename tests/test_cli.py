@@ -8,6 +8,7 @@ import yaml
 import pytest
 
 from conftest import CHAIN_DOC, fig1_analog_doc, shared_prefix_doc
+from netradar import analytics
 from netradar.cli import main
 from netradar.model import parse_round_log
 
@@ -74,6 +75,21 @@ def _fig1_events_doc() -> dict:
 def island_dataset(tmp_path):
     """A 12-round dataset with a 2-node island spliced in at round 8."""
     return _radar_log(tmp_path, _island_doc(), ["10.0.0.4"], 12)
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_components_fold_each_range_once(island_dataset, tmp_path, monkeypatch, dot):
+    folds = []
+    union = analytics._union
+
+    def counted(rounds):
+        folds.append(len(rounds))
+        return union(rounds)
+
+    monkeypatch.setattr(analytics, "_union", counted)
+    args = ["--in", str(island_dataset), "--ref", "0:8", "--obs", "8:12", "--max-ttl", "8"]
+    assert main(["analyze", "components", *args, *dot, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(folds) == [4, 8]  # the observation range once, the reference once
 
 
 class TestRadarRun:

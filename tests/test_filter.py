@@ -1,14 +1,24 @@
 """The six-stage filter: stage semantics, invariants, idempotence."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netradar
 from netradar.baseline import simulate_tracetree_from_traceroute
-from netradar.filtering import filter_tree, reencode_as_raw, tree_to_dot
+from netradar.filtering import FilterReport, filter_tree, reencode_as_raw, tree_to_dot
 from netradar.model import (
+    FilteredTree,
+    Hop,
     Ip,
     ProbeRecord,
     RawTraceTree,
@@ -253,3 +263,337 @@ def test_dot_export_mentions_every_node():
     dot = tree_to_dot(tree)
     assert dot.startswith("digraph")
     assert "10.0.0.3" in dot and '"*"' in dot
+
+
+# -- the previous filter, kept verbatim as the differential test's oracle ----
+# It derived the (hop, ttl) graph as TtlNode sets and merged it with
+# string-keyed stars.  The current filter must return equal trees and
+# equal reports on every input.
+
+
+def oracle_graph(raw: RawTraceTree):
+    """`RawTraceTree.graph()` as it was before the filter worked on ints."""
+    # one TtlNode object per (hop, ttl), shared by the node set, the
+    # per-destination buckets and the edges
+    nodes: dict[TtlNode, TtlNode] = {}
+    # destination int -> (destination, {ttl: nodes in first-sighting order})
+    by_dest: dict[int, tuple[IPv4Address, dict[int, list[TtlNode]]]] = {}
+    for source, ttl, destination in raw.records:
+        node = TtlNode(source, ttl)
+        node = nodes.setdefault(node, node)
+        entry = by_dest.get(destination._ip)
+        if entry is None:
+            entry = by_dest[destination._ip] = (destination, {})
+        seen_at = entry[1].get(ttl)
+        if seen_at is None:
+            entry[1][ttl] = [node]
+        elif node not in seen_at:
+            seen_at.append(node)
+    edges: set[tuple[TtlNode, TtlNode]] = set()
+    terminals: dict[IPv4Address, TtlNode] = {}
+    for destination, buckets in by_dest.values():
+        # the terminal is the first record at the highest ttl
+        terminals[destination] = buckets[max(buckets)][0]
+        for ttl, lows in buckets.items():
+            highs = buckets.get(ttl + 1)
+            if highs:
+                for low in lows:
+                    for high in highs:
+                        edges.add((low, high))
+    return set(nodes), edges, terminals
+
+
+def _oracle_merged_hop(node: TtlNode) -> Hop:
+    # ttl variants of one address collapse; stars keep per-observation identity
+    if isinstance(node.hop, Ip):
+        return node.hop
+    return Star(f"{node.hop.key}/{node.ttl}")
+
+
+def oracle_filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterReport]:
+    """`filter_tree` as it was before it worked on ints: the reference
+    the differential test holds the current filter to."""
+    report = FilterReport()
+    root = monitor
+    raw_nodes, raw_edges, raw_terminals = oracle_graph(raw)
+
+    # stage 1: merge all nodes carrying the same address
+    merged_of = {node: _oracle_merged_hop(node) for node in raw_nodes}
+    ip_nodes = [n for n in raw_nodes if isinstance(n.hop, Ip)]
+    report.merged_ip_nodes = len(ip_nodes) - len({n.hop for n in ip_nodes})
+
+    out: dict[Hop, set[Hop]] = {}
+    inn: dict[Hop, set[Hop]] = {}
+    star_ttl: dict[Hop, int] = {}
+
+    def ensure(hop: Hop) -> None:
+        out.setdefault(hop, set())
+        inn.setdefault(hop, set())
+
+    def add_edge(u: Hop, v: Hop) -> None:
+        out[u].add(v)
+        inn[v].add(u)
+
+    def drop_node(hop: Hop) -> None:
+        for p in inn[hop]:
+            out[p].discard(hop)
+        for c in out[hop]:
+            inn[c].discard(hop)
+        del out[hop], inn[hop]
+
+    ensure(root)
+    for node, merged in merged_of.items():
+        ensure(merged)
+        if isinstance(merged, Star):
+            star_ttl[merged] = node.ttl
+
+    # stage 2: parallel edges collapse, links from an address to itself go
+    loops: set[Hop] = set()
+    for u_raw, v_raw in raw_edges:
+        u, v = merged_of[u_raw], merged_of[v_raw]
+        if u == v:
+            loops.add(u)
+            continue
+        add_edge(u, v)
+    report.loops_removed = len(loops)
+
+    for node, merged in merged_of.items():
+        if node.ttl == 1 and merged != root:
+            add_edge(root, merged)
+
+    terminals: dict = {d: merged_of[n] for d, n in raw_terminals.items()}
+    terminal_hops = set(terminals.values())
+
+    # stage 3: iteratively drop stars with no successor, unless some
+    # destination's probing ended there
+    changed = True
+    while changed:
+        changed = False
+        for hop in [h for h in out if isinstance(h, Star)]:
+            if not out[hop] and hop not in terminal_hops:
+                drop_node(hop)
+                report.stars_pruned += 1
+                changed = True
+
+    # stage 4: stars hanging under a same node become a single star
+    stars = [h for h in out if isinstance(h, Star)]
+    leader = {s: s for s in stars}
+
+    def find(s: Hop) -> Hop:
+        while leader[s] != s:
+            leader[s] = leader[leader[s]]
+            s = leader[s]
+        return s
+
+    for succs in list(out.values()):
+        group = [s for s in succs if isinstance(s, Star)]
+        for other in group[1:]:
+            ra, rb = find(group[0]), find(other)
+            if ra != rb:
+                leader[rb] = ra
+
+    groups: dict[Hop, list[Hop]] = {}
+    for s in stars:
+        groups.setdefault(find(s), []).append(s)
+
+    def parent_label(p: Hop) -> str:
+        return p.key if isinstance(p, Star) else str(p)
+
+    rename: dict[Hop, Hop] = {}
+    # parents of deeper stars may themselves be renamed stars: resolve shallow first
+    for members in sorted(groups.values(), key=lambda ms: min(star_ttl[m] for m in ms)):
+        parents = set()
+        for m in members:
+            parents.update(inn[m])
+        parents -= set(members)
+        parents = {rename.get(p, p) for p in parents}
+        label = "+".join(sorted(parent_label(p) for p in parents))
+        merged_star = Star(f"@{label}")
+        report.stars_merged += len(members) - 1
+        in_edges: set[Hop] = set()
+        out_edges: set[Hop] = set()
+        for m in members:
+            in_edges.update(inn[m])
+            out_edges.update(out[m])
+            drop_node(m)
+        ensure(merged_star)
+        star_ttl[merged_star] = min(star_ttl[m] for m in members)
+        for p in in_edges - set(members):
+            add_edge(rename.get(p, p) if p in rename else p, merged_star)
+        for c in out_edges - set(members):
+            if c != merged_star:
+                add_edge(merged_star, c)
+        for m in members:
+            rename[m] = merged_star
+    terminals = {d: rename.get(h, h) for d, h in terminals.items()}
+
+    # stage 5: BFS tree from the monitor; neighbours in lexicographic
+    # order, stars after addresses, FIFO queue
+    parent: dict[Hop, Hop] = {}
+    visited = {root}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for child in sorted(out.get(node, ()), key=hop_sort_key):
+            if child not in visited:
+                visited.add(child)
+                parent[child] = node
+                order.append(child)
+                queue.append(child)
+    if len(order) == 1 and raw_nodes:
+        report.degenerate = True
+
+    terminals = {d: h for d, h in terminals.items() if h in visited}
+    protected = set(terminals.values())
+
+    # stage 6: iteratively drop leaves that are nobody's terminal
+    child_count = {n: 0 for n in order}
+    for node in parent.values():
+        child_count[node] += 1
+    frontier = [n for n in order if child_count[n] == 0 and n != root]
+    while frontier:
+        next_frontier = []
+        for leaf in frontier:
+            if leaf in protected:
+                continue
+            up = parent.pop(leaf)
+            report.leaves_pruned += 1
+            child_count[up] -= 1
+            if child_count[up] == 0 and up != root:
+                next_frontier.append(up)
+        frontier = next_frontier
+
+    return FilteredTree(root=root, parents=parent, terminals=terminals), report
+
+
+ADDRESSES = [ip(f"10.40.0.{i}") for i in range(1, 9)]
+
+
+@st.composite
+def raw_rounds(draw):
+    """Random rounds of records: balancers (several sources at one ttl),
+    stars and all-star chains, repeated addresses (routing loops), the
+    monitor's own address as a source, chains that start above ttl 1,
+    shuffled record order, and the empty round."""
+    records = []
+    for d in range(draw(st.integers(0, 5))):
+        destination = IPv4Address(f"10.50.0.{d}")
+        star_share = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+        low = draw(st.integers(1, 3))
+        for ttl in range(low, low + draw(st.integers(0, 7))):
+            for _ in range(draw(st.integers(1, 3))):
+                if draw(st.floats(0, 1)) < star_share:
+                    source = Star(str(destination))
+                else:
+                    source = draw(st.sampled_from(ADDRESSES + [MONITOR]))
+                records.append(ProbeRecord(source, ttl, destination))
+    draw(st.randoms(use_true_random=False)).shuffle(records)
+    return RawTraceTree.from_records(records)
+
+
+def _names_an_unmerged_star(tree: FilteredTree) -> bool:
+    # a merged star is named after its parents; a "key/ttl" label means one
+    # parent was a star whose own group had not been merged yet
+    return any("/" in n.key for n in tree.nodes if isinstance(n, Star))
+
+
+def _shape(tree: FilteredTree):
+    """The tree with each node named by its path from the root, stars
+    drawn as `*`: what is left when star keys are ignored."""
+
+    def path(node):
+        names = []
+        while node != tree.root:
+            names.append(str(node))
+            node = tree.parents[node]
+        return tuple(reversed(names))
+
+    return (
+        sorted((path(child), path(parent)) for child, parent in tree.parents.items()),
+        sorted((destination, path(node)) for destination, node in tree.terminals.items()),
+    )
+
+
+# Two groups at the same least ttl, one holding a parent of the other:
+# whichever merges first decides the other's name.  The old filter took
+# them in set iteration order (so the name moved with PYTHONHASHSEED); the
+# current one takes them in first-record order.
+ORDER_SENSITIVE_BLOCK = """#round {index} 0.0 1.0
+10.60.0.1 1 10.70.0.1
+10.60.0.9 2 10.70.0.1
+* 3 10.70.0.1
+10.60.0.2 4 10.70.0.1
+10.60.0.3 1 10.70.0.2
+10.60.0.4 2 10.70.0.2
+10.60.0.9 3 10.70.0.2
+* 3 10.70.0.2
+* 4 10.70.0.2
+10.60.0.5 5 10.70.0.2
+#end
+"""
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_rounds())
+    def test_same_tree_and_report(self, raw):
+        new = filter_tree(raw, MONITOR)
+        old = oracle_filter_tree(raw, MONITOR)
+        if _names_an_unmerged_star(new[0]) or _names_an_unmerged_star(old[0]):
+            # the oracle's star names followed set iteration order here
+            assert new[1] == old[1]
+            assert _shape(new[0]) == _shape(old[0])
+        else:
+            assert new == old
+
+    def test_group_order_follows_the_records(self):
+        [(_, raw)] = parse_round_log(ORDER_SENSITIVE_BLOCK.format(index=0))
+        tree, report = filter_tree(raw, MONITOR)
+        tree.validate()
+        stars = sorted(n.key for n in tree.parents if isinstance(n, Star))
+        # the ttl-3 star of 10.70.0.1 comes first in the records, so its group
+        # (with the ttl-4 star of 10.70.0.2) merges before the ttl-3 star of
+        # 10.70.0.2 that is one of its parents
+        assert stars == ["@10.60.0.9+10.70.0.2/3"]
+        assert report.stars_merged == 1
+        assert _shape(tree) == _shape(oracle_filter_tree(raw, MONITOR)[0])
+
+
+HASH_SEED_SCRIPT = """
+import sys
+from netradar.cli import PLACEHOLDER_MONITOR
+from netradar.filtering import filter_tree
+from netradar.model import parse_round_log
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    rounds = parse_round_log(fh.read())
+for meta, raw in rounds:
+    tree, report = filter_tree(raw, PLACEHOLDER_MONITOR)
+    print(meta.index, list(tree.parents.items()), list(tree.terminals.items()), report)
+"""
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    from test_cli import _fig1_events_doc, _radar_log
+
+    log = _radar_log(tmp_path, _fig1_events_doc(), ["10.0.1.14", "10.0.1.15", "10.0.1.16"], 12)
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write(ORDER_SENSITIVE_BLOCK.format(index=12))
+    src = Path(netradar.__file__).resolve().parents[1]
+    outputs = []
+    # under these two seeds the previous filter named the pinned block's
+    # merged star differently
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(log)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 13
+    assert "Star(key=" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from netradar import cli, radar
-from netradar.model import RawTraceTree
+from netradar.model import FilteredTree, RawTraceTree
 from netradar.simnet import SimState
 from netradar.transport import SimTransport
 
@@ -42,3 +42,9 @@ def test_from_records_is_a_classmethod():
 )
 def test_simulator_methods(cls, name):
     assert callable(cls.__dict__.get(name))
+
+
+@pytest.mark.parametrize("cls, name", [(RawTraceTree, "nodes"), (FilteredTree, "observed_ips")])
+def test_what_traced_runs_read(cls, name):
+    # the `--trace 1` observers and the workload checks read these
+    assert name in cls.__dict__
