@@ -18,7 +18,8 @@ Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
 callers that read it, and hashes and compares by the address integer, so
 sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
-its dotted quad once and caches it for the round log.  A `Star` compares
+its dotted quad once, from the integer (`dotted_quad`), and caches it
+for the round log.  A `Star` compares
 by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
 named tuples over hops.  Inside the hot loops (simulator, transport,
 tracetree, filter, analytics) addresses are keyed by their integer,
@@ -63,6 +64,12 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def dotted_quad(value: int) -> str:
+    """The dotted-quad text of an IPv4 address integer, equal to
+    `str(IPv4Address(value))` without building the object."""
+    return "%d.%d.%d.%d" % (value >> 24, (value >> 16) & 255, (value >> 8) & 255, value & 255)
+
+
 class Ip(_Frozen):
     """A concrete IPv4 hop.
 
@@ -89,7 +96,7 @@ class Ip(_Frozen):
     def __str__(self):
         text = self._text
         if text is None:
-            text = str(self.address)
+            text = dotted_quad(self._int)
             object.__setattr__(self, "_text", text)
         return text
 
@@ -263,11 +270,11 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
     space separators, newline line ends.
     """
     lines = [f"#round {index} {float(start_time)!r} {float(end_time)!r}"]
-    dest_text: dict[int, str] = {}  # str(IPv4Address) is costly: once per destination
+    dest_text: dict[int, str] = {}  # rendered once per destination
     for source, ttl, destination in raw.records:
         text = dest_text.get(destination._ip)
         if text is None:
-            text = dest_text[destination._ip] = str(destination)
+            text = dest_text[destination._ip] = dotted_quad(destination._ip)
         lines.append(f"{source} {ttl} {text}")
     lines.append("#end")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,15 @@ topology changes.  Default forwarding follows a deterministic shortest
 path (BFS with address-ordered tie-breaks); balancer policies override it
 at their node.  Serves as the default transport backend and as the oracle
 in tests.
+
+A probe is answered from a route entry per destination, memoized with
+the BFS results until an event changes the topology.  The entry holds
+the monitor's planned path and one reply slot per hop of its
+balancer-free prefix, the hops before the first balancer, filled when
+first asked for.  A ttl inside that prefix, or any ttl when the whole
+path is balancer-free, is answered by one index; a rate-limited node
+still spends its bucket.  Only a probe that reaches the first balancer
+walks on, hop by hop, from there.
 """
 from __future__ import annotations
 
@@ -276,7 +285,8 @@ class SimState:
         self.addresses = dict(topology.addresses)
         self.policies = dict(topology.policies)
         self.balancers = {n: _copy_balancer(b) for n, b in topology.balancers.items()}
-        self._adj = {u: sorted(vs, key=lambda v: int(topology.addresses[v])) for u, vs in topology.links.items()}
+        # a link listed twice is one link, as events add and remove links
+        self._adj = {u: sorted(set(vs), key=lambda v: int(topology.addresses[v])) for u, vs in topology.links.items()}
         self._pending = sorted(
             enumerate(topology.events), key=lambda pair: (pair[1].at_time, pair[0])
         )
@@ -287,6 +297,7 @@ class SimState:
         self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
         self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
         self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
+        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
 
     # -- events ------------------------------------------------------------
 
@@ -305,6 +316,7 @@ class SimState:
     def _invalidate_routes(self) -> None:
         self._paths.clear()
         self._parents.clear()
+        self._routes.clear()
         self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
 
     def _require_node(self, name: str, action: str) -> None:
@@ -367,9 +379,12 @@ class SimState:
     # -- routing -----------------------------------------------------------
 
     def prepare_destinations(self, destinations) -> None:
-        """Warm the routing cache for a batch of destinations."""
+        """Warm the route table for a batch of destinations."""
+        routes = self._routes
         for dest in destinations:
-            self._path_from(self.monitor, _address(dest)._ip)
+            d = _address(dest)._ip
+            if d not in routes:
+                self._route(d)
 
     def _bfs(self, start: str) -> dict[str, str]:
         """Parent map of a breadth-first search from `start`, neighbours in
@@ -405,21 +420,69 @@ class SimState:
         self._paths[key] = path
         return path
 
+    def _route(self, d: int) -> tuple:
+        """Memoize and return the route entry of destination `d`:
+        `(replies, plan, clear)`.
+
+        `plan` is the monitor's planned path (None: no path).  `replies`
+        has one slot per hop of the plan's balancer-free prefix, the hops
+        before the first node in `self.balancers`; `_prefix_reply` fills a
+        slot when a probe first asks for it.  `clear` is true when the
+        whole path up to the target is balancer-free, so every ttl beyond
+        it draws the target's echo.  A path of length 1 (the destination
+        is the monitor) or none has an empty prefix and is never clear:
+        the walk answers it."""
+        plan = self._path_from(self.monitor, d)
+        last = 0 if plan is None else len(plan) - 1
+        free = 0
+        while free < last and plan[free] not in self.balancers:
+            free += 1
+        route = self._routes[d] = ([None] * free, plan, 0 < free == last)
+        return route
+
+    def _prefix_reply(self, replies: list, plan: tuple[str, ...], hops: int):
+        """Fill and return the slot of `hops` in a route entry's replies:
+        the SimReply of a responsive or silent node, which never changes,
+        or the `_respond` arguments `(node, kind, hops)` of a rate-limited
+        one, whose bucket decides at probe time."""
+        node = plan[hops]
+        key = (node, ECHO_REPLY if hops == len(plan) - 1 else TIME_EXCEEDED, hops)
+        rate_limited = isinstance(self.policies.get(node), RateLimited)
+        # without a bucket, at_time plays no part in the reply
+        replies[hops - 1] = key if rate_limited else self._respond(*key, 0.0)
+        return replies[hops - 1]
+
     def route_probe(self, destination, ttl: int, at_time: float) -> SimReply:
-        """Walk one probe from the monitor towards `destination`, spending
-        one ttl per hop.  Deterministic given the current state; per-packet
-        balancer counters advance exactly once per traversal."""
+        """Send one probe from the monitor towards `destination`, spending
+        one ttl per hop.
+
+        A ttl inside the route entry's balancer-free prefix (`_route`) is
+        answered by one index, and so is any ttl beyond the target when
+        the whole path is balancer-free.  Otherwise the probe walks hop by
+        hop from the first balancer on the plan (from the monitor when
+        there is no plan or the destination is the monitor), exactly as a
+        walk from the monitor would after crossing the prefix.
+        Deterministic given the current state; per-packet balancer
+        counters advance exactly once per traversal, and a rate-limited
+        node's bucket once per reply it is asked for."""
         if ttl < 1:
             raise ValueError(f"ttl must be >= 1, got {ttl}")
         dest = _address(destination)
         d = dest._ip
+        replies, plan, clear = self._routes.get(d) or self._route(d)
+        free = len(replies)
+        if ttl <= free or clear:
+            hops = ttl if ttl <= free else free
+            reply = replies[hops - 1] or self._prefix_reply(replies, plan, hops)
+            if reply.__class__ is SimReply:
+                return reply
+            return self._respond(*reply, at_time)
         target = self._addr_to_node.get(d)
         addresses = self.addresses
         balancers = self.balancers
-        node = self.monitor
-        plan = self._path_from(node, d)
-        plan_pos = 0
-        for hop_index in range(1, ttl + 1):
+        node = self.monitor if plan is None else plan[free]
+        plan_pos = free
+        for hop_index in range(free + 1, ttl + 1):
             planned = None
             if plan is not None and plan_pos + 1 < len(plan):
                 planned = plan[plan_pos + 1]

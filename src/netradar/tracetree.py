@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import Ip, ProbeRecord, RawTraceTree, Star
+from .model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
 from .transport import TransportError, send_paced
 
 
@@ -151,17 +151,20 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
             if reply_buffer:
                 handle_reply(reply_buffer.popleft())
             now = clock.now()
-            # same float expression as the poll deadline (sent_at + timeout):
-            # a subtraction here can disagree by one ulp and stall the sweep
-            if inflight and now >= next(iter(inflight.values())).sent_at + config.timeout:
-                expired = [k for k, t in inflight.items() if now >= t.sent_at + config.timeout]
-                for key in expired:
-                    token = inflight.pop(key)
-                    transport.expire(token)
-                    d, ttl = key
-                    emit(Star(str(by_int[d])), ttl, d, False)
-                    if ttl > 1:
-                        push(d, ttl - 1)
+            # tokens sit in send order and each key is sent once a round, so
+            # the expired tokens are a prefix: sweep it and stop.  Same float
+            # expression as the poll deadline (sent_at + timeout): a
+            # subtraction here can disagree by one ulp and stall the sweep
+            while inflight:
+                key, token = next(iter(inflight.items()))
+                if now < token.sent_at + config.timeout:
+                    break
+                del inflight[key]
+                transport.expire(token)
+                d, ttl = key
+                emit(Star(dotted_quad(d)), ttl, d, False)
+                if ttl > 1:
+                    push(d, ttl - 1)
     except TransportError:
         stats.complete = False
 

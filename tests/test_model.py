@@ -5,7 +5,7 @@ import pickle
 from ipaddress import IPv4Address
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netradar.model import (
@@ -17,6 +17,7 @@ from netradar.model import (
     Star,
     TtlNode,
     TtlRangeError,
+    dotted_quad,
     hop_sort_key,
     ip,
     parse_round_log,
@@ -38,6 +39,12 @@ class TestHop:
     def test_rendering(self):
         assert str(ip("1.2.3.4")) == "1.2.3.4"
         assert str(Star("5.6.7.8")) == "*"
+
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)
+    @example(2**32 - 1)
+    def test_dotted_quad_renders_like_ipv4address(self, value):
+        assert dotted_quad(value) == str(IPv4Address(value)) == str(Ip(IPv4Address(value)))
 
     def test_sort_key_orders_ips_numerically(self):
         # octet-wise numeric order, not string order

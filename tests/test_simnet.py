@@ -4,18 +4,29 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN_DOC, fig1_analog_doc
 from netradar.simnet import (
     ECHO_REPLY,
+    RESPONSIVE,
     SILENCE,
+    SILENT,
     TIME_EXCEEDED,
     UNREACHABLE,
+    AddIsland,
+    ChangePolicy,
+    PerDestination,
     PerPacket,
     RateLimited,
+    RemoveNode,
+    RewireLink,
     ScenarioError,
+    SimReply,
     SimState,
     TopologyError,
+    _address,
     load_topology,
 )
 
@@ -97,6 +108,14 @@ class TestRouteProbe:
     def test_unknown_destination_unreachable(self, chain_topology):
         reply = SimState(chain_topology).route_probe(IPv4Address("192.0.2.9"), 5, 0.0)
         assert reply.kind == UNREACHABLE
+
+    @pytest.mark.parametrize("ttl", [1, 5])
+    def test_monitor_and_pathless_destinations_unreachable_at_hop_1(self, ttl):
+        doc = dict(CHAIN_DOC)
+        doc["nodes"] = {**CHAIN_DOC["nodes"], "lone": "10.0.0.9"}  # no link reaches it
+        state = SimState(load_topology(doc))
+        for destination in ("10.0.0.1", "10.0.0.9"):
+            assert state.route_probe(IPv4Address(destination), ttl, 0.0) == (UNREACHABLE, None, 1)
 
     def test_per_packet_balancer_alternates(self, fig1_topology):
         state = SimState(fig1_topology)
@@ -234,6 +253,19 @@ class TestEvents:
         state.apply_events(6.0)
         assert state.route_probe(D, 3, 6.0).kind == UNREACHABLE
 
+    def test_remove_node_listed_twice_as_a_link(self):
+        # a link listed twice is one link: removing its node leaves no
+        # dangling neighbour for a later event to trip over
+        doc = dict(CHAIN_DOC)
+        doc["links"] = list(CHAIN_DOC["links"]) + [["r1", "r2"]]
+        doc["events"] = [
+            {"at": 5.0, "remove_node": "r2"},
+            {"at": 6.0, "rewire": {"node": "r1", "add": "d"}},
+        ]
+        state = SimState(load_topology(doc))
+        state.apply_events(7.0)
+        assert state.route_probe(D, 3, 7.0) == (ECHO_REPLY, D, 2)
+
     def test_event_referencing_unknown_node(self):
         doc = dict(CHAIN_DOC)
         doc["events"] = [{"at": 5.0, "remove_node": "ghost"}]
@@ -256,3 +288,194 @@ class TestEvents:
         state = SimState(load_topology(doc))
         state.apply_events(30.0)  # both applied, final policy responsive
         assert state.route_probe(D, 1, 30.0).kind == TIME_EXCEEDED
+
+
+class TestMemoInvalidation:
+    """A probe before the event fills the route memo; the probe after it
+    must see the event, never the memoized route."""
+
+    CASES = {
+        "rewire": (
+            {
+                "nodes": {"r3": "10.0.0.5"},
+                "links": [["r3", "d"]],
+                "event": {"rewire": {"node": "r1", "remove": "r2", "add": "r3"}},
+            },
+            2,
+            (TIME_EXCEEDED, IPv4Address("10.0.0.3"), 2),
+            (TIME_EXCEEDED, IPv4Address("10.0.0.5"), 2),
+        ),
+        "add_island": (
+            {
+                "event": {
+                    "add_island": {
+                        "nodes": {"x": "10.0.0.9"},
+                        "links": [["mon", "x"], ["x", "d"]],
+                    }
+                },
+            },
+            3,
+            (ECHO_REPLY, D, 3),
+            (ECHO_REPLY, D, 2),  # the island is a shortcut
+        ),
+        "remove_node": (
+            {"event": {"remove_node": "r2"}},
+            3,
+            (ECHO_REPLY, D, 3),
+            (UNREACHABLE, None, 1),  # no path: the monitor has no next hop
+        ),
+        "change_policy": (
+            {"event": {"change_policy": {"node": "r1", "policy": "silent"}}},
+            1,
+            (TIME_EXCEEDED, IPv4Address("10.0.0.2"), 1),
+            (SILENCE, None, 1),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_probe_after_event_sees_it(self, kind):
+        extra, ttl, before, after = self.CASES[kind]
+        doc = {
+            "monitor": CHAIN_DOC["monitor"],
+            "nodes": {**CHAIN_DOC["nodes"], **extra.get("nodes", {})},
+            "links": list(CHAIN_DOC["links"]) + extra.get("links", []),
+            "events": [{"at": 50.0, **extra["event"]}],
+        }
+        state = SimState(load_topology(doc))
+        state.apply_events(10.0)
+        assert tuple(state.route_probe(D, ttl, 10.0)) == before
+        state.apply_events(60.0)
+        assert tuple(state.route_probe(D, ttl, 60.0)) == after
+
+
+# -- the previous route_probe, kept verbatim as the differential test's oracle
+# It walked every probe hop by hop from the monitor.  The current
+# route_probe must give equal replies and leave equal per-packet counters
+# and rate-limit buckets on every input.
+
+
+def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) -> SimReply:
+    """`SimState.route_probe` as it was before the per-destination route
+    entry: the reference the differential test holds it to."""
+    if ttl < 1:
+        raise ValueError(f"ttl must be >= 1, got {ttl}")
+    dest = _address(destination)
+    d = dest._ip
+    target = self._addr_to_node.get(d)
+    addresses = self.addresses
+    balancers = self.balancers
+    node = self.monitor
+    plan = self._path_from(node, d)
+    plan_pos = 0
+    for hop_index in range(1, ttl + 1):
+        planned = None
+        if plan is not None and plan_pos + 1 < len(plan):
+            planned = plan[plan_pos + 1]
+        balancer = balancers.get(node)
+        if balancer is None:
+            nxt = planned
+        elif isinstance(balancer, PerPacket):
+            count = self._pp_counters.get(node, 0)
+            self._pp_counters[node] = count + 1
+            nxt = balancer.cycle[count % len(balancer.cycle)]
+        else:
+            nxt = balancer.table.get(dest, planned)
+        if nxt is None or nxt not in addresses:
+            return SimReply(UNREACHABLE, None, hop_index)
+        if nxt == planned:
+            plan_pos += 1
+        else:
+            plan = self._path_from(nxt, d)
+            plan_pos = 0
+        node = nxt
+        if node == target:
+            return self._respond(node, ECHO_REPLY, hop_index, at_time)
+    return self._respond(node, TIME_EXCEEDED, ttl, at_time)
+
+
+POLICIES = [RESPONSIVE, SILENT, RateLimited(rate=2.0), RateLimited(rate=0.5, burst=2)]
+UNKNOWN = IPv4Address("10.60.1.250")  # never a node: unreachable
+
+
+def _address_of(i: int) -> IPv4Address:
+    return IPv4Address(f"10.60.0.{i}")
+
+
+@st.composite
+def sim_documents(draw):
+    """Random topologies: up to 8 nodes (n0 the monitor) with any
+    policy, a tree of links from the monitor plus random ones, self-links
+    and repeated links included, and per-packet or
+    per-destination balancers on any node, the monitor and destinations
+    included.  Destination tables name nodes and the unknown address."""
+    count = draw(st.integers(1, 8))
+    names = [f"n{i}" for i in range(count)]
+    numbers = draw(st.lists(st.integers(1, 60), min_size=count, max_size=count, unique=True))
+    nodes = {
+        name: {"address": str(_address_of(i)), "policy": draw(st.sampled_from(POLICIES))}
+        for name, i in zip(names, numbers)
+    }
+    # a random tree from the monitor reaches every node, more links cross it
+    links = [(draw(st.sampled_from(names[:i])), names[i]) for i in range(1, count)]
+    links += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=2 * count))
+    neighbours = {name: sorted({v for u, v in links if u == name}) for name in names}
+    targets = [_address_of(i) for i in numbers] + [UNKNOWN]
+    balancers = {}
+    for name in names:
+        if not neighbours[name] or draw(st.integers(0, 3)):
+            continue
+        if draw(st.booleans()):
+            balancers[name] = PerPacket(draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=4)))
+        else:
+            balancers[name] = PerDestination(
+                draw(st.dictionaries(st.sampled_from(targets), st.sampled_from(neighbours[name]), max_size=4))
+            )
+    doc = {"monitor": "n0", "nodes": nodes, "links": [list(pair) for pair in links], "balancers": balancers}
+    return doc, targets
+
+
+def _draw_event(draw, state: SimState, fresh: list):
+    """One valid event against the current state, of any of the four kinds."""
+    names = sorted(state.addresses)
+    kind = draw(st.sampled_from(["rewire", "add_island", "remove_node", "change_policy"]))
+    if kind == "rewire":
+        node = draw(st.sampled_from(names))
+        remove = draw(st.sampled_from([None, *state._adj.get(node, [])]))
+        return RewireLink(node, remove=remove, add=draw(st.sampled_from([None, *names])))
+    if kind == "add_island":
+        island = {}
+        for _ in range(draw(st.integers(1, 2))):
+            name = f"i{len(fresh)}"
+            fresh.append(name)
+            island[name] = (IPv4Address(f"10.61.0.{len(fresh)}"), draw(st.sampled_from(POLICIES)))
+        ends = st.sampled_from(names + list(island))
+        links = draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=4))
+        return AddIsland(island, links)
+    if kind == "remove_node" and len(names) > 1:
+        return RemoveNode(draw(st.sampled_from([n for n in names if n != state.monitor])))
+    return ChangePolicy(draw(st.sampled_from(names)), draw(st.sampled_from(POLICIES)))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sim_documents(), st.data())
+    def test_same_replies_counters_and_buckets(self, generated, data):
+        doc, targets = generated
+        topology = load_topology(doc)
+        state, oracle = SimState(topology), SimState(topology)
+        monitor = topology.addresses[topology.monitor]
+        fresh: list[str] = []
+        now = 0.0
+        for _ in range(data.draw(st.integers(1, 40))):
+            if data.draw(st.integers(0, 5)) == 0:
+                action = _draw_event(data.draw, oracle, fresh)
+                state._apply(action)
+                oracle._apply(action)
+                continue
+            destinations = targets + [IPv4Address(f"10.61.0.{i + 1}") for i in range(len(fresh))]
+            destination = data.draw(st.sampled_from(destinations + [monitor]))
+            ttl = data.draw(st.integers(1, 30))
+            now += data.draw(st.sampled_from([0.0, 0.1, 0.4, 1.5]))
+            assert state.route_probe(destination, ttl, now) == oracle_route_probe(oracle, destination, ttl, now)
+            assert state._pp_counters == oracle._pp_counters
+            assert state._buckets == oracle._buckets

@@ -86,6 +86,21 @@ class TestAlgorithm:
         assert result.distances[IPv4Address("192.0.2.1")] is None
 
 
+    def test_stars_follow_send_order(self):
+        # every probe is sent at once and none is answered, so every token
+        # expires in one sweep: the stars keep the order of the sends
+        transport = SimTransport(load_topology(dict(CHAIN_DOC)), rate_cap=0)
+        sent = []
+        send = transport.send
+        transport.send = lambda destination, ttl: sent.append((destination, ttl)) or send(destination, ttl)
+        unknown = [IPv4Address(f"192.0.2.{i}") for i in range(1, 6)]
+        config = TracetreeConfig(inter_probe_delay=0.0)
+        result = tracetree([DestinationTask(d, 3) for d in unknown], transport, config)
+        assert all(isinstance(r.source, Star) for r in result.raw.records)
+        assert [(r.destination, r.ttl) for r in result.raw.records] == sent
+        assert [r.ttl for r in result.raw.records[:5]] == [3] * 5
+
+
 class TestInvariants:
     def test_one_record_per_probe(self):
         doc = shared_prefix_doc()
