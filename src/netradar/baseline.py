@@ -80,7 +80,7 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
     records: list[ProbeRecord] = []
     for destination in destinations:
         for ttl in range(1, config.max_ttl + 1):
-            token = send_paced(transport, destination, ttl, config.inter_probe_delay)
+            token = send_paced(transport, destination, ttl)
             reply = _await_reply(transport, token, config.timeout)
             if reply is None:
                 hop: Hop = Star(str(destination))

@@ -17,7 +17,6 @@ from .model import (
     Ip,
     RadarDataset,
     RoundRecord,
-    RoundLogParseError,
     RawTraceTree,
     parse_round_log,
     serialize_round,
@@ -282,7 +281,7 @@ def _add_measurement_flags(parser, with_rounds: bool) -> None:
     parser.add_argument("--timeout", type=float, default=2.0, help="probe timeout, seconds")
     parser.add_argument("--max-ttl", type=int, default=30, dest="max_ttl")
     parser.add_argument("--per-hop-delay", type=float, default=0.01, dest="per_hop_delay", help="simulated per-hop latency, seconds")
-    parser.add_argument("--rate-cap", type=float, default=200.0, dest="rate_cap", help="max probes per second")
+    parser.add_argument("--rate-cap", type=float, default=200.0, dest="rate_cap", help="max probes per second (0: uncapped)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,10 +357,7 @@ def main(argv=None) -> int:
         parser.error("analyze event-graph needs --round")
     try:
         return args.func(args)
-    except (TopologyError, ScenarioError, RoundLogParseError) as exc:
-        print(f"netradar: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:  # TopologyError and RoundLogParseError are ValueErrors
         print(f"netradar: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TransportError as exc:

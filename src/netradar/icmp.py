@@ -1,14 +1,17 @@
 """Real ICMP probe transport (optional; requires raw-socket privileges).
 
 Echo requests carry the measurement identity: the ICMP identifier holds a
-per-measurement nonce and the sequence field packs (destination index,
-ttl), so replies match back to their probe.  Time-exceeded answers quote
+per-measurement nonce and the sequence field a rolling 16-bit counter of
+sends, so replies match back to their probe.  Time-exceeded answers quote
 the original header, from which the same fields are recovered.
 
-Needs CAP_NET_RAW (or root).  With NETRADAR_ICMP_DGRAM=1 an unprivileged
-SOCK_DGRAM ICMP socket is attempted instead (Linux ping sockets; the
-kernel rewrites the identifier, so matching relies on the sequence field
-alone).  Excluded from the default test suite.
+A sequence is reused after 65,536 sends, and the probe it replaces is
+forgotten: a reply to that probe arriving later still would match the newer
+one.  Paced sends reuse a sequence no sooner than 65,536 / rate cap seconds
+after its first use (327 s at the default 200 probes/s), so this is safe
+while the probe timeout is below that.
+
+Needs CAP_NET_RAW (or root).  Excluded from the default test suite.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ import os
 import select
 import socket
 import struct
-import time
 from ipaddress import IPv4Address
 
 from .transport import (
@@ -34,7 +36,7 @@ ICMP_ECHO_REPLY = 0
 ICMP_DEST_UNREACHABLE = 3
 ICMP_TIME_EXCEEDED = 11
 
-_TTL_BITS = 6  # sequence = destination_index << 6 | ttl; ttl <= 63
+SEQ_MASK = 0xFFFF  # the wire sequence is the send counter modulo 2**16
 
 
 def _checksum(data: bytes) -> int:
@@ -56,9 +58,8 @@ class IcmpTransport:
         self.rate_cap = rate_cap
         self.stats = TransportStats()
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
-        self._dest_index: dict[IPv4Address, int] = {}
-        self._tokens: dict[tuple[int, int], ProbeToken] = {}  # (id, seq) -> token
-        self._expired: set[int] = set()
+        self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
+        self._expired: set[int] = set()  # token seqs timed out, token still held
         self._last_send: float | None = None
         self._seq = 0
         self._closed = False
@@ -68,18 +69,7 @@ class IcmpTransport:
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP)
         except PermissionError as exc:
-            if os.environ.get("NETRADAR_ICMP_DGRAM") == "1":
-                try:
-                    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_ICMP)
-                except OSError as dgram_exc:
-                    raise TransportError(
-                        f"cannot open ICMP socket even via NETRADAR_ICMP_DGRAM: {dgram_exc}"
-                    ) from dgram_exc
-            else:
-                raise TransportError(
-                    "raw ICMP needs CAP_NET_RAW/root; set NETRADAR_ICMP_DGRAM=1 "
-                    "to try an unprivileged ping socket"
-                ) from exc
+            raise TransportError("raw ICMP needs CAP_NET_RAW or root") from exc
         sock.setblocking(False)
         return sock
 
@@ -100,10 +90,8 @@ class IcmpTransport:
             raise TransportClosedError("transport is closed")
 
     def _build_packet(self, seq: int) -> bytes:
-        header = struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq)
-        payload = struct.pack("!d", time.time())
-        checksum = _checksum(header + payload)
-        return struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq) + payload
+        checksum = _checksum(struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq))
+        return struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq)
 
     def send(self, destination, ttl: int) -> ProbeToken:
         self._check_open()
@@ -112,26 +100,20 @@ class IcmpTransport:
         )
         now = self.clock.now()
         check_rate_cap(self, now)
-        index = self._dest_index.setdefault(destination, len(self._dest_index))
-        if index >= (1 << (16 - _TTL_BITS)):
-            raise TransportError("too many destinations for the sequence encoding")
-        if not 1 <= ttl < (1 << _TTL_BITS):
-            raise TransportError(f"ttl {ttl} not encodable")
-        wire_seq = (index << _TTL_BITS) | ttl
         self._seq += 1
+        wire_seq = self._seq & SEQ_MASK
         token = ProbeToken(destination, ttl, now, self._seq)
-        self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
         try:
+            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
             self._sock.sendto(self._build_packet(wire_seq), (str(destination), 0))
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        # the wire seq repeats every round: the probe it replaces can no
-        # longer be matched, so it need not be remembered as expired either
-        key = (self._nonce, wire_seq)
-        replaced = self._tokens.get(key)
+        # a reused wire seq can no longer match the probe it replaces, so
+        # that probe need not be remembered as expired either
+        replaced = self._tokens.get(wire_seq)
         if replaced is not None:
             self._expired.discard(replaced.seq)
-        self._tokens[key] = token
+        self._tokens[wire_seq] = token
         self._last_send = now
         self.stats.sent += 1
         return token
@@ -145,7 +127,6 @@ class IcmpTransport:
             return None
         icmp_type, _code, _cksum, ident, seq = struct.unpack("!BBHHH", icmp[:8])
         if icmp_type == ICMP_ECHO_REPLY:
-            key = (ident, seq)
             kind = "echo_reply"
         elif icmp_type in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):
             # quoted original: inner IP header + first 8 bytes of our echo
@@ -160,7 +141,7 @@ class IcmpTransport:
             kind = "time_exceeded" if icmp_type == ICMP_TIME_EXCEEDED else "unreachable"
         else:
             return None
-        token = self._tokens.pop((ident, seq), None)
+        token = self._tokens.pop(seq, None) if ident == self._nonce else None
         if token is None:
             self.stats.dropped_unmatched += 1
             return None
@@ -201,7 +182,11 @@ class IcmpTransport:
                 replies.append(reply)
 
     def expire(self, token: ProbeToken) -> None:
-        self._expired.add(token.seq)
+        """The caller timed this token out; a later reply is flagged late.
+        A token already answered or replaced is not remembered."""
+        held = self._tokens.get(token.seq & SEQ_MASK)
+        if held is not None and held.seq == token.seq:
+            self._expired.add(token.seq)
 
     def close(self) -> None:
         if not self._closed:

@@ -12,7 +12,7 @@ from ipaddress import IPv4Address
 from pathlib import Path
 
 from .filtering import filter_tree
-from .model import MAX_TTL_DEFAULT, Hop, RadarDataset, RoundRecord, serialize_round
+from .model import MAX_TTL_DEFAULT, RadarDataset, RoundRecord, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -95,7 +95,7 @@ class DatasetWriter:
         return False
 
 
-def run_radar(config: RadarConfig, transport, sink=None, monitor: Hop | None = None) -> RadarDataset:
+def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     """Run measurement rounds until `config.rounds` complete or the caller
     interrupts; partial datasets are valid.
 
@@ -106,7 +106,7 @@ def run_radar(config: RadarConfig, transport, sink=None, monitor: Hop | None = N
     """
     if not config.destinations:
         raise ValueError("no destinations configured")
-    root = monitor if monitor is not None else transport.monitor_hop
+    root = transport.monitor_hop
     clock = transport.clock
     # unseen destinations start, and under-estimates restart, at max_ttl
     max_ttl = config.tracetree.max_ttl

@@ -372,6 +372,9 @@ class SimState:
         elif isinstance(action, ChangePolicy):
             self._require_node(action.node, "change_policy")
             self.policies[action.node] = action.policy
+            # a policy moves no path; only the cached prefix replies name it
+            self._routes.clear()
+            return
         else:
             raise ScenarioError(f"unknown event action {action!r}")
         self._invalidate_routes()

@@ -20,7 +20,6 @@ from .transport import TransportError, send_paced
 class TracetreeConfig:
     max_ttl: int = 30
     timeout: float = 2.0
-    inter_probe_delay: float = 0.005
 
     def __post_init__(self):
         if not 1 <= self.max_ttl <= 64:
@@ -137,9 +136,7 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
             # each pass sends at most one probe and handles at most one reply
             if to_probe:
                 key = to_probe.popleft()
-                inflight[key] = send_paced(
-                    transport, by_int[key[0]], key[1], config.inter_probe_delay
-                )
+                inflight[key] = send_paced(transport, by_int[key[0]], key[1])
                 stats.probes_sent += 1
             if not reply_buffer and inflight:
                 if to_probe:

@@ -76,9 +76,15 @@ def check_rate_cap(transport, now: float) -> None:
             raise TransportBackpressureError(last + min_gap)
 
 
-def send_paced(transport, destination, ttl: int, delay: float) -> ProbeToken:
-    """Send one probe, first sleeping out any rate-cap backpressure, then
-    sleep `delay` on the transport's clock.  Returns the probe's token."""
+def send_paced(transport, destination, ttl: int) -> ProbeToken:
+    """Send one probe, then sleep 1/rate_cap on the transport's clock (not
+    at all with rate_cap 0: uncapped).  A send refused for backpressure,
+    as after a stepped wall clock, is retried once the cap allows it.
+    Returns the probe's token.
+
+    The ICMP backend reuses a wire sequence after 65,536 sends; paced,
+    that is no sooner than 65,536 / rate_cap seconds later, so matching
+    is safe while the probe timeout is below that."""
     clock = transport.clock
     while True:
         try:
@@ -86,15 +92,16 @@ def send_paced(transport, destination, ttl: int, delay: float) -> ProbeToken:
         except TransportBackpressureError as bp:
             clock.sleep(bp.retry_at - clock.now())
         else:
-            clock.sleep(delay)
+            if transport.rate_cap:
+                clock.sleep(1.0 / transport.rate_cap)
             return token
 
 
 class SimClock:
     """Virtual clock owned by a simulator transport; sleeping advances it."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now
@@ -132,11 +139,9 @@ class SimTransport:
         *,
         per_hop_delay: float = 0.01,
         rate_cap: float = 200.0,
-        start_time: float = 0.0,
-        clock: SimClock | None = None,
     ):
         self.state = topology if isinstance(topology, SimState) else SimState(topology)
-        self.clock = clock if clock is not None else SimClock(start_time)
+        self.clock = SimClock()
         self.per_hop_delay = per_hop_delay
         self.rate_cap = rate_cap
         self.stats = TransportStats()

@@ -15,7 +15,7 @@ from netradar.icmp import (
     IcmpTransport,
     _checksum,
 )
-from netradar.transport import ProbeToken, TransportBackpressureError, WallClock
+from netradar.transport import ProbeToken, TransportBackpressureError, TransportError, WallClock
 
 
 def test_checksum_matches_reference():
@@ -52,8 +52,8 @@ def ip_header(src="192.0.2.1", dst="198.51.100.1", proto=1) -> bytes:
 def test_decode_echo_reply():
     transport = bare_transport()
     token = ProbeToken(IPv4Address("10.0.0.4"), 3, 0.0, 1)
-    wire_seq = (0 << 6) | 3
-    transport._tokens[(0x1234, wire_seq)] = token
+    wire_seq = 1
+    transport._tokens[wire_seq] = token
     icmp = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x1234, wire_seq) + b"payload"
     reply = transport._decode(ip_header() + icmp, "10.0.0.4")
     assert reply is not None
@@ -65,8 +65,8 @@ def test_decode_echo_reply():
 def test_decode_time_exceeded_recovers_quoted_header():
     transport = bare_transport()
     token = ProbeToken(IPv4Address("10.0.0.4"), 2, 0.0, 2)
-    wire_seq = (0 << 6) | 2
-    transport._tokens[(0x1234, wire_seq)] = token
+    wire_seq = 2
+    transport._tokens[wire_seq] = token
     quoted = ip_header("198.51.100.1", "10.0.0.4") + struct.pack(
         "!BBHHH", 8, 0, 0, 0x1234, wire_seq
     )
@@ -79,16 +79,21 @@ def test_decode_time_exceeded_recovers_quoted_header():
 
 def test_decode_unmatched_dropped_and_counted():
     transport = bare_transport()
-    icmp = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x9999, 7)
-    assert transport._decode(ip_header() + icmp, "10.0.0.4") is None
-    assert transport.stats.dropped_unmatched == 1
+    token = ProbeToken(IPv4Address("10.0.0.4"), 3, 0.0, 7)
+    transport._tokens[7] = token
+    foreign = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x9999, 7)  # live seq
+    assert transport._decode(ip_header() + foreign, "10.0.0.4") is None
+    unknown = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x1234, 8)  # our id
+    assert transport._decode(ip_header() + unknown, "10.0.0.4") is None
+    assert transport.stats.dropped_unmatched == 2
+    assert transport._tokens == {7: token}
 
 
 def test_decode_expired_token_flagged_late():
     transport = bare_transport()
     token = ProbeToken(IPv4Address("10.0.0.4"), 3, 0.0, 5)
-    wire_seq = 3
-    transport._tokens[(0x1234, wire_seq)] = token
+    wire_seq = 5
+    transport._tokens[wire_seq] = token
     transport._expired.add(5)
     icmp = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x1234, wire_seq)
     reply = transport._decode(ip_header() + icmp, "10.0.0.4")
@@ -117,26 +122,80 @@ def stub_transport(monkeypatch, rate_cap: float = 0.0) -> IcmpTransport:
     return IcmpTransport(rate_cap=rate_cap, nonce=0x1234)
 
 
+def echo_reply_to(packet: bytes) -> bytes:
+    """An echo reply quoting the identifier and sequence of a sent request."""
+    _type, _code, _cksum, ident, seq = struct.unpack("!BBHHH", packet[:8])
+    return struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, ident, seq)
+
+
 class TestExpiredBookkeeping:
     def test_reused_wire_seq_drops_the_old_expired_seq(self, monkeypatch):
         transport = stub_transport(monkeypatch)
         destination = IPv4Address("10.0.0.4")
-        for _ in range(100):  # one unanswered probe per round
+        for _ in range(70_000):  # unanswered probes, past one wrap of the sequence
             transport.expire(transport.send(destination, 3))
-        assert len(transport._sock.sent) == 100
-        assert len(transport._tokens) == 1
-        assert len(transport._expired) == 1
+        assert len(transport._sock.sent) == 70_000
+        assert len(transport._tokens) == 65_536
+        assert len(transport._expired) == 65_536
+        assert min(transport._expired) == 70_000 - 65_536 + 1
 
     def test_latest_expired_probe_still_flagged_late(self, monkeypatch):
         transport = stub_transport(monkeypatch)
         destination = IPv4Address("10.0.0.4")
-        transport.expire(transport.send(destination, 3))
+        first = transport.send(destination, 3)
+        transport.expire(first)
         token = transport.send(destination, 3)
         transport.expire(token)
-        icmp = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x1234, 3)
+        icmp = echo_reply_to(transport._sock.sent[1][0])
         reply = transport._decode(ip_header() + icmp, "10.0.0.4")
         assert reply is not None and reply.late and reply.token == token
+        assert transport._expired == {first.seq}
+
+    def test_answered_probe_not_remembered_as_expired(self, monkeypatch):
+        transport = stub_transport(monkeypatch)
+        token = transport.send(IPv4Address("10.0.0.4"), 3)
+        icmp = echo_reply_to(transport._sock.sent[0][0])
+        assert transport._decode(ip_header() + icmp, "10.0.0.4").token == token
+        transport.expire(token)  # the reply was still buffered at the timeout
         assert transport._expired == set()
+
+
+def test_late_reply_from_previous_round_never_takes_a_new_token(monkeypatch):
+    transport = stub_transport(monkeypatch)
+    destination = IPv4Address("10.0.0.4")
+    old = transport.send(destination, 3)  # round N-1, timed out
+    transport.expire(old)
+    new = transport.send(destination, 3)  # round N, same destination and ttl
+    icmp = echo_reply_to(transport._sock.sent[0][0])
+    reply = transport._decode(ip_header() + icmp, "10.0.0.4")
+    assert reply is not None and reply.late and reply.token == old
+    assert list(transport._tokens.values()) == [new]
+    assert transport.stats.late == 1 and transport.stats.delivered == 0
+
+
+def test_five_thousand_destinations_round_trip(monkeypatch):
+    transport = stub_transport(monkeypatch)
+    destinations = [IPv4Address("10.0.0.0") + i for i in range(1, 5001)]
+    tokens = [transport.send(d, 3) for d in destinations]
+    for token, (packet, (address, _)) in zip(tokens, transport._sock.sent):
+        assert len(packet) == 8 and _checksum(packet) == 0
+        reply = transport._decode(ip_header() + echo_reply_to(packet), address)
+        assert reply is not None and reply.token == token and not reply.late
+    assert transport.stats.delivered == 5000
+    assert transport._tokens == {}
+
+
+def test_socket_fault_is_a_transport_error(monkeypatch):
+    # a transport error marks the round incomplete; a bare OSError would
+    # end the radar
+    transport = stub_transport(monkeypatch)
+
+    def fail(*args):
+        raise OSError("socket fault")
+
+    transport._sock.setsockopt = fail
+    with pytest.raises(TransportError):
+        transport.send(IPv4Address("10.0.0.4"), 1)
 
 
 def test_rate_cap_backpressure(monkeypatch):

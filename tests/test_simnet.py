@@ -347,6 +347,17 @@ class TestMemoInvalidation:
         state.apply_events(60.0)
         assert tuple(state.route_probe(D, ttl, 60.0)) == after
 
+    def test_policy_change_keeps_the_paths(self):
+        # a policy moves no route: only the cached replies are dropped
+        doc = dict(CHAIN_DOC)
+        doc["events"] = [{"at": 50.0, "change_policy": {"node": "r1", "policy": "silent"}}]
+        state = SimState(load_topology(doc))
+        state.route_probe(D, 1, 10.0)
+        paths, parents = dict(state._paths), dict(state._parents)
+        state.apply_events(60.0)
+        assert state._paths == paths and state._parents == parents
+        assert state._routes == {}
+
 
 # -- the previous route_probe, kept verbatim as the differential test's oracle
 # It walked every probe hop by hop from the monitor.  The current

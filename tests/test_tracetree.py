@@ -94,8 +94,7 @@ class TestAlgorithm:
         send = transport.send
         transport.send = lambda destination, ttl: sent.append((destination, ttl)) or send(destination, ttl)
         unknown = [IPv4Address(f"192.0.2.{i}") for i in range(1, 6)]
-        config = TracetreeConfig(inter_probe_delay=0.0)
-        result = tracetree([DestinationTask(d, 3) for d in unknown], transport, config)
+        result = tracetree([DestinationTask(d, 3) for d in unknown], transport)
         assert all(isinstance(r.source, Star) for r in result.raw.records)
         assert [(r.destination, r.ttl) for r in result.raw.records] == sent
         assert [r.ttl for r in result.raw.records[:5]] == [3] * 5

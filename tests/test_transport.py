@@ -112,9 +112,10 @@ class TestPacingAndLifecycle:
         assert str(transport.monitor_hop) == "10.0.0.1"
 
 
-def test_engine_pacing_spaces_sends():
-    # per-probe delay of 20 ms: consecutive sends at least 20 ms apart
-    from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
+@pytest.mark.parametrize("cap", [50.0, 1000.0, 0.0])
+def test_engine_pacing_spaces_sends(cap):
+    # probes queued together go out 1/cap apart, or back to back uncapped
+    from netradar.tracetree import DestinationTask, tracetree
 
     sent_times = []
 
@@ -124,11 +125,13 @@ def test_engine_pacing_spaces_sends():
             sent_times.append(token.sent_at)
             return token
 
-    transport = Spy(load_topology(dict(CHAIN_DOC)))
-    config = TracetreeConfig(inter_probe_delay=0.02)
-    tracetree([DestinationTask(D, 3)], transport, config)
+    transport = Spy(load_topology(dict(CHAIN_DOC)), rate_cap=cap)
+    unknown = [IPv4Address(f"192.0.2.{i}") for i in range(1, 5)]
+    tracetree([DestinationTask(d, 2) for d in [D, *unknown]], transport)
     gaps = [b - a for a, b in zip(sent_times, sent_times[1:])]
-    assert gaps and all(gap >= 0.02 - 1e-9 for gap in gaps)
+    gap = 1.0 / cap if cap else 0.0
+    assert min(gaps) == pytest.approx(gap)
+    assert all(g >= gap - 1e-9 for g in gaps)
 
 
 class TestExpiredBookkeeping:
