@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ def detect_peaks(
         raise ValueError(f"need at least 10 points, got {len(series)}")
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be a finite number > 0, got {k}")
     values = [float(value) for _, value in series]
     median = statistics.median(values)
     mad = statistics.median([abs(value - median) for value in values])

@@ -9,7 +9,7 @@ simulation, and cumulative discovery curves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 
 from .model import (
@@ -19,11 +19,11 @@ from .model import (
     ProbeRecord,
     RadarDataset,
     RawTraceTree,
-    RoundRecord,
     Star,
     TtlNode,
+    ttl_buckets,
+    ttl_links,
 )
-from .radar import RadarConfig
 from .tracetree import TracetreeConfig
 from .transport import send_paced
 
@@ -72,9 +72,7 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
     at the first echo from the destination.  One probe per (destination,
     ttl); stars mark timeouts."""
     config = config if config is not None else TracetreeConfig()
-    prepare = getattr(transport, "prepare", None)
-    if prepare is not None:
-        prepare(list(destinations))
+    transport.prepare(list(destinations))
     clock = transport.clock
     started = clock.now()
     records: list[ProbeRecord] = []
@@ -129,33 +127,24 @@ def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
     routes start at the monitor); tree-measurement chains pass None, as
     partial chains do not re-traverse the link into their junction.
     """
-    loads: Counter = Counter()
-    for hops in routes.values():
-        by_ttl: dict[int, list[Hop]] = {}
-        for node in hops:
-            by_ttl.setdefault(node.ttl, []).append(node.hop)
-        links: set[tuple[TtlNode, TtlNode]] = set()
-        if root is not None:
-            for hop in by_ttl.get(1, ()):
-                links.add((TtlNode(root, 0), TtlNode(hop, 1)))
-        for ttl, lows in by_ttl.items():
-            highs = by_ttl.get(ttl + 1)
-            if not highs:
-                continue
-            for low in lows:
-                for high in highs:
-                    links.add((TtlNode(low, ttl), TtlNode(high, ttl + 1)))
-        for link in links:
-            loads[link] += 1
+    nodes = [node for hops in routes.values() for node in hops]
+    records = [ProbeRecord(*node, dest) for dest, hops in routes.items() for node in hops]
+    # buckets hold distinct nodes, so each link counts once per destination
+    by_destination = ttl_buckets(records, nodes)
+    loads = Counter(ttl_links(by_destination))
+    if root is not None:
+        top = TtlNode(root, 0)
+        loads.update((top, node) for _, buckets in by_destination for node in buckets.get(1, ()))
     return dict(Counter(loads.values()))
 
 
 def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
     """What the dataset would have shown had only `subset` been probed:
     per round, keep exactly the nodes and links on paths towards kept
-    destinations.  Probe counts are left untouched (nothing is re-sent)."""
+    destinations.  Probe counts are left untouched (nothing is re-sent).
+    A destination is known when some round has a terminal for it."""
     subset = set(subset)
-    known = _dataset_destinations(dataset)
+    known = {destination for rec in dataset.rounds for destination in rec.tree.terminals}
     unknown = subset - known
     if unknown:
         raise ValueError(f"subset contains unknown destinations: {sorted(map(str, unknown))}")
@@ -174,27 +163,8 @@ def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
                 parent = tree.parents[node]
                 parents[node] = parent
                 node = parent
-        rounds.append(
-            RoundRecord(
-                index=rec.index,
-                start_time=rec.start_time,
-                end_time=rec.end_time,
-                probes_sent=rec.probes_sent,
-                tree=FilteredTree(tree.root, parents, terminals),
-                raw=None,
-                complete=rec.complete,
-            )
-        )
-    return RadarDataset(monitor_id=dataset.monitor_id, rounds=rounds, parameters=None)
-
-
-def _dataset_destinations(dataset: RadarDataset) -> set[IPv4Address]:
-    if isinstance(dataset.parameters, RadarConfig):
-        return set(dataset.parameters.destinations)
-    known: set[IPv4Address] = set()
-    for rec in dataset.rounds:
-        known.update(rec.tree.terminals)
-    return known
+        rounds.append(replace(rec, tree=FilteredTree(tree.root, parents, terminals), raw=None))
+    return RadarDataset(monitor_id=dataset.monitor_id, rounds=rounds)
 
 
 def cumulative_discovery_curves(observations):

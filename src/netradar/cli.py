@@ -14,6 +14,7 @@ from pathlib import Path
 from . import analytics, baseline
 from .filtering import filter_tree
 from .model import (
+    MAX_TTL_DEFAULT,
     Ip,
     RadarDataset,
     RoundRecord,
@@ -22,14 +23,15 @@ from .model import (
     serialize_round,
 )
 from .radar import (
+    DEFAULT_INTER_ROUND_DELAY,
     DatasetWriter,
     RadarConfig,
     load_destinations,
     run_radar,
 )
 from .simnet import ScenarioError, SimState, TopologyError, load_topology
-from .tracetree import TracetreeConfig
-from .transport import SimTransport, TransportError
+from .tracetree import DEFAULT_TIMEOUT, TracetreeConfig
+from .transport import DEFAULT_PER_HOP_DELAY, DEFAULT_RATE_CAP, SimTransport, TransportError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,11 +279,11 @@ def _add_measurement_flags(parser, with_rounds: bool) -> None:
     parser.add_argument("--transport", default="icmp", help="sim:TOPOLOGY_FILE or icmp")
     if with_rounds:
         parser.add_argument("--rounds", type=int, default=None, help="rounds to run (default: unbounded)")
-        parser.add_argument("--inter-round", type=float, default=600.0, dest="inter_round", help="delay between round starts, seconds")
-    parser.add_argument("--timeout", type=float, default=2.0, help="probe timeout, seconds")
-    parser.add_argument("--max-ttl", type=int, default=30, dest="max_ttl")
-    parser.add_argument("--per-hop-delay", type=float, default=0.01, dest="per_hop_delay", help="simulated per-hop latency, seconds")
-    parser.add_argument("--rate-cap", type=float, default=200.0, dest="rate_cap", help="max probes per second (0: uncapped)")
+        parser.add_argument("--inter-round", type=float, default=DEFAULT_INTER_ROUND_DELAY, dest="inter_round", help="delay between round starts, seconds")
+    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="probe timeout, seconds")
+    parser.add_argument("--max-ttl", type=int, default=MAX_TTL_DEFAULT, dest="max_ttl")
+    parser.add_argument("--per-hop-delay", type=float, default=DEFAULT_PER_HOP_DELAY, dest="per_hop_delay", help="simulated per-hop latency, seconds")
+    parser.add_argument("--rate-cap", type=float, default=DEFAULT_RATE_CAP, dest="rate_cap", help="max probes per second (0: uncapped)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--in", required=True, dest="infile", help="dataset (round-log) file")
     analyze.add_argument("--out", default=None)
-    analyze.add_argument("--max-ttl", type=int, default=30, dest="max_ttl")
+    analyze.add_argument("--max-ttl", type=int, default=MAX_TTL_DEFAULT, dest="max_ttl")
     analyze.add_argument("--monitor", default=None, help="monitor address for the tree root")
     analyze.add_argument("--window", type=int, default=10, help="rounds per window (window/peaks/distribution)")
     analyze.add_argument("--mode", choices=["sliding", "blocked"], default="sliding")
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="traceroute vs simulated tree measurement (curves + loads)")
     compare.add_argument("--in", required=True, dest="infile", help="traceroute round-log file")
     compare.add_argument("--out-prefix", default="compare", dest="out_prefix")
-    compare.add_argument("--max-ttl", type=int, default=30, dest="max_ttl")
+    compare.add_argument("--max-ttl", type=int, default=MAX_TTL_DEFAULT, dest="max_ttl")
     compare.add_argument("--monitor", default=None)
     compare.set_defaults(func=cmd_compare)
 

@@ -22,6 +22,7 @@ import struct
 from ipaddress import IPv4Address
 
 from .transport import (
+    DEFAULT_RATE_CAP,
     ProbeToken,
     TransportClosedError,
     TransportError,
@@ -29,6 +30,7 @@ from .transport import (
     TransportStats,
     WallClock,
     check_rate_cap,
+    valid_rate_cap,
 )
 
 ICMP_ECHO_REQUEST = 8
@@ -53,9 +55,9 @@ class IcmpTransport:
     """Probe transport over raw ICMP sockets, same contract as the
     simulator backend but on the wall clock."""
 
-    def __init__(self, *, rate_cap: float = 200.0, nonce: int | None = None):
+    def __init__(self, *, rate_cap: float = DEFAULT_RATE_CAP, nonce: int | None = None):
         self.clock = WallClock()
-        self.rate_cap = rate_cap
+        self.rate_cap = valid_rate_cap(rate_cap)  # before the socket opens
         self.stats = TransportStats()
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
@@ -84,6 +86,9 @@ class IcmpTransport:
         finally:
             probe.close()
         return Ip(IPv4Address(local))
+
+    def prepare(self, destinations) -> None:
+        """Nothing to warm: the raw socket keeps no per-destination state."""
 
     def _check_open(self):
         if self._closed:

@@ -7,12 +7,12 @@ them together on disk.
 A raw tree is its probe records, the same records the round log holds,
 one line each.  Its (hop, ttl) graph of nodes, edges and terminals is a
 reader's view, derived on demand and never stored; the filter works on
-the records directly.  Both group records by destination and ttl with
-`ttl_buckets` and join consecutive ttls with `ttl_links`, so the edge
-rule is written once.  Likewise a filtered tree is its parent map,
-child to parent; its node and edge sets are derived from the map.  A
-retained round therefore costs its records and one parent map and
-nothing more.
+the records directly.  Both, and the traceroute baseline's link loads,
+group records by destination and ttl with `ttl_buckets` and join
+consecutive ttls with `ttl_links`, so the edge rule is written once.
+Likewise a filtered tree is its parent map, child to parent; its node
+and edge sets are derived from the map.  A retained round therefore
+costs its records and one parent map and nothing more.
 
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
@@ -425,4 +425,3 @@ class RadarDataset:
 
     monitor_id: str
     rounds: list[RoundRecord] = field(default_factory=list)
-    parameters: object | None = None

@@ -7,6 +7,7 @@ fall back to the maximal distance, `tracetree.max_ttl`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -26,8 +27,11 @@ class RadarConfig:
     tracetree: TracetreeConfig = field(default_factory=TracetreeConfig)
 
     def __post_init__(self):
-        if self.inter_round_delay < 0:
-            raise ValueError("inter_round_delay must be >= 0")
+        delay = self.inter_round_delay
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(f"inter_round_delay must be a finite number >= 0, got {delay}")
+        if self.rounds is not None and self.rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
 
 
 def load_destinations(path) -> list[IPv4Address]:
@@ -111,7 +115,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     # unseen destinations start, and under-estimates restart, at max_ttl
     max_ttl = config.tracetree.max_ttl
     cache: dict[IPv4Address, int] = {}
-    dataset = RadarDataset(monitor_id=str(root), parameters=config)
+    dataset = RadarDataset(monitor_id=str(root))
     index = 0
     next_start = clock.now()
     try:

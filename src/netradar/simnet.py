@@ -166,8 +166,6 @@ def _parse_balancer(node: str, spec) -> object:
 
 
 def _parse_event(spec) -> ScheduledEvent:
-    if isinstance(spec, ScheduledEvent):
-        return spec
     if not isinstance(spec, dict) or "at" not in spec:
         raise TopologyError(f"event needs an 'at' time: {spec!r}")
     at = float(spec["at"])
@@ -194,52 +192,47 @@ def _parse_event(spec) -> ScheduledEvent:
 
 
 def load_topology(source) -> Topology:
-    """Load and validate a topology from a dict, a YAML string, or a file path.
+    """Load and validate a topology from a dict, or from a YAML file named
+    by a `str` path or a `Path`; any other source raises TopologyError.
 
     Schema keys: monitor, nodes, links, balancers, events.  Raises
     TopologyError naming the offending element on any violation.
     """
-    if isinstance(source, Topology):
-        doc = None
-        topo = source
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    elif isinstance(source, dict):
+        doc = source
     else:
-        if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh)
-        elif isinstance(source, str):
-            doc = yaml.safe_load(source)
-        elif isinstance(source, dict):
-            doc = source
-        else:
-            raise TopologyError(f"cannot load a topology from {type(source).__name__}")
-        if not isinstance(doc, dict):
-            raise TopologyError("topology document must be a mapping")
-        try:
-            node_specs = doc.get("nodes") or {}
-            addresses, policies = {}, {}
-            for name, spec in node_specs.items():
-                addresses[str(name)], policies[str(name)] = _parse_node(str(name), spec)
-            links: dict[str, list[str]] = {name: [] for name in addresses}
-            for pair in doc.get("links") or []:
-                u, v = (str(pair[0]), str(pair[1]))
-                links.setdefault(u, []).append(v)
-            balancers = {
-                str(n): _parse_balancer(str(n), s)
-                for n, s in (doc.get("balancers") or {}).items()
-            }
-            events = [_parse_event(e) for e in doc.get("events") or []]
-            topo = Topology(
-                monitor=str(doc.get("monitor", "")),
-                addresses=addresses,
-                policies=policies,
-                links=links,
-                balancers=balancers,
-                events=events,
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            if isinstance(exc, TopologyError):
-                raise
-            raise TopologyError(f"bad topology document: {exc}") from exc
+        raise TopologyError(f"cannot load a topology from {type(source).__name__}")
+    if not isinstance(doc, dict):
+        raise TopologyError("topology document must be a mapping")
+    try:
+        node_specs = doc.get("nodes") or {}
+        addresses, policies = {}, {}
+        for name, spec in node_specs.items():
+            addresses[str(name)], policies[str(name)] = _parse_node(str(name), spec)
+        links: dict[str, list[str]] = {name: [] for name in addresses}
+        for pair in doc.get("links") or []:
+            u, v = (str(pair[0]), str(pair[1]))
+            links.setdefault(u, []).append(v)
+        balancers = {
+            str(n): _parse_balancer(str(n), s)
+            for n, s in (doc.get("balancers") or {}).items()
+        }
+        events = [_parse_event(e) for e in doc.get("events") or []]
+        topo = Topology(
+            monitor=str(doc.get("monitor", "")),
+            addresses=addresses,
+            policies=policies,
+            links=links,
+            balancers=balancers,
+            events=events,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        if isinstance(exc, TopologyError):
+            raise
+        raise TopologyError(f"bad topology document: {exc}") from exc
     _validate(topo)
     return topo
 

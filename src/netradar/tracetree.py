@@ -8,24 +8,27 @@ record count and the view over (hop, ttl) pairs is a tree.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
+from .model import MAX_TTL_DEFAULT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
 from .transport import TransportError, send_paced
+
+DEFAULT_TIMEOUT = 2.0  # seconds a probe waits for its reply
 
 
 @dataclass
 class TracetreeConfig:
-    max_ttl: int = 30
-    timeout: float = 2.0
+    max_ttl: int = MAX_TTL_DEFAULT
+    timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
         if not 1 <= self.max_ttl <= 64:
             raise ValueError(f"max_ttl must be in [1, 64], got {self.max_ttl}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,7 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
     if restart_from is not None and not 1 <= restart_from <= config.max_ttl:
         raise ValueError(f"restart_from {restart_from} outside [1, {config.max_ttl}]")
 
-    prepare = getattr(transport, "prepare", None)
-    if prepare is not None:
-        prepare(destinations)
+    transport.prepare(destinations)
 
     clock = transport.clock
     to_probe: deque[tuple[int, int]] = deque()

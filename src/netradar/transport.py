@@ -1,14 +1,17 @@
 """Probe transports: the uniform send/poll contract and the simulator
 backend.
 
-A transport issues one ProbeToken per emitted probe and later surfaces
-matched replies through poll().  Replies to tokens the caller already
-expired are still delivered, flagged late.  The real ICMP backend in
-`netradar.icmp` follows the same contract.
+A prober calls prepare(destinations) once before a round's first send,
+so a backend can warm its per-destination state.  A transport issues one
+ProbeToken per emitted probe and later surfaces matched replies through
+poll().  Replies to tokens the caller already expired are still
+delivered, flagged late.  The real ICMP backend in `netradar.icmp`
+follows the same contract.
 """
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from ipaddress import IPv4Address
@@ -16,6 +19,9 @@ from typing import NamedTuple
 
 from .model import Ip
 from .simnet import ECHO_REPLY, TIME_EXCEEDED, SimState, Topology
+
+DEFAULT_RATE_CAP = 200.0  # probes per second
+DEFAULT_PER_HOP_DELAY = 0.01  # simulated one-way latency per hop, seconds
 
 
 class TransportError(RuntimeError):
@@ -61,6 +67,14 @@ class TransportStats:
     unanswered: int = 0  # silent or dead-end outcomes: nothing will arrive
     dropped_unmatched: int = 0
     backpressure_events: int = 0
+
+
+def valid_rate_cap(rate_cap: float) -> float:
+    """`rate_cap` when it is a finite number >= 0 (0: uncapped); a negative,
+    NaN or infinite cap raises ValueError instead of pacing as uncapped."""
+    if not (math.isfinite(rate_cap) and rate_cap >= 0):
+        raise ValueError(f"rate_cap must be a finite number >= 0, got {rate_cap}")
+    return rate_cap
 
 
 def check_rate_cap(transport, now: float) -> None:
@@ -137,13 +151,13 @@ class SimTransport:
         self,
         topology: Topology | SimState,
         *,
-        per_hop_delay: float = 0.01,
-        rate_cap: float = 200.0,
+        per_hop_delay: float = DEFAULT_PER_HOP_DELAY,
+        rate_cap: float = DEFAULT_RATE_CAP,
     ):
         self.state = topology if isinstance(topology, SimState) else SimState(topology)
         self.clock = SimClock()
         self.per_hop_delay = per_hop_delay
-        self.rate_cap = rate_cap
+        self.rate_cap = valid_rate_cap(rate_cap)
         self.stats = TransportStats()
         self._pending: list[tuple[float, int]] = []  # (arrival, seq) heap
         self._replies: dict[int, TransportReply] = {}  # seq -> reply not yet delivered

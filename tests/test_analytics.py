@@ -1,6 +1,7 @@
 """Event-detection analytics: series, peaks, components, event graphs."""
 from __future__ import annotations
 
+import math
 import random
 from ipaddress import IPv4Address
 
@@ -109,6 +110,12 @@ class TestPeaks:
         found = detect_peaks(series, direction="up", k=5.0)
         assert not found.degenerate
         assert found.indices == [17]
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf])
+    def test_k_must_be_finite_and_positive(self, k):
+        # k=-1 flagged most of a flat series, and k=nan flagged nothing
+        with pytest.raises(ValueError, match="k must be"):
+            detect_peaks([(i, 100) for i in range(20)], k=k)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):

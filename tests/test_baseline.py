@@ -1,9 +1,12 @@
 """Traceroute baseline and the probing-cost comparison analyses."""
 from __future__ import annotations
 
+from collections import Counter
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN_DOC, shared_prefix_doc, star_destinations, star_topology_doc
 from netradar.baseline import (
@@ -16,11 +19,13 @@ from netradar.baseline import (
     step_value,
     traceroute_round,
 )
-from netradar.model import Ip, Star, TtlNode, ip
-from netradar.radar import RadarConfig, run_radar
+from netradar.cli import _load_dataset
+from netradar.model import MAX_TTL_DEFAULT, Hop, Ip, Star, TtlNode, ip
+from netradar.radar import DatasetWriter, RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
-from netradar.transport import SimTransport
+from netradar.transport import SimTransport, TransportError
+from test_filter import random_routes
 
 D = IPv4Address("10.0.0.4")
 D1 = IPv4Address("10.2.0.6")
@@ -145,6 +150,58 @@ class TestLinkLoads:
         assert set(loads) == {1}
 
 
+def oracle_link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
+    """Histogram of link discovery counts: for each directed (hop, ttl)
+    link appearing in the routes, how many destinations discovered it,
+    bucketed as {times_discovered: number_of_links}.
+
+    Pass the monitor as `root` to count first-hop links (traceroute
+    routes start at the monitor); tree-measurement chains pass None, as
+    partial chains do not re-traverse the link into their junction.
+    """
+    loads: Counter = Counter()
+    for hops in routes.values():
+        by_ttl: dict[int, list[Hop]] = {}
+        for node in hops:
+            by_ttl.setdefault(node.ttl, []).append(node.hop)
+        links: set[tuple[TtlNode, TtlNode]] = set()
+        if root is not None:
+            for hop in by_ttl.get(1, ()):
+                links.add((TtlNode(root, 0), TtlNode(hop, 1)))
+        for ttl, lows in by_ttl.items():
+            highs = by_ttl.get(ttl + 1)
+            if not highs:
+                continue
+            for low in lows:
+                for high in highs:
+                    links.add((TtlNode(low, ttl), TtlNode(high, ttl + 1)))
+        for link in links:
+            loads[link] += 1
+    return dict(Counter(loads.values()))
+
+
+@st.composite
+def messy_routes(draw):
+    """`random_routes` with hops listed twice, extra hops at a ttl already
+    taken (a balancer), and every route in shuffled order."""
+    rng = draw(st.randoms(use_true_random=False))
+    routes = random_routes(rng, loops=draw(st.booleans()), stars=draw(st.booleans()))
+    hops_anywhere = [node.hop for hops in routes.values() for node in hops]
+    for hops in routes.values():
+        hops.extend(rng.choices(hops, k=rng.randint(0, 3)))
+        for _ in range(rng.randint(0, 2)):
+            hops.append(TtlNode(rng.choice(hops_anywhere), rng.choice(hops).ttl))
+        rng.shuffle(hops)
+    return routes
+
+
+class TestLinkLoadsAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_routes(), st.sampled_from([None, ip("10.20.9.1")]))
+    def test_same_histogram(self, routes, root):
+        assert link_load_distribution(routes, root) == oracle_link_load_distribution(routes, root)
+
+
 class TestDestinationSubset:
     def radar_dataset(self, doc, destinations, rounds=2, max_ttl=8):
         transport = SimTransport(load_topology(doc))
@@ -174,6 +231,39 @@ class TestDestinationSubset:
         dataset = self.radar_dataset(shared_prefix_doc(), [D1, D2])
         with pytest.raises(ValueError, match="unknown"):
             simulate_destination_subset(dataset, [IPv4Address("203.0.113.9")])
+
+    def test_same_on_the_reloaded_log(self, tmp_path):
+        # a dataset knows a destination from its terminals, in memory and
+        # reloaded from its log alike
+        path = tmp_path / "data.rounds"
+        transport = SimTransport(load_topology(shared_prefix_doc()))
+        config = RadarConfig([D1, D2], rounds=3, tracetree=TracetreeConfig(max_ttl=8))
+        with DatasetWriter(path) as sink:
+            in_memory = run_radar(config, transport, sink)
+        reloaded = _load_dataset(str(path), MAX_TTL_DEFAULT, str(transport.monitor_hop))
+        for subset in ([D1], [D2], [D1, D2], []):
+            kept = [
+                [rec.tree.observed_ips() for rec in simulate_destination_subset(dataset, subset).rounds]
+                for dataset in (in_memory, reloaded)
+            ]
+            assert kept[0] == kept[1]
+        errors = []
+        for dataset in (in_memory, reloaded):
+            with pytest.raises(ValueError, match="unknown") as exc:
+                simulate_destination_subset(dataset, [D1, IPv4Address("203.0.113.9")])
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_configured_destination_without_terminal_is_unknown(self):
+        class Failing(SimTransport):
+            def send(self, destination, ttl):
+                raise TransportError("link down")
+
+        transport = Failing(load_topology(shared_prefix_doc()))
+        dataset = run_radar(RadarConfig([D1], rounds=2), transport)
+        assert all(not rec.tree.terminals for rec in dataset.rounds)
+        with pytest.raises(ValueError, match="unknown"):
+            simulate_destination_subset(dataset, [D1])
 
     def overload_doc(self, n, rate_limited):
         # every path crosses router R at hop 2: mon -> c1 -> R -> tail_i -> dest_i

@@ -158,6 +158,38 @@ class TestRadarRun:
         assert code == 3
 
 
+class TestBadParameters:
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--timeout", "nan", "timeout"),
+            ("--inter-round", "nan", "inter_round_delay"),
+            ("--rounds", "-1", "rounds"),
+            ("--rate-cap", "-5", "rate_cap"),
+        ],
+    )
+    def test_radar_run_is_validation_error(self, chain_files, tmp_path, capsys, flag, value, name):
+        topo, dests = chain_files
+        out = tmp_path / "data.rounds"
+        flags = {"--rounds": "1", flag: value}
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(out)]
+        assert main(["radar", "run", *args, *[t for pair in flags.items() for t in pair]]) == 3
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_icmp_rate_cap_checked_before_the_socket(self, chain_files, tmp_path, capsys, monkeypatch):
+        from netradar.icmp import IcmpTransport
+
+        def no_socket(self):
+            raise AssertionError("socket opened")
+
+        monkeypatch.setattr(IcmpTransport, "_open_socket", no_socket)
+        _, dests = chain_files
+        args = ["--destinations", str(dests), "--transport", "icmp", "--rate-cap", "-5"]
+        assert main(["radar", "run", *args, "--rounds", "1", "--out", str(tmp_path / "x")]) == 3
+        assert "rate_cap" in capsys.readouterr().err
+
+
 class TestOnceCommands:
     def test_tracetree_once_emits_round_log(self, chain_files, tmp_path):
         topo, dests = chain_files
@@ -567,6 +599,12 @@ class TestAnalyzeOutputs:
         args = ["--in", str(path), "--max-ttl", "8", "--window", window]
         assert main(["analyze", operation, *args]) == 3
         assert "window must be >= 1" in capsys.readouterr().err
+
+    def test_nonpositive_k_is_validation_error(self, stored_logs, capsys):
+        path, _ = stored_logs["island"]
+        args = ["--in", str(path), "--max-ttl", "8", "--window", "1", "--k", "-1"]
+        assert main(["analyze", "peaks", *args]) == 3
+        assert "k must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("log, operation", sorted(ANALYZE_OUTPUTS))
     def test_output_bytes(self, stored_logs, tmp_path, log, operation):

@@ -2,6 +2,7 @@
 socket privileges (excluded from the default run)."""
 from __future__ import annotations
 
+import math
 import os
 import socket
 import struct
@@ -205,6 +206,16 @@ def test_rate_cap_backpressure(monkeypatch):
         transport.send(IPv4Address("10.0.0.4"), 2)
     assert transport.stats.backpressure_events == 1
     assert len(transport._sock.sent) == 1
+
+
+@pytest.mark.parametrize("cap", [-5.0, math.nan, math.inf])
+def test_bad_rate_cap_rejected_before_the_socket_opens(monkeypatch, cap):
+    def no_socket(self):
+        raise AssertionError("socket opened")
+
+    monkeypatch.setattr(IcmpTransport, "_open_socket", no_socket)
+    with pytest.raises(ValueError, match="rate_cap"):
+        IcmpTransport(rate_cap=cap, nonce=0x1234)
 
 
 def _can_open_raw_socket() -> bool:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from ipaddress import IPv4Address
 
 import pytest
@@ -234,6 +235,17 @@ class TestSinkAndInputs:
         path.write_text("not-an-address\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1|:1:"):
             load_destinations(path)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_inter_round_delay_must_be_finite(self, delay):
+        # a NaN delay ran the rounds back to back
+        with pytest.raises(ValueError, match="inter_round_delay"):
+            small_config([D], rounds=1, inter_round=delay)
+
+    def test_negative_rounds_rejected(self):
+        # -1 used to run zero rounds without a word
+        with pytest.raises(ValueError, match="rounds"):
+            small_config([D], rounds=-1)
 
     def test_empty_destinations_rejected(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))

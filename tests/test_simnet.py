@@ -81,6 +81,12 @@ class TestLoadTopology:
         topology = load_topology(path)
         assert topology.addresses["b"] == IPv4Address("10.0.0.2")
 
+    @pytest.mark.parametrize("source", [3, b"monitor: a\n", None], ids=["int", "bytes", "None"])
+    def test_other_sources_rejected(self, source):
+        # a dict, a str path or a Path; an int would open a file descriptor
+        with pytest.raises(TopologyError, match="cannot load a topology from"):
+            load_topology(source)
+
     def test_rate_limit_params_validated(self):
         with pytest.raises(TopologyError):
             RateLimited(rate=0.0)

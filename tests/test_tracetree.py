@@ -1,6 +1,7 @@
 """The backward tree measurement engine against the simulator."""
 from __future__ import annotations
 
+import math
 from ipaddress import IPv4Address
 
 import pytest
@@ -214,6 +215,13 @@ class TestFaults:
             tracetree([DestinationTask(D, 3), DestinationTask(D, 2)], transport)
         with pytest.raises(ValueError):
             tracetree([DestinationTask(D, 99)], transport)
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+def test_timeout_must_be_finite_and_positive(timeout):
+    # a NaN timeout turned every probe into a star
+    with pytest.raises(ValueError, match="timeout"):
+        TracetreeConfig(timeout=timeout)
 
 
 class TestTimeoutInfluence:

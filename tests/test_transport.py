@@ -1,6 +1,7 @@
 """Transport contract: tokens, polling, pacing, late replies, lifecycle."""
 from __future__ import annotations
 
+import math
 from ipaddress import IPv4Address
 
 import pytest
@@ -132,6 +133,13 @@ def test_engine_pacing_spaces_sends(cap):
     gap = 1.0 / cap if cap else 0.0
     assert min(gaps) == pytest.approx(gap)
     assert all(g >= gap - 1e-9 for g in gaps)
+
+
+@pytest.mark.parametrize("cap", [-5.0, math.nan, math.inf])
+def test_bad_rate_cap_rejected(cap):
+    # each of these used to pace as uncapped, like cap 0
+    with pytest.raises(ValueError, match="rate_cap"):
+        chain_transport(rate_cap=cap)
 
 
 class TestExpiredBookkeeping:
