@@ -25,7 +25,6 @@ from .model import (
     ttl_links,
 )
 from .tracetree import TracetreeConfig
-from .transport import send_paced
 
 
 @dataclass
@@ -34,7 +33,6 @@ class TracerouteRound:
     (destination, ttl) probed, destination by destination, ttl upward."""
 
     records: list[ProbeRecord]
-    duration: float
 
     @property
     def routes(self) -> dict[IPv4Address, list[TtlNode]]:
@@ -73,12 +71,10 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
     ttl); stars mark timeouts."""
     config = config if config is not None else TracetreeConfig()
     transport.prepare(list(destinations))
-    clock = transport.clock
-    started = clock.now()
     records: list[ProbeRecord] = []
     for destination in destinations:
         for ttl in range(1, config.max_ttl + 1):
-            token = send_paced(transport, destination, ttl)
+            token = transport.send(destination, ttl)
             reply = _await_reply(transport, token, config.timeout)
             if reply is None:
                 hop: Hop = Star(str(destination))
@@ -87,7 +83,7 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
             records.append(ProbeRecord(hop, ttl, destination))
             if reply is not None and reply.kind == "echo_reply" and reply.source == destination:
                 break
-    return TracerouteRound(records=records, duration=clock.now() - started)
+    return TracerouteRound(records)
 
 
 def routes_from_records(records) -> dict[IPv4Address, list[TtlNode]]:

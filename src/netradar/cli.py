@@ -66,11 +66,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_dataset(path: str, max_ttl: int, monitor: str | None) -> RadarDataset:
-    root = Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
+def _tree_root(monitor: str | None) -> Ip:
+    """The root of a tree read from a log: `--monitor`, else the placeholder."""
+    return Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
+
+
+def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
+    root = _tree_root(monitor)
     text = Path(path).read_text(encoding="utf-8")
     rounds = []
-    for meta, raw in parse_round_log(text, max_ttl=max_ttl):
+    for meta, raw in parse_round_log(text):
         tree, _ = filter_tree(raw, root)
         rounds.append(
             RoundRecord(
@@ -182,7 +187,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    dataset = _load_dataset(args.infile, args.max_ttl, args.monitor)
+    dataset = _load_dataset(args.infile, args.monitor)
     op = args.operation
     if op == "counts":
         text = analytics.series_to_csv(analytics.per_round_ip_count(dataset), "distinct_ips")
@@ -224,10 +229,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     text = Path(args.infile).read_text(encoding="utf-8")
-    parsed = parse_round_log(text, max_ttl=args.max_ttl)
+    parsed = parse_round_log(text)
     if not parsed:
         raise ValueError(f"{args.infile}: no rounds")
-    root = Ip(IPv4Address(args.monitor)) if args.monitor else PLACEHOLDER_MONITOR
+    root = _tree_root(args.monitor)
 
     traceroute_obs = []
     tracetree_obs = []
@@ -324,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--in", required=True, dest="infile", help="dataset (round-log) file")
     analyze.add_argument("--out", default=None)
-    analyze.add_argument("--max-ttl", type=int, default=MAX_TTL_DEFAULT, dest="max_ttl")
     analyze.add_argument("--monitor", default=None, help="monitor address for the tree root")
     analyze.add_argument("--window", type=int, default=10, help="rounds per window (window/peaks/distribution)")
     analyze.add_argument("--mode", choices=["sliding", "blocked"], default="sliding")
@@ -341,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="traceroute vs simulated tree measurement (curves + loads)")
     compare.add_argument("--in", required=True, dest="infile", help="traceroute round-log file")
     compare.add_argument("--out-prefix", default="compare", dest="out_prefix")
-    compare.add_argument("--max-ttl", type=int, default=MAX_TTL_DEFAULT, dest="max_ttl")
     compare.add_argument("--monitor", default=None)
     compare.set_defaults(func=cmd_compare)
 

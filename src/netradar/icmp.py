@@ -7,9 +7,9 @@ the original header, from which the same fields are recovered.
 
 A sequence is reused after 65,536 sends, and the probe it replaces is
 forgotten: a reply to that probe arriving later still would match the newer
-one.  Paced sends reuse a sequence no sooner than 65,536 / rate cap seconds
-after its first use (327 s at the default 200 probes/s), so this is safe
-while the probe timeout is below that.
+one.  Every send is paced, so a sequence is reused no sooner than 65,536 /
+rate cap seconds after its first use (327 s at the default 200 probes/s),
+and this is safe while the probe timeout is below that.
 
 Needs CAP_NET_RAW (or root).  Excluded from the default test suite.
 """
@@ -21,6 +21,7 @@ import socket
 import struct
 from ipaddress import IPv4Address
 
+from .model import Ip
 from .transport import (
     DEFAULT_RATE_CAP,
     ProbeToken,
@@ -29,7 +30,6 @@ from .transport import (
     TransportReply,
     TransportStats,
     WallClock,
-    check_rate_cap,
     valid_rate_cap,
 )
 
@@ -62,7 +62,6 @@ class IcmpTransport:
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
         self._expired: set[int] = set()  # token seqs timed out, token still held
-        self._last_send: float | None = None
         self._seq = 0
         self._closed = False
         self._sock = self._open_socket()
@@ -76,9 +75,7 @@ class IcmpTransport:
         return sock
 
     @property
-    def monitor_hop(self):
-        from .model import Ip
-
+    def monitor_hop(self) -> Ip:
         probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             probe.connect(("192.0.2.1", 9))  # no packet sent; picks the route
@@ -104,7 +101,6 @@ class IcmpTransport:
             destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
         )
         now = self.clock.now()
-        check_rate_cap(self, now)
         self._seq += 1
         wire_seq = self._seq & SEQ_MASK
         token = ProbeToken(destination, ttl, now, self._seq)
@@ -119,8 +115,9 @@ class IcmpTransport:
         if replaced is not None:
             self._expired.discard(replaced.seq)
         self._tokens[wire_seq] = token
-        self._last_send = now
         self.stats.sent += 1
+        if self.rate_cap:
+            self.clock.sleep(1.0 / self.rate_cap)
         return token
 
     def _decode(self, packet: bytes, source: str) -> TransportReply | None:

@@ -36,6 +36,7 @@ from ipaddress import IPv4Address
 from typing import NamedTuple
 
 MAX_TTL_DEFAULT = 30
+TTL_LIMIT = 64  # the largest ttl a radar probes with, so the largest a round log holds
 
 
 class RoundLogParseError(ValueError):
@@ -49,7 +50,7 @@ class RoundLogParseError(ValueError):
 
 
 class TtlRangeError(RoundLogParseError):
-    """A record's ttl lies outside [1, max_ttl]."""
+    """A record's ttl lies outside [1, TTL_LIMIT]."""
 
 
 class _Frozen:
@@ -280,12 +281,12 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
     return "\n".join(lines) + "\n"
 
 
-def parse_round_log(text: str, max_ttl: int = MAX_TTL_DEFAULT) -> list[tuple[RoundMeta, RawTraceTree]]:
+def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
     Inverse of serialize_round on well-formed input.  Malformed content
     raises RoundLogParseError with the offending line number; a ttl
-    outside [1, max_ttl] raises TtlRangeError.
+    outside [1, TTL_LIMIT] raises TtlRangeError.
     """
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
@@ -323,8 +324,8 @@ def parse_round_log(text: str, max_ttl: int = MAX_TTL_DEFAULT) -> list[tuple[Rou
                 ttl = int(ttl_txt)
             except ValueError:
                 raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
-            if not 1 <= ttl <= max_ttl:
-                raise TtlRangeError(f"ttl {ttl} outside [1, {max_ttl}]", line_no)
+            if not 1 <= ttl <= TTL_LIMIT:
+                raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
             destination = destinations.get(dest_txt)
             if destination is None:
                 try:

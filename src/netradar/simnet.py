@@ -19,6 +19,7 @@ walks on, hop by hop, from there.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
@@ -107,8 +108,8 @@ class ScheduledEvent:
     action: object
 
     def __post_init__(self):
-        if self.at_time < 0:
-            raise TopologyError(f"event time must be >= 0, got {self.at_time}")
+        if not (math.isfinite(self.at_time) and self.at_time >= 0):
+            raise TopologyError(f"event time must be a finite number >= 0, got {self.at_time}")
 
 
 @dataclass
@@ -296,10 +297,10 @@ class SimState:
 
     def apply_events(self, up_to_time: float) -> None:
         """Apply every scheduled event with at_time <= up_to_time, in order.
-        Times must be non-decreasing across calls."""
-        if up_to_time < self._applied_time:
+        Times must be non-decreasing across calls (NaN never is)."""
+        if not up_to_time >= self._applied_time:
             raise ScenarioError(
-                f"event clock went backwards: {up_to_time} < {self._applied_time}"
+                f"event clock must not go backwards or be NaN: {up_to_time} after {self._applied_time}"
             )
         self._applied_time = up_to_time
         while self._pending and self._pending[0][1].at_time <= up_to_time:

@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import MAX_TTL_DEFAULT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
-from .transport import TransportError, send_paced
+from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
+from .transport import TransportError
 
 DEFAULT_TIMEOUT = 2.0  # seconds a probe waits for its reply
 
@@ -25,8 +25,8 @@ class TracetreeConfig:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        if not 1 <= self.max_ttl <= 64:
-            raise ValueError(f"max_ttl must be in [1, 64], got {self.max_ttl}")
+        if not 1 <= self.max_ttl <= TTL_LIMIT:
+            raise ValueError(f"max_ttl must be in [1, {TTL_LIMIT}], got {self.max_ttl}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
 
@@ -137,7 +137,7 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
             # each pass sends at most one probe and handles at most one reply
             if to_probe:
                 key = to_probe.popleft()
-                inflight[key] = send_paced(transport, by_int[key[0]], key[1])
+                inflight[key] = transport.send(by_int[key[0]], key[1])
                 stats.probes_sent += 1
             if not reply_buffer and inflight:
                 if to_probe:

@@ -7,6 +7,10 @@ ProbeToken per emitted probe and later surfaces matched replies through
 poll().  Replies to tokens the caller already expired are still
 delivered, flagged late.  The real ICMP backend in `netradar.icmp`
 follows the same contract.
+
+send() paces itself: after each probe it sleeps 1/rate_cap on its own
+clock (not at all with rate_cap 0: uncapped), so the cap holds for every
+caller and callers never sleep for it.
 """
 from __future__ import annotations
 
@@ -30,14 +34,6 @@ class TransportError(RuntimeError):
 
 class TransportClosedError(TransportError):
     """The transport was used after close()."""
-
-
-class TransportBackpressureError(TransportError):
-    """Sending now would violate the rate cap; retry at `retry_at`."""
-
-    def __init__(self, retry_at: float):
-        super().__init__(f"send rate cap exceeded, retry at {retry_at:.6f}")
-        self.retry_at = retry_at
 
 
 class ProbeToken(NamedTuple):
@@ -66,7 +62,7 @@ class TransportStats:
     late: int = 0
     unanswered: int = 0  # silent or dead-end outcomes: nothing will arrive
     dropped_unmatched: int = 0
-    backpressure_events: int = 0
+    backpressure_events: int = 0  # always 0: send() waits out the cap itself
 
 
 def valid_rate_cap(rate_cap: float) -> float:
@@ -77,38 +73,13 @@ def valid_rate_cap(rate_cap: float) -> float:
     return rate_cap
 
 
-def check_rate_cap(transport, now: float) -> None:
-    """Raise TransportBackpressureError when a send at `now` would come
-    sooner than 1/rate_cap after the transport's last send (rate_cap 0:
-    no cap).  Counts each refusal in the transport's stats."""
-    last = transport._last_send
-    if transport.rate_cap and last is not None:
-        min_gap = 1.0 / transport.rate_cap
-        # 1% slack so float rounding of paced send times never stalls a caller
-        if now - last < min_gap * 0.99:
-            transport.stats.backpressure_events += 1
-            raise TransportBackpressureError(last + min_gap)
-
-
-def send_paced(transport, destination, ttl: int) -> ProbeToken:
-    """Send one probe, then sleep 1/rate_cap on the transport's clock (not
-    at all with rate_cap 0: uncapped).  A send refused for backpressure,
-    as after a stepped wall clock, is retried once the cap allows it.
-    Returns the probe's token.
-
-    The ICMP backend reuses a wire sequence after 65,536 sends; paced,
-    that is no sooner than 65,536 / rate_cap seconds later, so matching
-    is safe while the probe timeout is below that."""
-    clock = transport.clock
-    while True:
-        try:
-            token = transport.send(destination, ttl)
-        except TransportBackpressureError as bp:
-            clock.sleep(bp.retry_at - clock.now())
-        else:
-            if transport.rate_cap:
-                clock.sleep(1.0 / transport.rate_cap)
-            return token
+def valid_per_hop_delay(per_hop_delay: float) -> float:
+    """`per_hop_delay` when it is a finite number >= 0; at NaN or inf no
+    reply would ever come due, and a negative delay would deliver replies
+    before their probes are sent, so those raise ValueError."""
+    if not (math.isfinite(per_hop_delay) and per_hop_delay >= 0):
+        raise ValueError(f"per_hop_delay must be a finite number >= 0, got {per_hop_delay}")
+    return per_hop_delay
 
 
 class SimClock:
@@ -156,7 +127,7 @@ class SimTransport:
     ):
         self.state = topology if isinstance(topology, SimState) else SimState(topology)
         self.clock = SimClock()
-        self.per_hop_delay = per_hop_delay
+        self.per_hop_delay = valid_per_hop_delay(per_hop_delay)
         self.rate_cap = valid_rate_cap(rate_cap)
         self.stats = TransportStats()
         self._pending: list[tuple[float, int]] = []  # (arrival, seq) heap
@@ -165,7 +136,6 @@ class SimTransport:
         # unanswered probe has nothing pending, so it is never recorded
         self._expired: set[int] = set()
         self._seq = 0
-        self._last_send: float | None = None
         self._closed = False
 
     @property
@@ -180,10 +150,9 @@ class SimTransport:
             raise TransportClosedError("transport is closed")
 
     def send(self, destination, ttl: int) -> ProbeToken:
-        """Emit one probe; returns its token immediately."""
+        """Emit one probe, then pace; returns its token."""
         self._check_open()
         now = self.clock.now()
-        check_rate_cap(self, now)
         self.state.apply_events(now)
         destination = (
             destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
@@ -191,7 +160,6 @@ class SimTransport:
         outcome = self.state.route_probe(destination, ttl, now)
         self._seq += 1
         token = ProbeToken(destination, ttl, now, self._seq)
-        self._last_send = now
         self.stats.sent += 1
         if outcome.kind in (TIME_EXCEEDED, ECHO_REPLY):
             arrival = now + 2.0 * self.per_hop_delay * outcome.hops
@@ -199,6 +167,8 @@ class SimTransport:
             heapq.heappush(self._pending, (arrival, self._seq))
         else:
             self.stats.unanswered += 1
+        if self.rate_cap:
+            self.clock.sleep(1.0 / self.rate_cap)
         return token
 
     def poll(self, deadline: float) -> list[TransportReply]:

@@ -20,7 +20,7 @@ from netradar.baseline import (
     traceroute_round,
 )
 from netradar.cli import _load_dataset
-from netradar.model import MAX_TTL_DEFAULT, Hop, Ip, Star, TtlNode, ip
+from netradar.model import Hop, Ip, Star, TtlNode, ip
 from netradar.radar import DatasetWriter, RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
@@ -240,7 +240,7 @@ class TestDestinationSubset:
         config = RadarConfig([D1, D2], rounds=3, tracetree=TracetreeConfig(max_ttl=8))
         with DatasetWriter(path) as sink:
             in_memory = run_radar(config, transport, sink)
-        reloaded = _load_dataset(str(path), MAX_TTL_DEFAULT, str(transport.monitor_hop))
+        reloaded = _load_dataset(str(path), str(transport.monitor_hop))
         for subset in ([D1], [D2], [D1, D2], []):
             kept = [
                 [rec.tree.observed_ips() for rec in simulate_destination_subset(dataset, subset).rounds]

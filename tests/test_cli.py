@@ -87,7 +87,7 @@ def test_components_fold_each_range_once(island_dataset, tmp_path, monkeypatch, 
         return union(rounds)
 
     monkeypatch.setattr(analytics, "_union", counted)
-    args = ["--in", str(island_dataset), "--ref", "0:8", "--obs", "8:12", "--max-ttl", "8"]
+    args = ["--in", str(island_dataset), "--ref", "0:8", "--obs", "8:12"]
     assert main(["analyze", "components", *args, *dot, "--out", str(tmp_path / "out")]) == 0
     assert sorted(folds) == [4, 8]  # the observation range once, the reference once
 
@@ -114,7 +114,7 @@ class TestRadarRun:
         )
         assert code == 0
         assert "2 rounds" in capsys.readouterr().out
-        parsed = parse_round_log(out.read_text(encoding="utf-8"), max_ttl=8)
+        parsed = parse_round_log(out.read_text(encoding="utf-8"))
         assert len(parsed) == 2
         # stable topology: same filtered view both rounds (round 1 from the
         # default distance, round 2 from the converged cache)
@@ -166,6 +166,9 @@ class TestBadParameters:
             ("--inter-round", "nan", "inter_round_delay"),
             ("--rounds", "-1", "rounds"),
             ("--rate-cap", "-5", "rate_cap"),
+            ("--per-hop-delay", "nan", "per_hop_delay"),
+            ("--per-hop-delay", "inf", "per_hop_delay"),
+            ("--per-hop-delay", "-1", "per_hop_delay"),
         ],
     )
     def test_radar_run_is_validation_error(self, chain_files, tmp_path, capsys, flag, value, name):
@@ -209,7 +212,7 @@ class TestOnceCommands:
             ]
         )
         assert code == 0
-        [(meta, raw)] = parse_round_log(out.read_text(encoding="utf-8"), max_ttl=8)
+        [(meta, raw)] = parse_round_log(out.read_text(encoding="utf-8"))
         assert meta.index == 0
         assert len(raw.records) == 8  # default distance, chain of 3 + echoes
 
@@ -231,8 +234,18 @@ class TestOnceCommands:
             ]
         )
         assert code == 0
-        [(_, raw)] = parse_round_log(out.read_text(encoding="utf-8"), max_ttl=8)
+        [(_, raw)] = parse_round_log(out.read_text(encoding="utf-8"))
         assert [r.ttl for r in raw.records] == [1, 2, 3]
+
+
+def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):
+    # the reader's bound is the radar's, so no --max-ttl is passed again
+    topo, dests = chain_files
+    log = tmp_path / "data.rounds"
+    args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--rounds", "2"]
+    assert main(["radar", "run", *args, "--max-ttl", "40", "--out", str(log)]) == 0
+    assert " 40 " in log.read_text(encoding="utf-8")  # round 0 starts at ttl 40
+    assert main(["analyze", "counts", "--in", str(log), "--out", str(tmp_path / "counts.csv")]) == 0
 
 
 class TestSimulate:
@@ -253,12 +266,29 @@ class TestSimulate:
         assert lines[0].endswith("time_exceeded 10.0.0.2")
         assert lines[1].endswith("echo_reply 10.0.0.4")
 
+    def test_nan_time_is_validation_error(self, chain_files, tmp_path, capsys):
+        topo, _ = chain_files
+        scenario = tmp_path / "probes.txt"
+        scenario.write_text("nan 10.0.0.4 1\n-5 10.0.0.4 3\n", encoding="utf-8")
+        args = ["--topology", str(topo), "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        assert main(["simulate", *args]) == 3
+        assert "event clock" in capsys.readouterr().err
+
+    def test_nan_event_time_is_validation_error(self, tmp_path, capsys):
+        topo = tmp_path / "topo.yaml"
+        scenario = tmp_path / "probes.txt"
+        doc = dict(CHAIN_DOC, events=[{"at": 5.0, "remove_node": "r2"}])
+        topo.write_text(yaml.safe_dump(doc).replace("at: 5.0", "at: .nan"), encoding="utf-8")
+        scenario.write_text("0.0 10.0.0.4 1\n", encoding="utf-8")
+        assert main(["simulate", "--topology", str(topo), "--scenario", str(scenario)]) == 3
+        assert "event time" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_counts_csv(self, island_dataset, tmp_path):
         out = tmp_path / "counts.csv"
         code = main(
-            ["analyze", "counts", "--in", str(island_dataset), "--max-ttl", "8", "--out", str(out)]
+            ["analyze", "counts", "--in", str(island_dataset), "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -273,8 +303,6 @@ class TestAnalyze:
                 "components",
                 "--in",
                 str(island_dataset),
-                "--max-ttl",
-                "8",
                 "--ref",
                 "0:8",
                 "--obs",
@@ -297,7 +325,7 @@ class TestAnalyze:
         blobs = []
         for name in ("x.csv", "y.csv"):
             out = tmp_path / name
-            main(["analyze", "window", "--in", str(island_dataset), "--max-ttl", "8", "--window", "4", "--out", str(out)])
+            main(["analyze", "window", "--in", str(island_dataset), "--window", "4", "--out", str(out)])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -309,8 +337,6 @@ class TestAnalyze:
                 "event-graph",
                 "--in",
                 str(island_dataset),
-                "--max-ttl",
-                "8",
                 "--round",
                 "8",
                 "--before",
@@ -596,13 +622,13 @@ class TestAnalyzeOutputs:
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_nonpositive_window_is_validation_error(self, stored_logs, capsys, operation, window):
         path, _ = stored_logs["island"]
-        args = ["--in", str(path), "--max-ttl", "8", "--window", window]
+        args = ["--in", str(path), "--window", window]
         assert main(["analyze", operation, *args]) == 3
         assert "window must be >= 1" in capsys.readouterr().err
 
     def test_nonpositive_k_is_validation_error(self, stored_logs, capsys):
         path, _ = stored_logs["island"]
-        args = ["--in", str(path), "--max-ttl", "8", "--window", "1", "--k", "-1"]
+        args = ["--in", str(path), "--window", "1", "--k", "-1"]
         assert main(["analyze", "peaks", *args]) == 3
         assert "k must be" in capsys.readouterr().err
 
@@ -611,7 +637,7 @@ class TestAnalyzeOutputs:
         path, event = stored_logs[log]
         out = tmp_path / "out"
         operation_args = _analyze_args(operation, event)
-        args = [operation_args[0], "--in", str(path), "--max-ttl", "8", "--out", str(out)]
+        args = [operation_args[0], "--in", str(path), "--out", str(out)]
         assert main(["analyze", *args, *operation_args[1:]]) == 0
         assert out.read_bytes() == ANALYZE_OUTPUTS[log, operation].encode()
 

@@ -16,7 +16,7 @@ from netradar.icmp import (
     IcmpTransport,
     _checksum,
 )
-from netradar.transport import ProbeToken, TransportBackpressureError, TransportError, WallClock
+from netradar.transport import ProbeToken, TransportError, WallClock
 
 
 def test_checksum_matches_reference():
@@ -199,13 +199,27 @@ def test_socket_fault_is_a_transport_error(monkeypatch):
         transport.send(IPv4Address("10.0.0.4"), 1)
 
 
-def test_rate_cap_backpressure(monkeypatch):
-    transport = stub_transport(monkeypatch, rate_cap=1.0)
-    transport.send(IPv4Address("10.0.0.4"), 1)
-    with pytest.raises(TransportBackpressureError):
-        transport.send(IPv4Address("10.0.0.4"), 2)
-    assert transport.stats.backpressure_events == 1
-    assert len(transport._sock.sent) == 1
+class FakeClock:
+    """A wall clock stand-in that records sleeps instead of sleeping."""
+
+    def __init__(self):
+        self.sleeps = []
+
+    def now(self) -> float:
+        return 0.0
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+
+
+@pytest.mark.parametrize("cap, sleeps", [(50.0, [0.02, 0.02, 0.02]), (0.0, [])])
+def test_send_paces_itself(monkeypatch, cap, sleeps):
+    transport = stub_transport(monkeypatch, rate_cap=cap)
+    transport.clock = FakeClock()
+    for ttl in (1, 2, 3):
+        transport.send(IPv4Address("10.0.0.4"), ttl)
+    assert len(transport._sock.sent) == 3
+    assert transport.clock.sleeps == sleeps
 
 
 @pytest.mark.parametrize("cap", [-5.0, math.nan, math.inf])

@@ -123,11 +123,14 @@ class TestParseRoundLog:
         assert err.value.line_no == 2
 
     def test_ttl_out_of_range(self):
-        text = "#round 0 0.0 1.0\n1.2.3.4 31 5.6.7.8\n#end\n"
-        with pytest.raises(TtlRangeError):
-            parse_round_log(text)
-        # a wider cap accepts it
-        assert parse_round_log(text, max_ttl=40)
+        # any ttl a radar can probe with is read back; 0 and 65 are not
+        def block(ttl):
+            return f"#round 0 0.0 1.0\n1.2.3.4 {ttl} 5.6.7.8\n#end\n"
+
+        assert parse_round_log(block(64))
+        for ttl in (0, 65):
+            with pytest.raises(TtlRangeError):
+                parse_round_log(block(ttl))
 
     def test_missing_end(self):
         with pytest.raises(RoundLogParseError):
@@ -241,7 +244,7 @@ def record_lists(draw):
 def test_round_trip_property(records):
     raw = RawTraceTree.from_records(records)
     text = serialize_round(raw, 3, 1000.0, 1001.0)
-    [(meta, parsed)] = parse_round_log(text, max_ttl=30)
+    [(meta, parsed)] = parse_round_log(text)
     assert parsed.records == raw.records  # emission order preserved
     assert parsed.nodes == raw.nodes
     assert parsed.edges == raw.edges

@@ -220,7 +220,7 @@ class TestSinkAndInputs:
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         with DatasetWriter(path) as sink:
             dataset = run_radar(small_config([D], rounds=2), transport, sink)
-        parsed = parse_round_log(path.read_text(encoding="utf-8"), max_ttl=8)
+        parsed = parse_round_log(path.read_text(encoding="utf-8"))
         assert len(parsed) == 2
         assert [meta.index for meta, _ in parsed] == [0, 1]
         assert parsed[0][1].records == dataset.rounds[0].raw.records

@@ -285,6 +285,28 @@ class TestEvents:
         with pytest.raises(ScenarioError):
             state.apply_events(5.0)
 
+    def test_nan_event_clock_rejected(self, chain_topology):
+        # a NaN time would pass every later check, going backwards included
+        state = SimState(chain_topology)
+        with pytest.raises(ScenarioError):
+            state.apply_events(float("nan"))
+        state.apply_events(10.0)
+        with pytest.raises(ScenarioError):
+            state.apply_events(float("nan"))
+        with pytest.raises(ScenarioError):
+            state.apply_events(-5.0)
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), -1.0])
+    def test_event_time_must_be_finite_and_not_negative(self, at):
+        # an event at NaN that sorts first would block every later event
+        doc = dict(CHAIN_DOC)
+        doc["events"] = [
+            {"at": at, "change_policy": {"node": "r1", "policy": "silent"}},
+            {"at": 5.0, "change_policy": {"node": "r2", "policy": "silent"}},
+        ]
+        with pytest.raises(TopologyError, match="event time"):
+            load_topology(doc)
+
     def test_events_apply_once_in_order(self):
         doc = dict(CHAIN_DOC)
         doc["events"] = [

@@ -11,7 +11,6 @@ from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import SimState, load_topology
 from netradar.transport import (
     SimTransport,
-    TransportBackpressureError,
     TransportClosedError,
 )
 
@@ -90,15 +89,16 @@ class TestSendPoll:
 
 
 class TestPacingAndLifecycle:
-    def test_rate_cap_backpressure(self):
-        transport = chain_transport(rate_cap=50.0)
-        transport.send(D, 1)
-        with pytest.raises(TransportBackpressureError) as err:
-            transport.send(D, 2)  # same instant: cap would be violated
-        assert err.value.retry_at == pytest.approx(0.02)
-        transport.clock.sleep(err.value.retry_at - transport.clock.now())
-        transport.send(D, 2)  # caller delayed: accepted
-        assert transport.stats.backpressure_events == 1
+    @pytest.mark.parametrize("cap, gap", [(50.0, 0.02), (0.0, 0.0)])
+    def test_send_paces_itself(self, cap, gap):
+        # two direct sends: the second goes out 1/cap after the first, and
+        # uncapped the clock does not move
+        transport = chain_transport(rate_cap=cap)
+        first = transport.send(D, 1)
+        second = transport.send(D, 2)
+        assert second.sent_at - first.sent_at == gap
+        assert transport.clock.now() == 2 * gap
+        assert transport.stats.backpressure_events == 0
 
     def test_send_after_close(self):
         transport = chain_transport()
@@ -140,6 +140,13 @@ def test_bad_rate_cap_rejected(cap):
     # each of these used to pace as uncapped, like cap 0
     with pytest.raises(ValueError, match="rate_cap"):
         chain_transport(rate_cap=cap)
+
+
+@pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+def test_bad_per_hop_delay_rejected(delay):
+    # NaN or inf: no reply ever comes due; -1: replies arrive before their probes
+    with pytest.raises(ValueError, match="per_hop_delay"):
+        chain_transport(per_hop_delay=delay)
 
 
 class TestExpiredBookkeeping:
