@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _make_transport(spec: str, per_hop_delay: float, rate_cap: float):
+    """The transport `spec` names; the caller closes it."""
     if spec.startswith("sim:"):
         topology = load_topology(spec[len("sim:") :])
         return SimTransport(topology, per_hop_delay=per_hop_delay, rate_cap=rate_cap)
@@ -113,8 +115,10 @@ def cmd_radar_run(args) -> int:
         rounds=args.rounds,
         tracetree=_measurement_config(args),
     )
-    transport = _make_transport(args.transport, args.per_hop_delay, args.rate_cap)
-    with DatasetWriter(args.out) as sink:
+    with (
+        closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport,
+        DatasetWriter(args.out) as sink,
+    ):
         dataset = run_radar(config, transport, sink)
     total_probes = sum(rec.probes_sent for rec in dataset.rounds)
     print(
@@ -132,8 +136,8 @@ def cmd_tracetree_once(args) -> int:
         rounds=1,
         tracetree=_measurement_config(args),
     )
-    transport = _make_transport(args.transport, args.per_hop_delay, args.rate_cap)
-    dataset = run_radar(config, transport)
+    with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
+        dataset = run_radar(config, transport)
     record = dataset.rounds[0]
     block = serialize_round(record.raw, record.index, record.start_time, record.end_time)
     _emit(block, args.out)
@@ -147,12 +151,11 @@ def cmd_tracetree_once(args) -> int:
 
 def cmd_traceroute_once(args) -> int:
     destinations = load_destinations(args.destinations)
-    transport = _make_transport(args.transport, args.per_hop_delay, args.rate_cap)
-    started = transport.clock.now()
-    round_ = baseline.traceroute_round(destinations, transport, _measurement_config(args))
-    block = serialize_round(
-        RawTraceTree.from_records(round_.records), 0, started, transport.clock.now()
-    )
+    with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
+        started = transport.clock.now()
+        round_ = baseline.traceroute_round(destinations, transport, _measurement_config(args))
+        finished = transport.clock.now()
+    block = serialize_round(RawTraceTree.from_records(round_.records), 0, started, finished)
     _emit(block, args.out)
     print(
         f"1 round: {round_.packet_count} probes, "

@@ -19,7 +19,9 @@ slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
 callers that read it, and hashes and compares by the address integer, so
 sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
 its dotted quad once, from the integer (`dotted_quad`), and caches it
-for the round log.  A `Star` compares
+for the round log.  The rounds of a radar run share one `Ip` per
+address, carried from round to round in tracetree's address table, so
+an address that keeps answering is rendered once per run.  A `Star` compares
 by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
 named tuples over hops.  Inside the hot loops (simulator, transport,
 tracetree, filter, analytics) addresses are keyed by their integer,
@@ -76,7 +78,8 @@ class Ip(_Frozen):
 
     Equal to, and hashed like, every other Ip of the same address;
     immutable.  `address` is the IPv4Address; the dotted quad is rendered
-    once and cached.
+    once and cached.  Consecutive rounds of a radar run record one shared
+    Ip per address (`tracetree`'s `hops` table).
     """
 
     __slots__ = ("address", "_int", "_text")

@@ -4,6 +4,12 @@ Each round runs one tree measurement, filters it, persists it, then
 updates the distance cache: destinations answer next round from the
 distance they answered at this round; destinations that were not seen
 fall back to the maximal distance, `tracetree.max_ttl`.
+
+Next to the distance cache the scheduler carries the address table that
+`tracetree` returns (address int -> `Ip`, the addresses that answered)
+into the next round, so consecutive rounds share one `Ip` per address
+and a steady round builds none.  The table holds one round's addresses,
+never more.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from ipaddress import IPv4Address
 from pathlib import Path
 
 from .filtering import filter_tree
-from .model import MAX_TTL_DEFAULT, RadarDataset, RoundRecord, serialize_round
+from .model import MAX_TTL_DEFAULT, Ip, RadarDataset, RoundRecord, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -115,6 +121,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     # unseen destinations start, and under-estimates restart, at max_ttl
     max_ttl = config.tracetree.max_ttl
     cache: dict[IPv4Address, int] = {}
+    hops: dict[int, Ip] = {}  # the last round's table: one Ip per address
     dataset = RadarDataset(monitor_id=str(root))
     index = 0
     next_start = clock.now()
@@ -125,7 +132,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
                 clock.sleep(wait)
             tasks = next_round_tasks(cache, config.destinations, max_ttl)
             started = clock.now()
-            result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl)
+            result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl, hops=hops)
             finished = clock.now()
             tree, _ = filter_tree(result.raw, root)
             record = RoundRecord(
@@ -141,6 +148,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
                 sink.write(record)
             dataset.rounds.append(record)
             cache = update_cache(cache, result.distances)
+            hops = result.hops
             next_start = started + config.inter_round_delay
             index += 1
     except KeyboardInterrupt:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address
 
 from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
-from .transport import TransportError
+from .transport import ProbeToken, TransportError
 
 DEFAULT_TIMEOUT = 2.0  # seconds a probe waits for its reply
 
@@ -50,9 +50,16 @@ class TracetreeResult:
     raw: RawTraceTree
     distances: dict[IPv4Address, int | None]  # None: destination not seen
     stats: TracetreeStats
+    hops: dict[int, Ip]  # address int -> Ip, for every address that answered
 
 
-def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_from: int | None = None) -> TracetreeResult:
+def tracetree(
+    tasks,
+    transport,
+    config: TracetreeConfig | None = None,
+    restart_from: int | None = None,
+    hops: dict[int, Ip] | None = None,
+) -> TracetreeResult:
     """Run one backward tree measurement round.
 
     `restart_from` enables the distance-recovery rule the radar scheduler
@@ -61,14 +68,17 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
     under-estimated), a fresh backward chain starts at `restart_from`
     within the same round.  Records from both chains are kept; the filter
     merges them.
+
+    `hops` is the previous round's address table (`TracetreeResult.hops`):
+    a reply from an address in it is recorded with that table's `Ip`, so
+    the rounds of a run share one `Ip` per address.  The returned table
+    holds only the addresses that answered this round.
     """
     config = config if config is not None else TracetreeConfig()
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no destination tasks")
     destinations = [t.destination for t in tasks]
-    # the probe state is keyed by (address int, ttl); records and tokens
-    # carry the caller's IPv4Address objects, so nothing is built per probe
     by_int = {d._ip: d for d in destinations}
     if len(by_int) != len(destinations):
         raise ValueError("duplicate destinations in task list")
@@ -83,90 +93,109 @@ def tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_f
 
     transport.prepare(destinations)
 
+    # One int per probe: the destination integer << 7 | ttl (ttl <= TTL_LIMIT
+    # < 128); `seen` packs the reply source the same way.  Records carry the
+    # caller's IPv4Address objects and the Ips of the carried `hops` table,
+    # so consecutive rounds share one Ip per address and a steady round
+    # builds no address object.
     clock = transport.clock
-    to_probe: deque[tuple[int, int]] = deque()
-    queued: set[tuple[int, int]] = set()
-    inflight: dict[tuple[int, int], object] = {}
-    seen: set[tuple[int, int]] = set()
+    send = transport.send
+    timeout = config.timeout
+    first = [t.destination._ip << 7 | t.assumed_distance for t in tasks]
+    to_probe: deque[int] = deque(first)
+    queued: set[int] = set(first)
+    # a non-echo outcome at one of these keys (a destination's assumed
+    # distance) restarts its chain at restart_from
+    restart_keys = set(first) if restart_from is not None else set()
+    inflight: dict[int, ProbeToken] = {}
+    expiry: deque[tuple[float, int]] = deque()  # (deadline, key), in send order
+    seen: set[int] = set()
     records: list[ProbeRecord] = []
-    hops: dict[int, Ip] = {}  # one Ip per replying address this round
+    record = records.append
+    previous = hops if hops is not None else {}
+    hops = {}
     echo_at: dict[int, int] = {}
-    assumed = {t.destination._ip: t.assumed_distance for t in tasks}
     reply_buffer: deque = deque()
     stats = TracetreeStats()
     started = clock.now()
-
-    def push(d: int, ttl: int) -> None:
-        # one probe per (destination, ttl) per round
-        if ttl >= 1 and (d, ttl) not in queued:
-            queued.add((d, ttl))
-            to_probe.append((d, ttl))
-
-    for d, distance in assumed.items():
-        push(d, distance)
-
-    def emit(source, ttl: int, d: int, echo_from_dest: bool) -> None:
-        records.append(ProbeRecord(source, ttl, by_int[d]))
-        if restart_from is not None and ttl == assumed[d] and not echo_from_dest:
-            push(d, restart_from)
-
-    def handle_reply(reply) -> None:
-        key = (reply.token.destination._ip, reply.token.ttl)
-        token = inflight.get(key)
-        if token is None or token.seq != reply.token.seq or reply.late:
-            # answer after the timeout (or a stray): ignored, counted
-            stats.late_replies += 1
-            return
-        del inflight[key]
-        d, ttl = key
-        s = reply.source._ip
-        source = hops.get(s)
-        if source is None:
-            source = hops[s] = Ip(reply.source)
-        echo = s == d and reply.kind == "echo_reply"
-        if echo:
-            echo_at[d] = min(echo_at.get(d, ttl), ttl)
-        emit(source, ttl, d, echo)
-        if (s, ttl) not in seen:
-            seen.add((s, ttl))
-            if ttl > 1:
-                push(d, ttl - 1)
 
     try:
         while to_probe or inflight:
             # each pass sends at most one probe and handles at most one reply
             if to_probe:
                 key = to_probe.popleft()
-                inflight[key] = transport.send(by_int[key[0]], key[1])
+                token = inflight[key] = send(by_int[key >> 7], key & 127)
+                # the poll deadline and the sweep read this one float, so
+                # they cannot disagree by an ulp and stall the round
+                expiry.append((token.sent_at + timeout, key))
                 stats.probes_sent += 1
             if not reply_buffer and inflight:
                 if to_probe:
                     deadline = clock.now()
                 else:
-                    # tokens sit in send order, so the first one expires first
-                    deadline = next(iter(inflight.values())).sent_at + config.timeout
+                    # the first live entry expires first; answered ones drop out
+                    while expiry[0][1] not in inflight:
+                        expiry.popleft()
+                    deadline = expiry[0][0]
                 reply_buffer.extend(transport.poll(deadline))
-            if reply_buffer:
-                handle_reply(reply_buffer.popleft())
+            reply = reply_buffer.popleft() if reply_buffer else None
             now = clock.now()
-            # tokens sit in send order and each key is sent once a round, so
-            # the expired tokens are a prefix: sweep it and stop.  Same float
-            # expression as the poll deadline (sent_at + timeout): a
-            # subtraction here can disagree by one ulp and stall the sweep
-            while inflight:
-                key, token = next(iter(inflight.items()))
-                if now < token.sent_at + config.timeout:
+            # outcomes in order: the reply, then every probe whose deadline
+            # has passed (a prefix of `expiry`) as a star
+            while True:
+                if reply is not None:
+                    token = reply.token
+                    key = token.destination._ip << 7 | token.ttl
+                    live = inflight.get(key)
+                    if live is None or live.seq != token.seq or reply.late:
+                        # answer after the timeout (or a stray): ignored, counted
+                        stats.late_replies += 1
+                        reply = None
+                        continue
+                    del inflight[key]
+                    d = key >> 7
+                    ttl = key & 127
+                    s = reply.source._ip
+                    source = hops.get(s)
+                    if source is None:
+                        source = previous.get(s) or Ip(reply.source)
+                        hops[s] = source
+                    echo = s == d and reply.kind == "echo_reply"
+                    if echo:
+                        echo_at[d] = min(echo_at.get(d, ttl), ttl)
+                    sighting = s << 7 | ttl
+                    fresh = sighting not in seen
+                    if fresh:
+                        seen.add(sighting)
+                    reply = None
+                elif expiry and expiry[0][0] <= now:
+                    key = expiry.popleft()[1]
+                    token = inflight.pop(key, None)
+                    if token is None:
+                        continue  # answered before its deadline
+                    transport.expire(token)
+                    d = key >> 7
+                    ttl = key & 127
+                    source = Star(dotted_quad(d))
+                    echo = False
+                    fresh = True
+                else:
                     break
-                del inflight[key]
-                transport.expire(token)
-                d, ttl = key
-                emit(Star(dotted_quad(d)), ttl, d, False)
-                if ttl > 1:
-                    push(d, ttl - 1)
+                record(ProbeRecord(source, ttl, by_int[d]))
+                # the restart chain is queued first, then the next hop down
+                # below a fresh sighting or a star
+                pushes = (key - 1,) if fresh else ()
+                if not echo and key in restart_keys:
+                    pushes = (key - ttl + restart_from, *pushes)
+                for nxt in pushes:
+                    # the push rule: one probe per (destination, ttl >= 1) per round
+                    if nxt & 127 and nxt not in queued:
+                        queued.add(nxt)
+                        to_probe.append(nxt)
     except TransportError:
         stats.complete = False
 
     stats.duration = clock.now() - started
     raw = RawTraceTree.from_records(records)
     distances = {dest: echo_at.get(d) for d, dest in by_int.items()}
-    return TracetreeResult(raw=raw, distances=distances, stats=stats)
+    return TracetreeResult(raw=raw, distances=distances, stats=stats, hops=hops)

@@ -101,8 +101,17 @@ class SimClock:
 
 
 class WallClock:
+    """Wall time, read once at construction and advanced by the monotonic
+    clock: timestamps stay wall-clock, and intervals measured on it (probe
+    timeouts, round pacing) never run backwards when the system clock is
+    set."""
+
+    def __init__(self):
+        self._wall = time.time()
+        self._monotonic = time.monotonic()
+
     def now(self) -> float:
-        return time.time()
+        return self._wall + (time.monotonic() - self._monotonic)
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

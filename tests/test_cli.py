@@ -8,9 +8,11 @@ import yaml
 import pytest
 
 from conftest import CHAIN_DOC, fig1_analog_doc, shared_prefix_doc
-from netradar import analytics
+from netradar import analytics, cli
 from netradar.cli import main
 from netradar.model import parse_round_log
+from netradar.simnet import load_topology
+from netradar.transport import SimTransport, TransportError
 
 
 @pytest.fixture
@@ -236,6 +238,49 @@ class TestOnceCommands:
         assert code == 0
         [(_, raw)] = parse_round_log(out.read_text(encoding="utf-8"))
         assert [r.ttl for r in raw.records] == [1, 2, 3]
+
+
+class ClosingTransport(SimTransport):
+    """Records close(); its sends fail when `fail` is set."""
+
+    def __init__(self, topology, fail):
+        super().__init__(topology)
+        self.fail = fail
+        self.closed = 0
+
+    def send(self, destination, ttl):
+        if self.fail:
+            raise TransportError("link down")
+        return super().send(destination, ttl)
+
+    def prepare(self, destinations):
+        if self.fail:
+            raise TransportError("link down")
+        super().prepare(destinations)
+
+    def close(self):
+        self.closed += 1
+        super().close()
+
+
+@pytest.mark.parametrize("fail, code", [(False, 0), (True, 2)])
+@pytest.mark.parametrize(
+    "command",
+    [["radar", "run", "--rounds", "2"], ["tracetree", "once"], ["traceroute", "once"]],
+    ids=["radar-run", "tracetree-once", "traceroute-once"],
+)
+def test_measurement_commands_close_their_transport(chain_files, tmp_path, monkeypatch, command, fail, code):
+    topo, dests = chain_files
+    made = []
+
+    def make(spec, per_hop_delay, rate_cap):
+        made.append(ClosingTransport(load_topology(str(topo)), fail))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_make_transport", make)
+    args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(tmp_path / "x")]
+    assert main([*command, *args]) == code
+    assert [t.closed for t in made] == [1]
 
 
 def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):

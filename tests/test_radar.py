@@ -8,7 +8,8 @@ from ipaddress import IPv4Address
 import pytest
 
 from conftest import CHAIN_DOC
-from netradar.model import TtlNode, parse_round_log
+from netradar import radar
+from netradar.model import Ip, TtlNode, parse_round_log
 from netradar.radar import (
     DatasetWriter,
     RadarConfig,
@@ -18,7 +19,7 @@ from netradar.radar import (
     update_cache,
 )
 from netradar.simnet import load_topology
-from netradar.tracetree import TracetreeConfig
+from netradar.tracetree import TracetreeConfig, tracetree
 from netradar.transport import SimTransport, TransportError
 
 D = IPv4Address("10.0.0.4")
@@ -146,6 +147,72 @@ class TestRunRadar:
         transport = Interrupting(load_topology(dict(CHAIN_DOC)), after=10)
         dataset = run_radar(small_config([D], rounds=5), transport)
         assert 1 <= len(dataset.rounds) < 5
+
+
+class TestCarriedTable:
+    """`run_radar` hands each round the previous round's address table."""
+
+    def doc(self):
+        # mon -> r1 -> {a, b} -> d: d is reached through a (the lower
+        # address) until a is removed at t=300, between rounds 0 and 1
+        return {
+            "monitor": "mon",
+            "nodes": {
+                "mon": "10.8.0.1",
+                "r1": "10.8.0.2",
+                "a": "10.8.0.3",
+                "b": "10.8.0.4",
+                "d": "10.8.0.5",
+            },
+            "links": [["mon", "r1"], ["r1", "a"], ["r1", "b"], ["a", "d"], ["b", "d"]],
+            "events": [{"at": 300.0, "remove_node": "a"}],
+        }
+
+    def run(self, monkeypatch, path, carry=True):
+        calls = []
+
+        def spy(*args, **kwargs):
+            if not carry:
+                kwargs["hops"] = {}
+            result = tracetree(*args, **kwargs)
+            calls.append((kwargs["hops"], result))
+            return result
+
+        monkeypatch.setattr(radar, "tracetree", spy)
+        transport = SimTransport(load_topology(self.doc()))
+        with DatasetWriter(path) as sink:
+            run_radar(small_config([IPv4Address("10.8.0.5")], rounds=3), transport, sink)
+        return calls
+
+    def test_rounds_share_one_ip_per_address(self, monkeypatch, tmp_path):
+        calls = self.run(monkeypatch, tmp_path / "carried.rounds")
+        assert calls[0][0] == {}
+        answered = []
+        for given, result in calls:
+            sources = [r.source for r in result.raw.records if isinstance(r.source, Ip)]
+            answered.append({ip._int for ip in sources})
+            # the table holds exactly the addresses that answered this round
+            assert set(result.hops) == answered[-1]
+            for ip in sources:
+                if ip._int in given:
+                    assert ip is given[ip._int]
+        # each round is handed exactly the table of the round before it
+        for (_, before), (given, _) in zip(calls, calls[1:]):
+            assert given is before.hops
+        a, b = int(IPv4Address("10.8.0.3")), int(IPv4Address("10.8.0.4"))
+        assert a in answered[0] and b not in answered[0]
+        # the removed address drops out of the table round 1 hands on
+        assert a not in calls[2][0] and b in calls[2][0]
+        # round 2 is steady: every source is round 1's object
+        steady = calls[2][1].raw.records
+        assert all(r.source is calls[1][1].hops[r.source._int] for r in steady)
+
+    def test_round_logs_equal_without_the_table(self, monkeypatch, tmp_path):
+        self.run(monkeypatch, tmp_path / "carried.rounds")
+        self.run(monkeypatch, tmp_path / "fresh.rounds", carry=False)
+        carried = (tmp_path / "carried.rounds").read_text(encoding="utf-8")
+        assert carried == (tmp_path / "fresh.rounds").read_text(encoding="utf-8")
+        assert carried.count("#round") == 3
 
 
 class TestDistanceScenarios:

@@ -2,17 +2,22 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN_DOC, shared_prefix_doc
-from netradar.model import Ip, Star, serialize_round
-from netradar.simnet import load_topology
+from netradar.model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, serialize_round
+from netradar.simnet import PerDestination, PerPacket, RateLimited, load_topology
 from netradar.transport import SimTransport, TransportError
 from netradar.tracetree import (
     DestinationTask,
     TracetreeConfig,
+    TracetreeResult,
+    TracetreeStats,
     tracetree,
 )
 
@@ -189,19 +194,24 @@ class TestRestart:
         assert result.stats.probes_sent == 6
 
 
+class Flaky(SimTransport):
+    """A simulator transport whose send fails after `fail_after` sends
+    (never, at None)."""
+
+    def __init__(self, topology, fail_after, **kwargs):
+        super().__init__(topology, **kwargs)
+        self._left = fail_after
+
+    def send(self, destination, ttl):
+        if self._left == 0:
+            raise TransportError("boom")
+        if self._left is not None:
+            self._left -= 1
+        return super().send(destination, ttl)
+
+
 class TestFaults:
     def test_transport_fault_marks_partial(self):
-        class Flaky(SimTransport):
-            def __init__(self, topology, fail_after):
-                super().__init__(topology)
-                self._left = fail_after
-
-            def send(self, destination, ttl):
-                if self._left == 0:
-                    raise TransportError("boom")
-                self._left -= 1
-                return super().send(destination, ttl)
-
         transport = Flaky(load_topology(dict(CHAIN_DOC)), fail_after=2)
         result = tracetree([DestinationTask(D, 3)], transport)
         assert not result.stats.complete
@@ -252,3 +262,208 @@ class TestTimeoutInfluence:
         assert long.stats.duration > short.stats.duration
         assert short_transport.stats.late > long_transport.stats.late == 0
         assert short.stats.late_replies > 0
+
+
+# -- the previous tracetree, kept verbatim as the differential test's oracle --
+# It keyed the probe state by (address int, ttl) tuples, handled each reply
+# through nested functions and built a new Ip per address every round.  The
+# current tracetree must emit equal records, distances and stats, on the
+# same virtual clock, with or without a carried address table.
+
+
+def oracle_tracetree(tasks, transport, config: TracetreeConfig | None = None, restart_from: int | None = None) -> TracetreeResult:
+    """`tracetree` as it was before its probe state became one int per
+    probe: the reference the differential test holds it to."""
+    config = config if config is not None else TracetreeConfig()
+    tasks = list(tasks)
+    if not tasks:
+        raise ValueError("no destination tasks")
+    destinations = [t.destination for t in tasks]
+    by_int = {d._ip: d for d in destinations}
+    if len(by_int) != len(destinations):
+        raise ValueError("duplicate destinations in task list")
+    for task in tasks:
+        if not 1 <= task.assumed_distance <= config.max_ttl:
+            raise ValueError(
+                f"assumed distance {task.assumed_distance} for {task.destination} "
+                f"outside [1, {config.max_ttl}]"
+            )
+    if restart_from is not None and not 1 <= restart_from <= config.max_ttl:
+        raise ValueError(f"restart_from {restart_from} outside [1, {config.max_ttl}]")
+
+    transport.prepare(destinations)
+
+    clock = transport.clock
+    to_probe: deque[tuple[int, int]] = deque()
+    queued: set[tuple[int, int]] = set()
+    inflight: dict[tuple[int, int], object] = {}
+    seen: set[tuple[int, int]] = set()
+    records: list[ProbeRecord] = []
+    hops: dict[int, Ip] = {}  # one Ip per replying address this round
+    echo_at: dict[int, int] = {}
+    assumed = {t.destination._ip: t.assumed_distance for t in tasks}
+    reply_buffer: deque = deque()
+    stats = TracetreeStats()
+    started = clock.now()
+
+    def push(d: int, ttl: int) -> None:
+        # one probe per (destination, ttl) per round
+        if ttl >= 1 and (d, ttl) not in queued:
+            queued.add((d, ttl))
+            to_probe.append((d, ttl))
+
+    for d, distance in assumed.items():
+        push(d, distance)
+
+    def emit(source, ttl: int, d: int, echo_from_dest: bool) -> None:
+        records.append(ProbeRecord(source, ttl, by_int[d]))
+        if restart_from is not None and ttl == assumed[d] and not echo_from_dest:
+            push(d, restart_from)
+
+    def handle_reply(reply) -> None:
+        key = (reply.token.destination._ip, reply.token.ttl)
+        token = inflight.get(key)
+        if token is None or token.seq != reply.token.seq or reply.late:
+            # answer after the timeout (or a stray): ignored, counted
+            stats.late_replies += 1
+            return
+        del inflight[key]
+        d, ttl = key
+        s = reply.source._ip
+        source = hops.get(s)
+        if source is None:
+            source = hops[s] = Ip(reply.source)
+        echo = s == d and reply.kind == "echo_reply"
+        if echo:
+            echo_at[d] = min(echo_at.get(d, ttl), ttl)
+        emit(source, ttl, d, echo)
+        if (s, ttl) not in seen:
+            seen.add((s, ttl))
+            if ttl > 1:
+                push(d, ttl - 1)
+
+    try:
+        while to_probe or inflight:
+            # each pass sends at most one probe and handles at most one reply
+            if to_probe:
+                key = to_probe.popleft()
+                inflight[key] = transport.send(by_int[key[0]], key[1])
+                stats.probes_sent += 1
+            if not reply_buffer and inflight:
+                if to_probe:
+                    deadline = clock.now()
+                else:
+                    # tokens sit in send order, so the first one expires first
+                    deadline = next(iter(inflight.values())).sent_at + config.timeout
+                reply_buffer.extend(transport.poll(deadline))
+            if reply_buffer:
+                handle_reply(reply_buffer.popleft())
+            now = clock.now()
+            # tokens sit in send order and each key is sent once a round, so
+            # the expired tokens are a prefix: sweep it and stop.  Same float
+            # expression as the poll deadline (sent_at + timeout): a
+            # subtraction here can disagree by one ulp and stall the sweep
+            while inflight:
+                key, token = next(iter(inflight.items()))
+                if now < token.sent_at + config.timeout:
+                    break
+                del inflight[key]
+                transport.expire(token)
+                d, ttl = key
+                emit(Star(dotted_quad(d)), ttl, d, False)
+                if ttl > 1:
+                    push(d, ttl - 1)
+    except TransportError:
+        stats.complete = False
+
+    stats.duration = clock.now() - started
+    raw = RawTraceTree.from_records(records)
+    distances = {dest: echo_at.get(d) for d, dest in by_int.items()}
+    return TracetreeResult(raw=raw, distances=distances, stats=stats, hops=hops)
+
+
+POLICIES = ["responsive", "silent", RateLimited(rate=2.0), RateLimited(rate=0.5, burst=2)]
+UNKNOWN = IPv4Address("10.70.1.250")  # never a node: all stars
+
+
+@st.composite
+def measurement_scenarios(draw):
+    """A random topology of up to 10 nodes (n0 the monitor) with every
+    policy, per-destination and per-packet balancers and one scheduled
+    event, and the settings of two consecutive rounds over it."""
+    count = draw(st.integers(2, 10))
+    names = [f"n{i}" for i in range(count)]
+    addresses = [f"10.70.0.{i + 1}" for i in range(count)]
+    nodes = {n: {"address": a, "policy": draw(st.sampled_from(POLICIES))} for n, a in zip(names, addresses)}
+    nodes["n0"]["policy"] = "responsive"
+    links = [(draw(st.sampled_from(names[:i])), names[i]) for i in range(1, count)]
+    links += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names[1:])), max_size=count))
+    neighbours = {name: sorted({v for u, v in links if u == name}) for name in names}
+    balancers = {}
+    for name in names:
+        if not neighbours[name] or draw(st.integers(0, 2)):
+            continue
+        if draw(st.booleans()):
+            balancers[name] = PerPacket(draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=3)))
+        else:
+            table = draw(st.dictionaries(st.sampled_from(addresses), st.sampled_from(neighbours[name]), max_size=3))
+            balancers[name] = PerDestination({IPv4Address(a): n for a, n in table.items()})
+    at = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]))
+    victim = draw(st.sampled_from(names[1:]))
+    event = draw(
+        st.sampled_from(
+            [
+                {"at": at, "remove_node": victim},
+                {"at": at, "change_policy": {"node": victim, "policy": "silent"}},
+                {"at": at, "rewire": {"node": "n0", "add": victim}},
+            ]
+        )
+    )
+    doc = {
+        "monitor": "n0",
+        "nodes": nodes,
+        "links": [list(pair) for pair in links],
+        "balancers": balancers,
+        "events": [event],
+    }
+    targets = [IPv4Address(a) for a in addresses[1:]] + [UNKNOWN]
+    max_ttl = draw(st.integers(3, 8))
+    rounds = []
+    for _ in range(2):
+        destinations = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=len(targets), unique=True))
+        rounds.append([DestinationTask(d, draw(st.integers(1, max_ttl))) for d in destinations])
+    knobs = {
+        "config": TracetreeConfig(max_ttl=max_ttl, timeout=draw(st.sampled_from([0.03, 0.1, 2.0]))),
+        "restart_from": draw(st.sampled_from([None, max_ttl, 1])),
+        "per_hop_delay": draw(st.sampled_from([0.01, 0.04])),
+        "rate_cap": draw(st.sampled_from([0.0, 200.0])),
+        "fail_after": draw(st.sampled_from([None, None, 3, 12])),
+    }
+    return doc, rounds, knobs
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(measurement_scenarios())
+    def test_same_rounds_with_a_carried_table(self, scenario):
+        doc, rounds, s = scenario
+        topology = load_topology(doc)
+        transports = [
+            Flaky(topology, s["fail_after"], per_hop_delay=s["per_hop_delay"], rate_cap=s["rate_cap"])
+            for _ in range(2)
+        ]
+        hops = {}
+        for tasks in rounds:
+            new = tracetree(tasks, transports[0], s["config"], restart_from=s["restart_from"], hops=hops)
+            old = oracle_tracetree(tasks, transports[1], s["config"], restart_from=s["restart_from"])
+            assert new.raw.records == old.raw.records
+            assert serialize_round(new.raw, 0, 0.0, 0.0) == serialize_round(old.raw, 0, 0.0, 0.0)
+            assert new.distances == old.distances
+            assert new.stats == old.stats  # probes_sent, late_replies, duration, complete
+            assert transports[0].clock.now() == transports[1].clock.now()
+            answered = {r.source._int for r in new.raw.records if isinstance(r.source, Ip)}
+            assert set(new.hops) == answered
+            for record in new.raw.records:
+                if isinstance(record.source, Ip) and record.source._int in hops:
+                    assert record.source is hops[record.source._int]
+            hops = new.hops

@@ -9,9 +9,11 @@ import pytest
 from conftest import CHAIN_DOC
 from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import SimState, load_topology
+from netradar import transport as transport_module
 from netradar.transport import (
     SimTransport,
     TransportClosedError,
+    WallClock,
 )
 
 D = IPv4Address("10.0.0.4")
@@ -111,6 +113,20 @@ class TestPacingAndLifecycle:
     def test_monitor_hop(self):
         transport = chain_transport()
         assert str(transport.monitor_hop) == "10.0.0.1"
+
+
+def test_wall_clock_intervals_ignore_clock_steps(monkeypatch):
+    # the system clock is set back an hour, then forward a day, while 1.5 s
+    # pass: timestamps stay wall time and never run backwards
+    readings = {"time": 1_700_000_000.0, "monotonic": 50.0}
+    monkeypatch.setattr(transport_module.time, "time", lambda: readings["time"])
+    monkeypatch.setattr(transport_module.time, "monotonic", lambda: readings["monotonic"])
+    clock = WallClock()
+    assert clock.now() == 1_700_000_000.0
+    readings.update(time=1_700_000_000.0 - 3600.0, monotonic=51.0)
+    assert clock.now() == 1_700_000_001.0
+    readings.update(time=1_700_000_000.0 + 86400.0, monotonic=51.5)
+    assert clock.now() == 1_700_000_001.5
 
 
 @pytest.mark.parametrize("cap", [50.0, 1000.0, 0.0])
