@@ -21,20 +21,24 @@ sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
 its dotted quad once, from the integer (`dotted_quad`), and caches it
 for the round log.  The rounds of a radar run share one `Ip` per
 address, carried from round to round in tracetree's address table, so
-an address that keeps answering is rendered once per run.  A `Star` compares
-by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
-named tuples over hops.  Inside the hot loops (simulator, transport,
-tracetree, filter, analytics) addresses are keyed by their integer,
-read as `IPv4Address._ip` (what `int()` returns, without the method
-call) or `Ip._int`; `IPv4Address` objects and dotted quads appear only
-at the edges: topology and destination files, the round log, CSV/DOT
-output, and the public fields callers read.
+an address that keeps answering is rendered once per run.  Likewise the
+rounds parsed from one round-log document share one immutable
+`ProbeRecord` per distinct record line, so a line repeated round after
+round is read once.  A `Star` compares by its key and never equals an
+`Ip`.  `TtlNode` and `ProbeRecord` are named tuples over hops.  Inside
+the hot loops (simulator, transport, tracetree, filter, analytics)
+addresses are keyed by their integer, read as `IPv4Address._ip` (what
+`int()` returns, without the method call) or `Ip._int`; `IPv4Address`
+objects and dotted quads appear only at the edges: topology and
+destination files, the round log, CSV/DOT output, and the public fields
+callers read.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from ipaddress import IPv4Address
+from math import isfinite
 from typing import NamedTuple
 
 MAX_TTL_DEFAULT = 30
@@ -287,29 +291,45 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
 def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
-    Inverse of serialize_round on well-formed input.  Malformed content
-    raises RoundLogParseError with the offending line number; a ttl
-    outside [1, TTL_LIMIT] raises TtlRangeError.
+    Inverse of serialize_round.  The header token is exactly `#round`,
+    the index and each ttl must read back as `str(int)`, and both times
+    must be finite.  Malformed content raises RoundLogParseError with the
+    offending line number (for an unterminated final round, its `#round`
+    line); a ttl outside [1, TTL_LIMIT] raises TtlRangeError.
+
+    A document's rounds share one immutable ProbeRecord per distinct
+    record line: a line read before was valid then, so a repeat costs one
+    dict lookup.
     """
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
+    header_no = 0
     records: list[ProbeRecord] = []
     # one object per distinct text across the document: a log repeats its
-    # hops and destinations round after round
+    # lines, hops and destinations round after round
+    known: dict[str, ProbeRecord] = {}
     destinations: dict[str, IPv4Address] = {}
     hops: dict[str, Ip] = {}
     stars: dict[str, Star] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#round"):
+        record = known.get(line)
+        if record is not None and meta is not None:
+            # read before, so valid; outside a block it falls through to
+            # the check below
+            records.append(record)
+        elif line.startswith("#round"):
             if meta is not None:
                 raise RoundLogParseError("new round before #end", line_no)
             parts = line.split(" ")
-            if len(parts) != 4:
+            if len(parts) != 4 or parts[0] != "#round":
                 raise RoundLogParseError("malformed round header", line_no)
             try:
                 meta = RoundMeta(int(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError:
                 raise RoundLogParseError("malformed round header", line_no) from None
+            if str(meta.index) != parts[1] or not (isfinite(meta.start_time) and isfinite(meta.end_time)):
+                raise RoundLogParseError("malformed round header", line_no)
+            header_no = line_no
             records = []
         elif line == "#end":
             if meta is None:
@@ -327,6 +347,8 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                 ttl = int(ttl_txt)
             except ValueError:
                 raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
+            if str(ttl) != ttl_txt:
+                raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no)
             if not 1 <= ttl <= TTL_LIMIT:
                 raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
             destination = destinations.get(dest_txt)
@@ -346,9 +368,10 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                         source = hops[src_txt] = Ip(IPv4Address(src_txt))
                     except ValueError:
                         raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
-            records.append(ProbeRecord(source, ttl, destination))
+            record = known[line] = ProbeRecord(source, ttl, destination)
+            records.append(record)
     if meta is not None:
-        raise RoundLogParseError("missing #end for final round")
+        raise RoundLogParseError("missing #end for final round", header_no)
     return rounds
 
 

@@ -395,8 +395,9 @@ class TestAnalyze:
 
     def test_parse_error_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.rounds"
-        bad.write_text("not a round log\n", encoding="utf-8")
-        assert main(["analyze", "counts", "--in", str(bad)]) == 3
+        for text in ("not a round log\n", "#round 0 nan 1.0\n#end\n", "#round 0 0.0 1.0\n1.2.3.4 +3 5.6.7.8\n#end\n"):
+            bad.write_text(text, encoding="utf-8")
+            assert main(["analyze", "counts", "--in", str(bad)]) == 3
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Round-log format, raw-tree reconstruction, and the core data types."""
 from __future__ import annotations
 
+import gc
 import pickle
+import tracemalloc
 from ipaddress import IPv4Address
 
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netradar.model import (
+    TTL_LIMIT,
     FilteredTree,
     Ip,
     ProbeRecord,
     RawTraceTree,
     RoundLogParseError,
+    RoundMeta,
     Star,
     TtlNode,
     TtlRangeError,
@@ -133,8 +137,10 @@ class TestParseRoundLog:
                 parse_round_log(block(ttl))
 
     def test_missing_end(self):
-        with pytest.raises(RoundLogParseError):
-            parse_round_log("#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\n")
+        # the error names the header of the unterminated round
+        with pytest.raises(RoundLogParseError) as err:
+            parse_round_log("#round 0 0.0 1.0\n#end\n#round 1 2.0 3.0\n1.2.3.4 3 5.6.7.8\n")
+        assert err.value.line_no == 3
 
     def test_content_outside_block(self):
         with pytest.raises(RoundLogParseError) as err:
@@ -151,6 +157,34 @@ class TestParseRoundLog:
         text = serialize_round(raw_a, 0, 0.0, 1.0) + serialize_round(raw_b, 1, 600.0, 601.0)
         parsed = parse_round_log(text)
         assert [meta.index for meta, _ in parsed] == [0, 1]
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("#rounds 0 0.0 1.0\n#end\n", 1),
+            ("#roundabout 0 0.0 1.0\n#end\n", 1),
+            ("#round +0_1 0.0 1.0\n#end\n", 1),
+            ("#round 0 nan 1.0\n#end\n", 1),
+            ("#round 0 0.0 inf\n#end\n", 1),
+            ("#round 0 0.0 1.0\n#end\n#round 1 -inf 1.0\n#end\n", 3),
+            ("#round 0 0.0 1.0\n1.2.3.4 0_3 5.6.7.8\n#end\n", 2),
+            ("#round 0 0.0 1.0\n1.2.3.4 +3 5.6.7.8\n#end\n", 2),
+            ("#round 0 0.0 1.0\n1.2.3.4 3\t 5.6.7.8\n#end\n", 2),
+            ("#round 0 0.0 1.0\n1.2.3.4 \u0663 5.6.7.8\n#end\n", 2),
+        ],
+        ids=["rounds", "roundabout", "index", "nan", "inf", "-inf", "ttl-underscore", "ttl-plus", "ttl-tab", "ttl-digit"],
+    )
+    def test_reads_only_what_serialize_round_writes(self, text, line_no):
+        # serialize_round never writes these; read, each would re-serialize to other bytes
+        with pytest.raises(RoundLogParseError) as err:
+            parse_round_log(text)
+        assert (err.value.__class__, err.value.line_no) == (RoundLogParseError, line_no)
+
+    def test_a_line_repeated_in_two_rounds_is_one_record(self):
+        text = "#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\n#end\n#round 1 2.0 3.0\n* 2 5.6.7.8\n1.2.3.4 3 5.6.7.8\n#end\n"
+        [(_, first), (_, second)] = parse_round_log(text)
+        assert first.records[0] is second.records[1]
+        assert first.records[0] == rec("1.2.3.4", 3, "5.6.7.8")
 
 
 class TestRawTraceTree:
@@ -343,3 +377,165 @@ def test_hops_nodes_and_records_are_immutable(address, ttl):
         del hop.address
     assert node == TtlNode(Ip(address), ttl) and hash(node) == hash(TtlNode(Ip(address), ttl))
     assert record == ProbeRecord(ip(str(address)), ttl, IPv4Address(str(address)))
+
+
+# -- the previous parser, kept verbatim as the differential test's oracle ----
+# It built a new ProbeRecord for every line.  The current parser shares one
+# record per distinct line and must return equal rounds, or raise the same
+# error class at the same line, on every canonical or singly corrupted
+# document.
+
+
+def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
+    """Parse a concatenation of round blocks back into raw trees.
+
+    Inverse of serialize_round on well-formed input.  Malformed content
+    raises RoundLogParseError with the offending line number; a ttl
+    outside [1, TTL_LIMIT] raises TtlRangeError.
+    """
+    rounds: list[tuple[RoundMeta, RawTraceTree]] = []
+    meta: RoundMeta | None = None
+    records: list[ProbeRecord] = []
+    # one object per distinct text across the document: a log repeats its
+    # hops and destinations round after round
+    destinations: dict[str, IPv4Address] = {}
+    hops: dict[str, Ip] = {}
+    stars: dict[str, Star] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("#round"):
+            if meta is not None:
+                raise RoundLogParseError("new round before #end", line_no)
+            parts = line.split(" ")
+            if len(parts) != 4:
+                raise RoundLogParseError("malformed round header", line_no)
+            try:
+                meta = RoundMeta(int(parts[1]), float(parts[2]), float(parts[3]))
+            except ValueError:
+                raise RoundLogParseError("malformed round header", line_no) from None
+            records = []
+        elif line == "#end":
+            if meta is None:
+                raise RoundLogParseError("#end without a round header", line_no)
+            rounds.append((meta, RawTraceTree.from_records(records)))
+            meta = None
+        else:
+            if meta is None:
+                raise RoundLogParseError("content outside a round block", line_no)
+            parts = line.split(" ")
+            if len(parts) != 3:
+                raise RoundLogParseError("expected 'source ttl destination'", line_no)
+            src_txt, ttl_txt, dest_txt = parts
+            try:
+                ttl = int(ttl_txt)
+            except ValueError:
+                raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
+            if not 1 <= ttl <= TTL_LIMIT:
+                raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
+            destination = destinations.get(dest_txt)
+            if destination is None:
+                try:
+                    destination = destinations[dest_txt] = IPv4Address(dest_txt)
+                except ValueError:
+                    raise RoundLogParseError(f"bad destination address {dest_txt!r}", line_no) from None
+            if src_txt == "*":
+                source = stars.get(dest_txt)
+                if source is None:
+                    source = stars[dest_txt] = Star(str(destination))
+            else:
+                source = hops.get(src_txt)
+                if source is None:
+                    try:
+                        source = hops[src_txt] = Ip(IPv4Address(src_txt))
+                    except ValueError:
+                        raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
+            records.append(ProbeRecord(source, ttl, destination))
+    if meta is not None:
+        raise RoundLogParseError("missing #end for final round")
+    return rounds
+
+
+def _outcome(parse, text):
+    try:
+        return [(meta, raw.records) for meta, raw in parse(text)]
+    except RoundLogParseError as err:
+        return err.__class__, err.line_no
+
+
+@st.composite
+def round_log_documents(draw):
+    """`(text, corruption)`: a serialize_round document of 1-4 rounds drawn
+    from a small pool of record lines (so lines repeat within and across
+    rounds, stars included), then at most one corrupted line."""
+    sources, dests = st.sampled_from(["*", *_POOL[:12]]), st.sampled_from(_DESTS[:4])
+    pool = [rec(draw(sources), draw(st.integers(1, TTL_LIMIT)), draw(dests)) for _ in range(draw(st.integers(1, 8)))]
+    first = draw(st.integers(0, 10**6))
+    times = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        raw = RawTraceTree.from_records(draw(st.lists(st.sampled_from(pool), max_size=12)))
+        text += serialize_round(raw, first + i, draw(times), draw(times))
+    lines = text.splitlines()
+    corruption = draw(st.sampled_from([None, "address", "ttl", "field", "after-end"]))
+    record_at = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    if corruption in ("address", "ttl", "field") and record_at:
+        at = draw(st.sampled_from(record_at))
+        source, ttl, destination = lines[at].split(" ")
+        if corruption == "address":
+            bad = draw(st.sampled_from(["999.1.1.1", "10.3.0", "010.3.0.1", "host"]))
+            fields = draw(st.sampled_from([[bad, ttl, destination], [source, ttl, bad]]))
+        elif corruption == "ttl":
+            fields = [source, str(draw(st.sampled_from([0, TTL_LIMIT + 1]))), destination]
+        else:
+            fields = [source, ttl, destination]
+            del fields[draw(st.integers(0, 2))]
+        lines[at] = " ".join(fields)
+    elif corruption == "after-end" and record_at:
+        end_at = draw(st.sampled_from([i for i, line in enumerate(lines) if line == "#end"]))
+        lines.insert(end_at + 1, lines[draw(st.sampled_from(record_at))])
+    else:
+        corruption = None
+    return "\n".join(lines) + "\n", corruption
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_log_documents())
+def test_parse_round_log_matches_oracle(document):
+    text, corruption = document
+    new, old = _outcome(parse_round_log, text), _outcome(oracle_parse_round_log, text)
+    assert new == old
+    assert isinstance(new, list) == (corruption is None)
+
+
+def _kept_by_parse(text: str) -> int:
+    """Bytes allocated by parsing `text` that its result still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_round_log(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed
+    return kept
+
+
+def test_repeated_rounds_cost_a_list_slot_per_record():
+    # N distinct rounds, then the same rounds four times over: each added
+    # record repeats a line already read, so the parse keeps only its slot
+    rounds = []
+    for r in range(4):
+        records = [
+            rec("*" if (d + t + r) % 7 == 0 else f"10.{r}.{d}.{t}", t, f"10.9.0.{d}")
+            for d in range(25)
+            for t in range(10, 0, -1)
+        ]
+        rounds.append(RawTraceTree.from_records(records))
+    per_round = len(rounds[0].records)
+
+    def document(count):
+        return "".join(serialize_round(rounds[i % len(rounds)], i, 600.0 * i, 600.0 * i + 30.0) for i in range(count))
+
+    added = 3 * len(rounds) * per_round
+    growth = (_kept_by_parse(document(4 * len(rounds))) - _kept_by_parse(document(len(rounds)))) / added
+    assert growth <= 16, f"{growth:.1f} bytes kept per added record"
