@@ -47,12 +47,28 @@ def windowed_ip_count(dataset: RadarDataset, window: int = 10, mode: str = SLIDI
         raise ValueError("window must be >= 1")
     if mode not in (SLIDING, BLOCKED):
         raise ValueError(f"mode must be {SLIDING!r} or {BLOCKED!r}")
-    per_round = [_addresses(rec.tree) for rec in dataset.rounds]
-    step = 1 if mode == SLIDING else window
-    return [
-        (dataset.rounds[last].index, len(set().union(*per_round[last - window + 1 : last + 1])))
-        for last in range(window - 1, len(per_round), step)
-    ]
+    rounds = dataset.rounds
+    per_round = [_addresses(rec.tree) for rec in rounds]
+    if mode == BLOCKED:
+        return [
+            (rounds[last].index, len(set().union(*per_round[last - window + 1 : last + 1])))
+            for last in range(window - 1, len(per_round), window)
+        ]
+    # sliding: how many rounds of the window saw each address; the round
+    # that enters adds its addresses, the round that leaves drops its own
+    seen: Counter[int] = Counter()
+    series = []
+    for last, addresses in enumerate(per_round):
+        seen.update(addresses)
+        if last >= window:
+            for address in per_round[last - window]:
+                if seen[address] == 1:
+                    del seen[address]
+                else:
+                    seen[address] -= 1
+        if last >= window - 1:
+            series.append((rounds[last].index, len(seen)))
+    return series
 
 
 @dataclass

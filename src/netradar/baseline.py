@@ -124,13 +124,14 @@ def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
     partial chains do not re-traverse the link into their junction.
     """
     nodes = [node for hops in routes.values() for node in hops]
-    records = [ProbeRecord(*node, dest) for dest, hops in routes.items() for node in hops]
-    # buckets hold distinct nodes, so each link counts once per destination
-    by_destination = ttl_buckets(records, nodes)
-    loads = Counter(ttl_links(by_destination))
+    destinations = [dest for dest, hops in routes.items() for _ in hops]
+    # a (destination, ttl) holds distinct nodes, so each link counts once
+    # per destination
+    graph = ttl_links(ttl_buckets(destinations, [node.ttl for node in nodes], nodes))
+    loads = Counter(zip(graph.lows, graph.highs))
     if root is not None:
         top = TtlNode(root, 0)
-        loads.update((top, node) for _, buckets in by_destination for node in buckets.get(1, ()))
+        loads.update((top, node) for node in graph.heads)
     return dict(Counter(loads.values()))
 
 

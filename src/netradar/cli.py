@@ -73,11 +73,17 @@ def _tree_root(monitor: str | None) -> Ip:
     return Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
 
 
+def _read_log(path: str) -> str:
+    """A round log's text as written: no newline translation, so the
+    parser sees every line end."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
     root = _tree_root(monitor)
-    text = Path(path).read_text(encoding="utf-8")
     rounds = []
-    for meta, raw in parse_round_log(text):
+    for meta, raw in parse_round_log(_read_log(path)):
         tree, _ = filter_tree(raw, root)
         rounds.append(
             RoundRecord(
@@ -231,8 +237,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
-    parsed = parse_round_log(text)
+    parsed = parse_round_log(_read_log(args.infile))
     if not parsed:
         raise ValueError(f"{args.infile}: no rounds")
     root = _tree_root(args.monitor)

@@ -8,16 +8,21 @@ possible routing tree from the monitor to the destinations.
 The filter reads a round's records directly and never derives the raw
 (hop, ttl) graph.  It works on integer node ids: an address is its own
 integer, and a star is numbered per (key, ttl) in first-record order.
-Hop objects are made only for the returned parent map, and a merged
-star's key string is built once, when its group is merged.  Nothing
-depends on set iteration order, so the output is the same under every
-hash seed.
+Its edges come from the packed (destination, ttl) table of
+`model.ttl_buckets` and `model.ttl_links`.  A node keeps its one
+successor inline and gets a set only for a second, and only a node with
+several successors sorts them.  A round without stars skips stages 3
+and 4.  Stage 4 merges a star with no sibling without building sets,
+renames raw stars instead of rewriting their neighbours' edges, and
+builds the key string of a star named after one parent once per parent.
+Hop objects are made only for the returned parent map.  Nothing depends on set
+iteration order, so the output is the same under every hash seed.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from ipaddress import IPv4Address
+from itertools import chain, compress, repeat
 
 from .model import (
     FilteredTree,
@@ -27,6 +32,7 @@ from .model import (
     RawTraceTree,
     Star,
     hop_sort_key,
+    record_columns,
     ttl_buckets,
     ttl_links,
 )
@@ -45,8 +51,12 @@ class FilterReport:
     degenerate: bool = False
 
 
-# node ids: an address is its own integer; stars count up from here
+# node ids: an address is its own integer (below 2^32); a raw star is
+# `ttl << 32 | n`, the n-th (key, ttl) in first-record order, so raw star
+# ids order by (ttl, first record); merged stars count up from _MERGED
 _STAR_BASE = 1 << 32
+_SEQ = _STAR_BASE - 1
+_MERGED = 128 << 32  # above every raw star: a packed ttl is below 128
 
 
 def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterReport]:
@@ -60,70 +70,156 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
     # the root is the monitor's integer, so records carrying the monitor's
     # address merge into it
     root = monitor._int if monitor.__class__ is Ip else -1
-    hop_of: dict[int, Hop] = {}  # address id -> an Ip record's hop, for the output
 
     # stage 1: merge all nodes carrying the same address.  An Ip record's
-    # node is its address; a star record's node is one id per (key, ttl),
-    # numbered in first-record order.
+    # node is its address; a star record's node is one id per (key, ttl).
     star_ids: dict[tuple[str, int], int] = {}
+    star_keys: list[str] = []  # n -> the key of raw star n
+    hop_of: dict[int, Hop] = {}  # address id -> an Ip record's hop, for the output
     ip_ttls: set[int] = set()
+    add_ip_ttl = ip_ttls.add
     nodes = []
-    for source, ttl, _ in records:
+    append = nodes.append
+    sources, ttls, destinations = record_columns(records)
+    for source, ttl in zip(sources, ttls):
         if source.__class__ is Ip:
             node = source._int
             hop_of[node] = source
-            ip_ttls.add(ttl << 32 | node)
+            add_ip_ttl(ttl << 32 | node)
         else:
             node = star_ids.get((source.key, ttl))
             if node is None:
-                node = star_ids[source.key, ttl] = _STAR_BASE + len(star_ids)
-        nodes.append(node)
+                node = star_ids[source.key, ttl] = ttl << 32 | len(star_keys)
+                star_keys.append(source.key)
+        append(node)
     report.merged_ip_nodes = len(ip_ttls) - len(hop_of)
     hop_of[root] = monitor
-    star_at = list(star_ids)  # star id - _STAR_BASE -> (key, ttl)
 
     # stage 2: parallel edges collapse, links from an address to itself go.
-    # Only stars are ever looked up by parent, so only stars get an `inn`.
-    out: dict[int, set[int]] = defaultdict(set)
+    # `out` keeps a node's one successor inline and makes a set only for a
+    # second; only stars are ever looked up by parent, so only stars get
+    # an `inn`.
+    graph = ttl_links(ttl_buckets(destinations, ttls, nodes))
+    out: dict[int, int | set[int]] = {}
     inn: dict[int, set[int]] = defaultdict(set)
     loops: set[int] = set()
-    by_destination = ttl_buckets(records, nodes)
-    for u, v in ttl_links(by_destination):
+    add = out.setdefault
+    heads = [node for node in graph.heads if node != root]
+    for u, v in chain(zip(graph.lows, graph.highs), zip(repeat(root), heads)):
         if u == v:
             loops.add(u)
-        else:
-            out[u].add(v)
-            if v >= _STAR_BASE:
-                inn[v].add(u)
+            continue
+        succ = add(u, v)
+        if succ != v:
+            if succ.__class__ is int:
+                out[u] = {succ, v}
+            else:
+                succ.add(v)
+        if v >= _STAR_BASE:
+            inn[v].add(u)
     report.loops_removed = len(loops)
-    terminals: list[tuple[IPv4Address, int]] = []
-    for destination, buckets in by_destination:
-        terminals.append((destination, buckets[max(buckets)][0]))
-        for node in buckets.get(1, ()):
-            if node != root:
-                out[root].add(node)
-                if node >= _STAR_BASE:
-                    inn[node].add(root)
-    terminal_nodes = {node for _, node in terminals}
+    terminals = graph.terminals  # in step with graph.destinations
 
+    if star_keys:
+        rename, key_of = _merge_stars(star_ids.values(), star_keys, set(terminals), out, inn, hop_of, report)
+        terminals = list(map(rename.get, terminals, terminals))
+    else:
+        rename, key_of = {}, {}
+
+    # stage 5: BFS tree from the monitor; neighbours in numeric order,
+    # stars after addresses and ordered by key, FIFO queue.  `parent`
+    # doubles as the visited set.  Only a node with several successors
+    # sorts them.  Successor sets still name raw stars: each stands for
+    # its merged star.
+    parent: dict[int, int] = {root: root}
+    order = [root]
+    successors = out.get
+    append = order.append
+    for node in order:  # order grows while it is walked: it is the queue
+        succs = successors(node)
+        if succs.__class__ is int:
+            if succs >= _STAR_BASE:
+                succs = rename[succs]
+            if succs not in parent:
+                parent[succs] = node
+                append(succs)
+            continue
+        if not succs:
+            continue
+        succs = sorted(succs)
+        if succs[-1] >= _STAR_BASE:
+            split = next(i for i, k in enumerate(succs) if k >= _STAR_BASE)
+            succs[split:] = sorted({rename.get(k, k) for k in succs[split:]}, key=key_of.__getitem__)
+        for child in succs:
+            if child not in parent:
+                parent[child] = node
+                append(child)
+    if len(order) == 1 and records:
+        report.degenerate = True
+    reached = list(map(parent.__contains__, terminals))
+    terminals = list(compress(terminals, reached))
+    destinations = compress(graph.destinations, reached)
+    del parent[root]
+    protected = set(terminals)
+
+    # stage 6: iteratively drop leaves that are nobody's terminal; which
+    # leaves go does not depend on the order they go in
+    frontier = parent.keys() - parent.values() - protected
+    if frontier:
+        child_count = Counter(parent.values())
+        while frontier:
+            next_frontier = []
+            for leaf in frontier:
+                up = parent.pop(leaf)
+                report.leaves_pruned += 1
+                child_count[up] -= 1
+                if not child_count[up] and up != root and up not in protected:
+                    next_frontier.append(up)
+            frontier = next_frontier
+
+    for merged, key in key_of.items():
+        hop_of[merged] = Star(key)
+    hop = hop_of.__getitem__
+    tree = FilteredTree(
+        root=monitor,
+        parents=dict(zip(map(hop, parent), map(hop, parent.values()))),
+        terminals=dict(zip(destinations, map(hop, terminals))),
+    )
+    return tree, report
+
+
+def _merge_stars(stars, star_keys, terminal_nodes, out, inn, hop_of, report) -> tuple[dict[int, int], dict[int, str]]:
+    """Stages 3 and 4 of `filter_tree`, for a round with stars.
+
+    Stage 3 edits `out` and `inn`.  Stage 4 leaves the raw stars in
+    place: it gives each merged star, in `out`, the successors of its
+    members, and returns `rename` (each remaining raw star -> its merged
+    star) and `key_of` (merged star -> key).
+    """
     # stage 3: drop stars with no successor, unless some destination's
     # probing ended there; a drop can leave its parent star bare in turn
-    star_nodes = range(_STAR_BASE, _STAR_BASE + len(star_at))
-    bare = [s for s in star_nodes if not out.get(s) and s not in terminal_nodes]
+    bare = [s for s in stars if s not in out and s not in terminal_nodes]
     pruned: set[int] = set()
     while bare:
         star = bare.pop()
         pruned.add(star)
-        out.pop(star, None)
         for p in inn.pop(star, ()):
             succs = out[p]
-            succs.discard(star)
-            if not succs and p >= _STAR_BASE and p not in terminal_nodes:
+            if succs.__class__ is int:  # the star was its only successor
+                del out[p]
+            else:
+                succs.discard(star)
+                if succs:
+                    continue
+            if p >= _STAR_BASE and p not in terminal_nodes:
                 bare.append(p)
     report.stars_pruned = len(pruned)
 
-    # stage 4: stars hanging under a same node become a single star
-    leader = {s: s for s in star_nodes if s not in pruned}
+    # stage 4: stars hanging under a same node become a single star.  Only
+    # stars that share a parent enter the union-find; a lone star is a
+    # group of its own.
+    live = [s for s in stars if s not in pruned]
+    leader: dict[int, int] = {}
 
     def find(s: int) -> int:
         while leader[s] != s:
@@ -132,117 +228,89 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
         return s
 
     first_star: dict[int, int] = {}  # parent -> its first star child
-    for s in leader:
+    for s in live:
         for p in inn.get(s, ()):
             other = first_star.setdefault(p, s)
             if other != s:
+                leader.setdefault(other, other)
+                leader.setdefault(s, s)
                 ra, rb = find(other), find(s)
                 if ra != rb:
                     leader[rb] = ra
     groups: dict[int, list[int]] = {}
     for s in leader:
         groups.setdefault(find(s), []).append(s)
+    # groups merge shallow first, ties in first-record order: parents of
+    # deeper stars may themselves be merged stars.  A lone star's id is
+    # its place, (ttl, first record); a group's place is its least ttl and
+    # its members' first record.
+    multi = {min(members) & ~_SEQ | min(m & _SEQ for m in members): members for members in groups.values()}
+    lone = [s for s in live if s not in leader]
 
-    # a merged star is named by its parents' labels; one name is one star.
-    # Parents of deeper stars may themselves be merged stars: shallow
-    # groups go first, ties in first-record order (members are ids, ids
-    # count in first-record order).
-    key_of: dict[int, str] = {}  # merged star id -> key
-    merged_id: dict[str, int] = {}
+    # a merged star is named by its parents' labels; one name is one star
     rename: dict[int, int] = {}
+    key_of: dict[int, str] = {}
+    merged_id: dict[str, int] = {}
+    of_parent: dict[int, int] = {}  # parent -> the merged star named after it alone
 
     def label(node: int) -> str:
         if node < _STAR_BASE:
             return str(hop_of[node])
         key = key_of.get(node)
         if key is None:  # a star of a group not merged yet
-            key, ttl = star_at[node - _STAR_BASE]
-            key = f"{key}/{ttl}"
+            key = f"{star_keys[node & _SEQ]}/{node >> 32}"
         return key
 
-    def merge_order(members: list[int]) -> tuple[int, int]:
-        return min(star_at[m - _STAR_BASE][1] for m in members), min(members)
-
-    for members in sorted(groups.values(), key=merge_order):
-        group = set(members)
-        parents: set[int] = set()
-        children: set[int] = set()
-        for m in members:
-            parents.update(inn.pop(m, ()))
-            children.update(out.pop(m, ()))
-        parents -= group
-        children -= group
-        key = "@" + "+".join(sorted(label(p) for p in parents))
+    def named(key: str) -> int:
         merged = merged_id.get(key)
         if merged is None:
-            merged = merged_id[key] = _STAR_BASE + len(star_at) + len(key_of)
+            merged = merged_id[key] = _MERGED + len(key_of)
             key_of[merged] = key
-        report.stars_merged += len(members) - 1
-        for p in parents:
-            succs = out[p]
-            succs -= group
-            succs.add(merged)
-            inn[merged].add(p)
-        children.discard(merged)
-        for c in children:
-            if c >= _STAR_BASE:
-                preds = inn[c]
-                preds -= group
-                preds.add(merged)
-            out[merged].add(c)
-        for m in members:
-            rename[m] = merged
+        return merged
 
-    # stage 5: BFS tree from the monitor; neighbours in numeric order,
-    # stars after addresses and ordered by key, FIFO queue
-    parent: dict[int, int] = {}
-    visited = {root}
-    order = [root]
-    for node in order:  # order grows while it is walked: it is the queue
-        succs = out.get(node)
-        if not succs:
-            continue
-        kids = sorted(succs)
-        if len(kids) > 1 and kids[-2] >= _STAR_BASE:
-            split = next(i for i, k in enumerate(kids) if k >= _STAR_BASE)
-            kids[split:] = sorted(kids[split:], key=key_of.__getitem__)
-        for child in kids:
-            if child not in visited:
-                visited.add(child)
-                parent[child] = node
-                order.append(child)
-    if len(order) == 1 and records:
-        report.degenerate = True
+    for place in sorted(lone + list(multi)):
+        members = multi.get(place)
+        if members is None:  # a lone star: no sets to gather
+            parents = inn.get(place, ())
+            children = out.pop(place, None)
+        else:
+            parents = set()
+            children = set()
+            for m in members:
+                parents.update(inn.get(m, ()))
+                _join(children, out.pop(m, None))
+            parents.difference_update(members)
+            report.stars_merged += len(members) - 1
+        # a parent merged before is named by its merged star
+        if len(parents) == 1:
+            [p] = parents
+            p = rename.get(p, p)
+            merged = of_parent.get(p)
+            if merged is None:
+                merged = of_parent[p] = named("@" + label(p))
+        else:
+            merged = named("@" + "+".join(sorted(map(label, {rename.get(p, p) for p in parents}))))
+        if children is not None:
+            succs = out.setdefault(merged, children)
+            if succs is not children:
+                if succs.__class__ is int:
+                    succs = out[merged] = {succs}
+                _join(succs, children)
+        if members is None:
+            rename[place] = merged
+        else:
+            for m in members:
+                rename[m] = merged
+    return rename, key_of
 
-    terminals = [(d, rename.get(n, n)) for d, n in terminals]
-    terminals = [(d, n) for d, n in terminals if n in visited]
-    protected = {n for _, n in terminals}
 
-    # stage 6: iteratively drop leaves that are nobody's terminal
-    child_count = dict.fromkeys(order, 0)
-    for node in parent.values():
-        child_count[node] += 1
-    frontier = [n for n in order if child_count[n] == 0 and n != root]
-    while frontier:
-        next_frontier = []
-        for leaf in frontier:
-            if leaf in protected:
-                continue
-            up = parent.pop(leaf)
-            report.leaves_pruned += 1
-            child_count[up] -= 1
-            if child_count[up] == 0 and up != root:
-                next_frontier.append(up)
-        frontier = next_frontier
-
-    for merged, key in key_of.items():
-        hop_of[merged] = Star(key)
-    tree = FilteredTree(
-        root=monitor,
-        parents={hop_of[c]: hop_of[p] for c, p in parent.items()},
-        terminals={d: hop_of[n] for d, n in terminals},
-    )
-    return tree, report
+def _join(succs: set[int], more) -> None:
+    """Add a value of `out` (None, one successor, or a set of them) to a
+    set of successors."""
+    if more.__class__ is int:
+        succs.add(more)
+    elif more:
+        succs.update(more)
 
 
 def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:

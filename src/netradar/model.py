@@ -8,8 +8,12 @@ A raw tree is its probe records, the same records the round log holds,
 one line each.  Its (hop, ttl) graph of nodes, edges and terminals is a
 reader's view, derived on demand and never stored; the filter works on
 the records directly.  Both, and the traceroute baseline's link loads,
-group records by destination and ttl with `ttl_buckets` and join
-consecutive ttls with `ttl_links`, so the edge rule is written once.
+read one packed table: `ttl_buckets` keys each record's node by
+`destination << 7 | ttl`, the int tracetree keys its probes by, holding
+a key's first node inline and a list only where a key sees a second
+distinct node; `ttl_links` joins consecutive ttls of a destination in
+it, links the monitor to ttl 1 and finds each destination's terminal.
+So the edge rule is written once.
 Likewise a filtered tree is its parent map, child to parent; its node
 and edge sets are derived from the map.  A retained round therefore
 costs its records and one parent map and nothing more.
@@ -39,7 +43,7 @@ from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from ipaddress import IPv4Address
 from math import isfinite
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 MAX_TTL_DEFAULT = 30
 TTL_LIMIT = 64  # the largest ttl a radar probes with, so the largest a round log holds
@@ -179,39 +183,99 @@ class ProbeRecord(NamedTuple):
     destination: IPv4Address
 
 
-def ttl_buckets(records, nodes) -> list[tuple[IPv4Address, dict[int, list]]]:
-    """Group the node of each record (`nodes` runs in step with `records`)
-    by destination and ttl.
+class TtlTable(NamedTuple):
+    """Nodes grouped by (destination, ttl), each pair packed into one int,
+    `destination << 7 | ttl` (a ttl is at most TTL_LIMIT = 64), the key
+    tracetree gives its probes.
 
-    One `(destination, {ttl: distinct nodes in first-sighting order})`
-    per destination, in first-record order.  A destination's terminal is
-    the first node at its highest ttl, and `ttl_links` gives the edges.
+    `first` maps each key, in first-record order, to the first node seen
+    there; only a key that sees a second distinct node gets a list, in
+    `more`, of the nodes after the first in first-sighting order.
+    `destinations` maps each destination integer to its address, in
+    first-record order.
+    """
+
+    first: dict[int, Any]
+    more: dict[int, list]
+    destinations: dict[int, IPv4Address]
+
+
+class TtlLinks(NamedTuple):
+    """The graph a table's records imply (`ttl_links`)."""
+
+    # link i joins lows[i], a destination's node at ttl t, to highs[i], one
+    # of its nodes at ttl t+1; two lists in step, so a link costs no tuple
+    lows: list
+    highs: list
+    heads: list  # per destination, its nodes at ttl 1: what the monitor links to
+    destinations: list[IPv4Address]  # in first-record order
+    terminals: list  # in step with `destinations`: the first node at its highest ttl
+
+
+def record_columns(records) -> tuple[tuple, tuple, tuple]:
+    """The sources, ttls and destinations of records, as three tuples in
+    step: one pass in C, after which a loop over them unpacks no
+    ProbeRecord."""
+    return tuple(zip(*records)) or ((), (), ())
+
+
+def ttl_buckets(destinations, ttls, nodes) -> TtlTable:
+    """Group nodes by destination and ttl into one packed table: the three
+    sequences run in step, one entry per record.
+
+    With `ttl_links`, this is the one edge rule: the raw (hop, ttl) graph,
+    the filter and the traceroute baseline's link loads all read it.
     """
     # keyed by the destination integer: IPv4Address.__hash__ is costly
-    by_dest: dict[int, tuple[IPv4Address, dict[int, list]]] = {}
-    for node, (_, ttl, destination) in zip(nodes, records):
-        entry = by_dest.get(destination._ip)
-        if entry is None:
-            by_dest[destination._ip] = (destination, {ttl: [node]})
-            continue
-        seen_at = entry[1].get(ttl)
-        if seen_at is None:
-            entry[1][ttl] = [node]
-        elif node not in seen_at:
-            seen_at.append(node)
-    return list(by_dest.values())
+    keys = [destination._ip << 7 | ttl for destination, ttl in zip(destinations, ttls)]
+    first = dict(zip(keys, nodes))
+    more: dict[int, list] = {}
+    if len(first) < len(keys):  # a (destination, ttl) holds two records
+        first = {}
+        for key, node in zip(keys, nodes):
+            seen = first.setdefault(key, node)
+            if seen != node:
+                others = more.setdefault(key, [])
+                if node not in others:
+                    others.append(node)
+    return TtlTable(first, more, {destination._ip: destination for destination in destinations})
 
 
-def ttl_links(by_destination):
-    """The edges of `ttl_buckets`' output: per destination, every node at
-    ttl t links to every node at ttl t+1, as `(low, high)` pairs."""
-    for _, buckets in by_destination:
-        for ttl, lows in buckets.items():
-            highs = buckets.get(ttl + 1)
-            if highs:
-                for low in lows:
-                    for high in highs:
-                        yield low, high
+def ttl_links(table: TtlTable) -> TtlLinks:
+    """The graph of a table: per destination, every node at ttl t links
+    to every node at ttl t+1, and the monitor links to every node at ttl
+    1; a destination's probing ended at the first node of its highest
+    ttl."""
+    first, more, destinations = table
+    get = first.get
+    lows: list = []
+    highs: list = []
+    add_low, add_high = lows.append, highs.append
+    top: dict[int, int] = {}  # destination integer -> its highest key
+    highest = top.get
+    for key, low in first.items():
+        high = get(key + 1)
+        if high is None:  # the top of a run of ttls, maybe the highest
+            d = key >> 7
+            if highest(d, 0) < key:
+                top[d] = key
+        elif more and (key in more or key + 1 in more):
+            for u in (low, *more.get(key, ())):
+                for v in (high, *more.get(key + 1, ())):
+                    add_low(u)
+                    add_high(v)
+        else:
+            add_low(low)
+            add_high(high)
+    heads = []
+    for d in destinations:
+        node = get(d << 7 | 1)
+        if node is not None:
+            heads.append(node)
+            if more:
+                heads += more.get(d << 7 | 1, ())
+    terminals = [first[top[d]] for d in destinations]
+    return TtlLinks(lows, highs, heads, list(destinations.values()), terminals)
 
 
 @dataclass
@@ -240,13 +304,10 @@ class RawTraceTree:
         view for tests and tools; the filter works on the records itself."""
         # one TtlNode object per (hop, ttl), shared by the node set and the edges
         interned: dict[TtlNode, TtlNode] = {}
-        nodes = []
-        for source, ttl, _ in self.records:
-            node = TtlNode(source, ttl)
-            nodes.append(interned.setdefault(node, node))
-        by_destination = ttl_buckets(self.records, nodes)
-        terminals = {destination: buckets[max(buckets)][0] for destination, buckets in by_destination}
-        return set(interned), set(ttl_links(by_destination)), terminals
+        sources, ttls, destinations = record_columns(self.records)
+        nodes = [interned.setdefault(node, node) for node in map(TtlNode, sources, ttls)]
+        graph = ttl_links(ttl_buckets(destinations, ttls, nodes))
+        return set(interned), set(zip(graph.lows, graph.highs)), dict(zip(graph.destinations, graph.terminals))
 
     @property
     def nodes(self) -> set[TtlNode]:
@@ -291,11 +352,13 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
 def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
-    Inverse of serialize_round.  The header token is exactly `#round`,
-    the index and each ttl must read back as `str(int)`, and both times
-    must be finite.  Malformed content raises RoundLogParseError with the
-    offending line number (for an unterminated final round, its `#round`
-    line); a ttl outside [1, TTL_LIMIT] raises TtlRangeError.
+    Inverse of serialize_round.  Lines end at `"\n"` only, the line end
+    serialize_round writes; the last line may lack it.  The header token
+    is exactly `#round`, the index and each ttl must read back as
+    `str(int)`, and both times as `repr(float)`, finite.  Malformed
+    content raises RoundLogParseError with the offending line number (for
+    an unterminated final round, its `#round` line); a ttl outside
+    [1, TTL_LIMIT] raises TtlRangeError.
 
     A document's rounds share one immutable ProbeRecord per distinct
     record line: a line read before was valid then, so a repeat costs one
@@ -311,7 +374,10 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     destinations: dict[str, IPv4Address] = {}
     hops: dict[str, Ip] = {}
     stars: dict[str, Star] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")
+    if not lines[-1]:  # the final line end, or an empty document
+        lines.pop()
+    for line_no, line in enumerate(lines, start=1):
         record = known.get(line)
         if record is not None and meta is not None:
             # read before, so valid; outside a block it falls through to
@@ -327,7 +393,12 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                 meta = RoundMeta(int(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError:
                 raise RoundLogParseError("malformed round header", line_no) from None
-            if str(meta.index) != parts[1] or not (isfinite(meta.start_time) and isfinite(meta.end_time)):
+            if (
+                str(meta.index) != parts[1]
+                or repr(meta.start_time) != parts[2]
+                or repr(meta.end_time) != parts[3]
+                or not (isfinite(meta.start_time) and isfinite(meta.end_time))
+            ):
                 raise RoundLogParseError("malformed round header", line_no)
             header_no = line_no
             records = []

@@ -80,6 +80,21 @@ class TestSeries:
         dataset = dataset_from_trees([STABLE] * 3)
         assert windowed_ip_count(dataset, window=5, mode="blocked") == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sets(st.integers(2, 12), max_size=6), min_size=1, max_size=9), st.data())
+    def test_both_modes_are_the_union_of_their_window(self, rounds, data):
+        # round i observes the addresses 10.0.0.<n> for n in rounds[i]
+        trees = [chain_tree(*(f"10.0.0.{n}" for n in sorted(ns))) if ns else STABLE for ns in rounds]
+        dataset = dataset_from_trees(trees)
+        observed = [{h.address for h in tree.parents} for tree in trees]
+        window = data.draw(st.integers(1, len(rounds) + 1))
+        for mode, step in (("sliding", 1), ("blocked", window)):
+            expected = [
+                (last, len(set().union(*observed[last - window + 1 : last + 1])))
+                for last in range(window - 1, len(rounds), step)
+            ]
+            assert windowed_ip_count(dataset, window=window, mode=mode) == expected
+
 
 class TestPeaks:
     def test_constant_series_no_peaks_degenerate(self):

@@ -399,6 +399,26 @@ class TestAnalyze:
             bad.write_text(text, encoding="utf-8")
             assert main(["analyze", "counts", "--in", str(bad)]) == 3
 
+    @pytest.mark.parametrize("header", ["#round 0 1e3 1.0", "#round 0 0 1", "#round 0 0.10000000000000001 1.0"])
+    def test_header_times_must_read_back_exactly(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.rounds"
+        bad.write_text(f"#round 0 0.0 1.0\n#end\n{header}\n#end\n", encoding="utf-8")
+        assert main(["analyze", "counts", "--in", str(bad)]) == 3
+        assert "line 3: malformed round header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_log_is_read_as_written(self, tmp_path, capsys, command):
+        # no newline translation: a carriage return before a line end is
+        # part of the line, so the log is not one serialize_round wrote
+        bad = tmp_path / "bad.rounds"
+        bad.write_bytes(b"#round 0 0.0 1.0\r\n1.2.3.4 1 5.6.7.8\r\n#end\r\n")
+        if command == "analyze":
+            argv = ["analyze", "counts", "--in", str(bad)]
+        else:
+            argv = ["compare", "--in", str(bad), "--out-prefix", str(tmp_path / "cmp")]
+        assert main(argv) == 3
+        assert "line 1: malformed round header" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def stored_logs(tmp_path_factory):

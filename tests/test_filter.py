@@ -1,6 +1,7 @@
 """The six-stage filter: stage semantics, invariants, idempotence."""
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -29,6 +30,9 @@ from netradar.model import (
     parse_round_log,
     serialize_round,
 )
+from netradar.radar import RadarConfig, run_radar
+from netradar.simnet import load_topology
+from netradar.transport import SimTransport
 
 MONITOR = ip("10.0.0.1")
 
@@ -475,7 +479,9 @@ def raw_rounds(draw):
     """Random rounds of records: balancers (several sources at one ttl),
     stars and all-star chains, repeated addresses (routing loops), the
     monitor's own address as a source, chains that start above ttl 1,
-    shuffled record order, and the empty round."""
+    the shape of a cut (destinations that share an address prefix, then
+    time out up to a high ttl), shuffled record order, and the empty
+    round."""
     records = []
     for d in range(draw(st.integers(0, 5))):
         destination = IPv4Address(f"10.50.0.{d}")
@@ -488,6 +494,13 @@ def raw_rounds(draw):
                 else:
                     source = draw(st.sampled_from(ADDRESSES + [MONITOR]))
                 records.append(ProbeRecord(source, ttl, destination))
+    if draw(st.booleans()):
+        prefix = draw(st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=3))
+        top = draw(st.integers(len(prefix) + 1, 30))
+        for d in range(draw(st.integers(2, 5))):
+            destination = IPv4Address(f"10.51.0.{d}")
+            records += [ProbeRecord(source, ttl, destination) for ttl, source in enumerate(prefix, start=1)]
+            records += [ProbeRecord(Star(str(destination)), ttl, destination) for ttl in range(len(prefix) + 1, top + 1)]
     draw(st.randoms(use_true_random=False)).shuffle(records)
     return RawTraceTree.from_records(records)
 
@@ -558,6 +571,42 @@ class TestAgainstOracle:
         assert stars == ["@10.60.0.9+10.70.0.2/3"]
         assert report.stars_merged == 1
         assert _shape(tree) == _shape(oracle_filter_tree(raw, MONITOR)[0])
+
+
+PERFBENCH_INET = Path(__file__).resolve().parents[1] / "perfbench" / "inet.py"
+
+
+def _perfbench_inet():
+    """perfbench's Internet-like topology generator, imported read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_inet", PERFBENCH_INET)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_radar_run_with_a_cut_matches_the_oracle():
+    # seven rounds over 200 destinations: an island graft, a lengthened
+    # path, then a cut that leaves a third of the destinations timing out
+    # up to max_ttl for one round, then a policy change
+    inet = _perfbench_inet()
+    events = inet.EventRounds(island=2, lengthen=3, cut=5, policy=6)
+    net = inet.generate(3001, 200, events, cut_share=0.35)
+    transport = SimTransport(load_topology(net.doc))
+    config = RadarConfig(
+        destinations=[IPv4Address(d) for d in net.destinations],
+        inter_round_delay=inet.ROUND_DELAY,
+        rounds=7,
+    )
+    dataset = run_radar(config, transport)
+    stars = [sum(r.source.__class__ is Star for r in rec.raw.records) for rec in dataset.rounds]
+    assert stars[events.cut] > 1000 > 10 * max(stars[: events.cut])
+    for rec in dataset.rounds:
+        new = filter_tree(rec.raw, transport.monitor_hop)
+        assert new == oracle_filter_tree(rec.raw, transport.monitor_hop)
+        assert new[0] == rec.tree
 
 
 HASH_SEED_SCRIPT = """

@@ -186,6 +186,49 @@ class TestParseRoundLog:
         assert first.records[0] is second.records[1]
         assert first.records[0] == rec("1.2.3.4", 3, "5.6.7.8")
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("#round 0 1e3 1.0\n#end\n", 1),
+            ("#round 0 0 1\n#end\n", 1),
+            ("#round 0 0.0 1.0\n#end\n#round 1 0.10000000000000001 1.0\n#end\n", 3),
+        ],
+        ids=["exponent", "integers", "long-decimal"],
+    )
+    def test_header_times_read_back_exactly(self, text, line_no):
+        # each is a finite float, but serialize_round writes it as other bytes
+        with pytest.raises(RoundLogParseError, match="malformed round header") as err:
+            parse_round_log(text)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            # a form feed is no line end: the record line runs on into "#end"
+            ("#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\x0c#end\n", 2),
+            ("#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\r\n#end\n", 2),
+            # str.splitlines would read "#end", "#round 1 2.0 3.0" and fail at "x", line 4
+            ("#round 0 0.0 1.0\n#end\u2028#round 1 2.0 3.0\nx\n", 2),
+            ("#round 0 0.0 1.0\n#end\n\x1c\n1.2.3.4 3 5.6.7.8\n", 3),
+        ],
+        ids=["form-feed", "carriage-return", "line-separator", "group-separator"],
+    )
+    def test_lines_end_at_newline_only(self, text, line_no):
+        with pytest.raises(RoundLogParseError) as err:
+            parse_round_log(text)
+        assert err.value.line_no == line_no
+
+    def test_final_newline_is_optional(self):
+        raw_a = RawTraceTree.from_records([rec("1.1.1.1", 1, "2.2.2.2"), rec("*", 2, "2.2.2.2")])
+        raw_b = RawTraceTree.from_records([rec("1.1.1.1", 1, "2.2.2.2")])
+        text = serialize_round(raw_a, 0, 0.0, 1.0) + serialize_round(raw_b, 1, 600.0, 601.0)
+        parsed = parse_round_log(text)
+        assert [(meta, raw.records) for meta, raw in parsed] == [
+            (meta, raw.records) for meta, raw in parse_round_log(text[:-1])
+        ]
+        assert [raw.records for _, raw in parsed] == [raw_a.records, raw_b.records]
+        assert parse_round_log("") == []
+
 
 class TestRawTraceTree:
     def test_edges_only_between_adjacent_ttls(self):
