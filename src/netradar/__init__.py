@@ -63,7 +63,6 @@ from .radar import (
     load_destinations,
     next_round_tasks,
     run_radar,
-    update_cache,
 )
 from .simnet import (
     PerDestination,

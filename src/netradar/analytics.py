@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import statistics
 from collections import Counter, deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import Ip, RadarDataset
+from .model import Ip, RadarDataset, finite
 
 SLIDING = "sliding"
 BLOCKED = "blocked"
@@ -96,8 +95,7 @@ def detect_peaks(
         raise ValueError(f"need at least 10 points, got {len(series)}")
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be a finite number > 0, got {k}")
+    finite("k", k, positive=True)
     values = [float(value) for _, value in series]
     median = statistics.median(values)
     mad = statistics.median([abs(value - median) for value in values])
@@ -135,7 +133,7 @@ def _union(rounds) -> tuple[dict[int, tuple[int, IPv4Address]], set[tuple[int, i
     links: set[tuple[int, int]] = set()
     for rec in rounds:
         tree = rec.tree
-        root = tree.root._int if tree.root.__class__ is Ip else None
+        root = tree.root._int
         for child, parent in tree.parents.items():
             if child.__class__ is not Ip:
                 continue

@@ -21,7 +21,6 @@ from .model import (
     RawTraceTree,
     Star,
     TtlNode,
-    ttl_buckets,
     ttl_links,
 )
 from .tracetree import TracetreeConfig
@@ -127,7 +126,7 @@ def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
     destinations = [dest for dest, hops in routes.items() for _ in hops]
     # a (destination, ttl) holds distinct nodes, so each link counts once
     # per destination
-    graph = ttl_links(ttl_buckets(destinations, [node.ttl for node in nodes], nodes))
+    graph = ttl_links(destinations, [node.ttl for node in nodes], nodes)
     loads = Counter(zip(graph.lows, graph.highs))
     if root is not None:
         top = TtlNode(root, 0)

@@ -8,15 +8,15 @@ possible routing tree from the monitor to the destinations.
 The filter reads a round's records directly and never derives the raw
 (hop, ttl) graph.  It works on integer node ids: an address is its own
 integer, and a star is numbered per (key, ttl) in first-record order.
-Its edges come from the packed (destination, ttl) table of
-`model.ttl_buckets` and `model.ttl_links`.  A node keeps its one
-successor inline and gets a set only for a second, and only a node with
-several successors sorts them.  A round without stars skips stages 3
-and 4.  Stage 4 merges a star with no sibling without building sets,
-renames raw stars instead of rewriting their neighbours' edges, and
-builds the key string of a star named after one parent once per parent.
-Hop objects are made only for the returned parent map.  Nothing depends on set
-iteration order, so the output is the same under every hash seed.
+Its edges come from `model.ttl_links`, the one edge rule.  A node keeps
+its one successor inline and gets a set only for a second, and only a
+node with several successors sorts them.  A round without stars skips
+stages 3 and 4.  Stage 4 merges a star with no sibling without building
+sets, renames raw stars instead of rewriting their neighbours' edges,
+and builds the key string of a star named after one parent once per
+parent.  Hop objects are made only for the returned parent map.  Nothing
+depends on set iteration order, so the output is the same under every
+hash seed.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .model import (
     Star,
     hop_sort_key,
     record_columns,
-    ttl_buckets,
     ttl_links,
 )
 
@@ -59,7 +58,7 @@ _SEQ = _STAR_BASE - 1
 _MERGED = 128 << 32  # above every raw star: a packed ttl is below 128
 
 
-def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterReport]:
+def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterReport]:
     """Apply the six-stage filter; returns the tree and the stage counters.
 
     The monitor hop becomes the root and is linked in front of every
@@ -69,7 +68,7 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
     records = raw.records
     # the root is the monitor's integer, so records carrying the monitor's
     # address merge into it
-    root = monitor._int if monitor.__class__ is Ip else -1
+    root = monitor._int
 
     # stage 1: merge all nodes carrying the same address.  An Ip record's
     # node is its address; a star record's node is one id per (key, ttl).
@@ -99,7 +98,7 @@ def filter_tree(raw: RawTraceTree, monitor: Hop) -> tuple[FilteredTree, FilterRe
     # `out` keeps a node's one successor inline and makes a set only for a
     # second; only stars are ever looked up by parent, so only stars get
     # an `inn`.
-    graph = ttl_links(ttl_buckets(destinations, ttls, nodes))
+    graph = ttl_links(destinations, ttls, nodes)
     out: dict[int, int | set[int]] = {}
     inn: dict[int, set[int]] = defaultdict(set)
     loops: set[int] = set()

@@ -21,7 +21,7 @@ import socket
 import struct
 from ipaddress import IPv4Address
 
-from .model import Ip
+from .model import Ip, finite
 from .transport import (
     DEFAULT_RATE_CAP,
     ProbeToken,
@@ -30,7 +30,6 @@ from .transport import (
     TransportReply,
     TransportStats,
     WallClock,
-    valid_rate_cap,
 )
 
 ICMP_ECHO_REQUEST = 8
@@ -57,7 +56,9 @@ class IcmpTransport:
 
     def __init__(self, *, rate_cap: float = DEFAULT_RATE_CAP, nonce: int | None = None):
         self.clock = WallClock()
-        self.rate_cap = valid_rate_cap(rate_cap)  # before the socket opens
+        # a negative, NaN or infinite cap would pace as uncapped (0); checked
+        # before the socket opens
+        self.rate_cap = finite("rate_cap", rate_cap)
         self.stats = TransportStats()
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
@@ -95,11 +96,8 @@ class IcmpTransport:
         checksum = _checksum(struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq))
         return struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq)
 
-    def send(self, destination, ttl: int) -> ProbeToken:
+    def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
         self._check_open()
-        destination = (
-            destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
-        )
         now = self.clock.now()
         self._seq += 1
         wire_seq = self._seq & SEQ_MASK

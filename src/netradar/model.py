@@ -8,12 +8,12 @@ A raw tree is its probe records, the same records the round log holds,
 one line each.  Its (hop, ttl) graph of nodes, edges and terminals is a
 reader's view, derived on demand and never stored; the filter works on
 the records directly.  Both, and the traceroute baseline's link loads,
-read one packed table: `ttl_buckets` keys each record's node by
-`destination << 7 | ttl`, the int tracetree keys its probes by, holding
-a key's first node inline and a list only where a key sees a second
-distinct node; `ttl_links` joins consecutive ttls of a destination in
-it, links the monitor to ttl 1 and finds each destination's terminal.
-So the edge rule is written once.
+read one function, `ttl_links`, the one edge rule: it keys each
+record's node by `destination << 7 | ttl`, the int tracetree keys its
+probes by, holding a key's first node inline and a list only where a key
+sees a second distinct node, then joins consecutive ttls of a
+destination, links the monitor to ttl 1 and finds each destination's
+terminal.
 Likewise a filtered tree is its parent map, child to parent; its node
 and edge sets are derived from the map.  A retained round therefore
 costs its records and one parent map and nothing more.
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from ipaddress import IPv4Address
 from math import isfinite
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 MAX_TTL_DEFAULT = 30
 TTL_LIMIT = 64  # the largest ttl a radar probes with, so the largest a round log holds
@@ -61,6 +61,15 @@ class RoundLogParseError(ValueError):
 
 class TtlRangeError(RoundLogParseError):
     """A record's ttl lies outside [1, TTL_LIMIT]."""
+
+
+def finite(name: str, value: float, positive: bool = False, error: type[ValueError] = ValueError) -> float:
+    """`value` when it is a finite number >= 0, or > 0 when `positive`;
+    anything else (NaN, an infinity, a value below the bound) raises
+    `error`, naming `name`."""
+    if not (isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value}")
+    return value
 
 
 class _Frozen:
@@ -183,25 +192,8 @@ class ProbeRecord(NamedTuple):
     destination: IPv4Address
 
 
-class TtlTable(NamedTuple):
-    """Nodes grouped by (destination, ttl), each pair packed into one int,
-    `destination << 7 | ttl` (a ttl is at most TTL_LIMIT = 64), the key
-    tracetree gives its probes.
-
-    `first` maps each key, in first-record order, to the first node seen
-    there; only a key that sees a second distinct node gets a list, in
-    `more`, of the nodes after the first in first-sighting order.
-    `destinations` maps each destination integer to its address, in
-    first-record order.
-    """
-
-    first: dict[int, Any]
-    more: dict[int, list]
-    destinations: dict[int, IPv4Address]
-
-
 class TtlLinks(NamedTuple):
-    """The graph a table's records imply (`ttl_links`)."""
+    """The graph a round's records imply (`ttl_links`)."""
 
     # link i joins lows[i], a destination's node at ttl t, to highs[i], one
     # of its nodes at ttl t+1; two lists in step, so a link costs no tuple
@@ -219,12 +211,19 @@ def record_columns(records) -> tuple[tuple, tuple, tuple]:
     return tuple(zip(*records)) or ((), (), ())
 
 
-def ttl_buckets(destinations, ttls, nodes) -> TtlTable:
-    """Group nodes by destination and ttl into one packed table: the three
-    sequences run in step, one entry per record.
+def ttl_links(destinations, ttls, nodes) -> TtlLinks:
+    """The graph of records given as three sequences in step, one entry
+    per record: per destination, every node at ttl t links to every node
+    at ttl t+1, and the monitor links to every node at ttl 1; a
+    destination's probing ended at the first node of its highest ttl.
 
-    With `ttl_links`, this is the one edge rule: the raw (hop, ttl) graph,
-    the filter and the traceroute baseline's link loads all read it.
+    This is the one edge rule: the raw (hop, ttl) graph, the filter and
+    the traceroute baseline's link loads all read it.  Nodes are grouped
+    by one packed int per (destination, ttl), `destination << 7 | ttl` (a
+    ttl is at most TTL_LIMIT = 64), the key tracetree gives its probes.
+    `first` holds each key's first node, in first-record order; only a
+    key that sees a second distinct node gets a list, in `more`, of the
+    nodes after the first in first-sighting order.
     """
     # keyed by the destination integer: IPv4Address.__hash__ is costly
     keys = [destination._ip << 7 | ttl for destination, ttl in zip(destinations, ttls)]
@@ -238,15 +237,7 @@ def ttl_buckets(destinations, ttls, nodes) -> TtlTable:
                 others = more.setdefault(key, [])
                 if node not in others:
                     others.append(node)
-    return TtlTable(first, more, {destination._ip: destination for destination in destinations})
-
-
-def ttl_links(table: TtlTable) -> TtlLinks:
-    """The graph of a table: per destination, every node at ttl t links
-    to every node at ttl t+1, and the monitor links to every node at ttl
-    1; a destination's probing ended at the first node of its highest
-    ttl."""
-    first, more, destinations = table
+    by_int = {destination._ip: destination for destination in destinations}
     get = first.get
     lows: list = []
     highs: list = []
@@ -268,14 +259,14 @@ def ttl_links(table: TtlTable) -> TtlLinks:
             add_low(low)
             add_high(high)
     heads = []
-    for d in destinations:
+    for d in by_int:
         node = get(d << 7 | 1)
         if node is not None:
             heads.append(node)
             if more:
                 heads += more.get(d << 7 | 1, ())
-    terminals = [first[top[d]] for d in destinations]
-    return TtlLinks(lows, highs, heads, list(destinations.values()), terminals)
+    terminals = [first[top[d]] for d in by_int]
+    return TtlLinks(lows, highs, heads, list(by_int.values()), terminals)
 
 
 @dataclass
@@ -306,7 +297,7 @@ class RawTraceTree:
         interned: dict[TtlNode, TtlNode] = {}
         sources, ttls, destinations = record_columns(self.records)
         nodes = [interned.setdefault(node, node) for node in map(TtlNode, sources, ttls)]
-        graph = ttl_links(ttl_buckets(destinations, ttls, nodes))
+        graph = ttl_links(destinations, ttls, nodes)
         return set(interned), set(zip(graph.lows, graph.highs)), dict(zip(graph.destinations, graph.terminals))
 
     @property

@@ -1,9 +1,10 @@
 """Periodic measurement rounds with per-destination distance caching.
 
-Each round runs one tree measurement, filters it, persists it, then
-updates the distance cache: destinations answer next round from the
-distance they answered at this round; destinations that were not seen
-fall back to the maximal distance, `tracetree.max_ttl`.
+Each round runs one tree measurement, filters it and persists it.  The
+distance cache is the last round's distances as `tracetree` returns
+them: destinations probe next round from the distance they answered at
+this round; destinations that were not seen (None) fall back to the
+maximal distance, `tracetree.max_ttl`.
 
 Next to the distance cache the scheduler carries the address table that
 `tracetree` returns (address int -> `Ip`, the addresses that answered)
@@ -13,13 +14,12 @@ never more.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from pathlib import Path
 
 from .filtering import filter_tree
-from .model import MAX_TTL_DEFAULT, Ip, RadarDataset, RoundRecord, serialize_round
+from .model import MAX_TTL_DEFAULT, Ip, RadarDataset, RoundRecord, finite, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -33,9 +33,7 @@ class RadarConfig:
     tracetree: TracetreeConfig = field(default_factory=TracetreeConfig)
 
     def __post_init__(self):
-        delay = self.inter_round_delay
-        if not (math.isfinite(delay) and delay >= 0):
-            raise ValueError(f"inter_round_delay must be a finite number >= 0, got {delay}")
+        finite("inter_round_delay", self.inter_round_delay)
         if self.rounds is not None and self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
 
@@ -58,23 +56,9 @@ def load_destinations(path) -> list[IPv4Address]:
 
 def next_round_tasks(cache: dict, destinations, default_distance: int = MAX_TTL_DEFAULT) -> list[DestinationTask]:
     """Each destination probes from its cached distance, or from
-    `default_distance` when the cache has nothing for it."""
-    return [
-        DestinationTask(dest, cache.get(dest, default_distance)) for dest in destinations
-    ]
-
-
-def update_cache(cache: dict, observed_distances: dict) -> dict:
-    """Fold one round's observations into the cache.  Destinations seen
-    this round keep their observed distance; destinations not seen are
-    evicted so the next round starts from the maximal distance."""
-    updated = dict(cache)
-    for dest, distance in observed_distances.items():
-        if distance is None:
-            updated.pop(dest, None)
-        else:
-            updated[dest] = distance
-    return updated
+    `default_distance` when the cache has nothing for it or holds None
+    (the last round did not see it)."""
+    return [DestinationTask(dest, cache.get(dest) or default_distance) for dest in destinations]
 
 
 class DatasetWriter:
@@ -120,7 +104,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     clock = transport.clock
     # unseen destinations start, and under-estimates restart, at max_ttl
     max_ttl = config.tracetree.max_ttl
-    cache: dict[IPv4Address, int] = {}
+    cache: dict[IPv4Address, int | None] = {}  # the last round's distances
     hops: dict[int, Ip] = {}  # the last round's table: one Ip per address
     dataset = RadarDataset(monitor_id=str(root))
     index = 0
@@ -147,7 +131,7 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
             if sink is not None:
                 sink.write(record)
             dataset.rounds.append(record)
-            cache = update_cache(cache, result.distances)
+            cache = result.distances
             hops = result.hops
             next_start = started + config.inter_round_delay
             index += 1

@@ -19,7 +19,6 @@ walks on, hop by hop, from there.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
@@ -27,6 +26,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import yaml
+
+from .model import finite
 
 
 class TopologyError(ValueError):
@@ -55,10 +56,11 @@ class RateLimited:
     burst: int = 1
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise TopologyError(f"rate limit rate must be > 0, got {self.rate}")
-        if self.burst < 1:
-            raise TopologyError(f"rate limit burst must be >= 1, got {self.burst}")
+        # a NaN or an infinite rate refills the bucket at once: neither limits
+        finite("rate limit rate", self.rate, positive=True, error=TopologyError)
+        burst = self.burst  # a bool or a string is no count; inf % 1 is NaN
+        if type(burst) not in (int, float) or not (burst >= 1 and burst % 1 == 0):
+            raise TopologyError(f"rate limit burst must be a whole number >= 1, got {burst!r}")
 
 
 @dataclass
@@ -108,8 +110,7 @@ class ScheduledEvent:
     action: object
 
     def __post_init__(self):
-        if not (math.isfinite(self.at_time) and self.at_time >= 0):
-            raise TopologyError(f"event time must be a finite number >= 0, got {self.at_time}")
+        finite("event time", self.at_time, error=TopologyError)
 
 
 @dataclass
@@ -141,7 +142,7 @@ def _parse_policy(spec) -> object:
     if isinstance(spec, RateLimited):
         return spec
     if isinstance(spec, dict) and "rate" in spec:
-        return RateLimited(rate=float(spec["rate"]), burst=int(spec.get("burst", 1)))
+        return RateLimited(rate=float(spec["rate"]), burst=spec.get("burst", 1))
     raise TopologyError(f"unknown response policy {spec!r}")
 
 
@@ -278,7 +279,8 @@ class SimState:
         self.monitor = topology.monitor
         self.addresses = dict(topology.addresses)
         self.policies = dict(topology.policies)
-        self.balancers = {n: _copy_balancer(b) for n, b in topology.balancers.items()}
+        # RemoveNode stores new balancers here; it never edits the topology's
+        self.balancers = dict(topology.balancers)
         # a link listed twice is one link, as events add and remove links
         self._adj = {u: sorted(set(vs), key=lambda v: int(topology.addresses[v])) for u, vs in topology.links.items()}
         self._pending = sorted(
@@ -358,11 +360,11 @@ class SimState:
             for targets in self._adj.values():
                 if action.node in targets:
                     targets.remove(action.node)
-            for balancer in self.balancers.values():
+            for name, balancer in self.balancers.items():
                 if isinstance(balancer, PerDestination):
-                    balancer.table = {
-                        a: n for a, n in balancer.table.items() if n != action.node
-                    }
+                    self.balancers[name] = PerDestination(
+                        {a: n for a, n in balancer.table.items() if n != action.node}
+                    )
         elif isinstance(action, ChangePolicy):
             self._require_node(action.node, "change_policy")
             self.policies[action.node] = action.policy
@@ -378,8 +380,8 @@ class SimState:
     def prepare_destinations(self, destinations) -> None:
         """Warm the route table for a batch of destinations."""
         routes = self._routes
-        for dest in destinations:
-            d = _address(dest)._ip
+        for destination in destinations:
+            d = destination._ip
             if d not in routes:
                 self._route(d)
 
@@ -449,7 +451,7 @@ class SimState:
         replies[hops - 1] = key if rate_limited else self._respond(*key, 0.0)
         return replies[hops - 1]
 
-    def route_probe(self, destination, ttl: int, at_time: float) -> SimReply:
+    def route_probe(self, destination: IPv4Address, ttl: int, at_time: float) -> SimReply:
         """Send one probe from the monitor towards `destination`, spending
         one ttl per hop.
 
@@ -464,8 +466,7 @@ class SimState:
         node's bucket once per reply it is asked for."""
         if ttl < 1:
             raise ValueError(f"ttl must be >= 1, got {ttl}")
-        dest = _address(destination)
-        d = dest._ip
+        d = destination._ip
         replies, plan, clear = self._routes.get(d) or self._route(d)
         free = len(replies)
         if ttl <= free or clear:
@@ -491,7 +492,7 @@ class SimState:
                 self._pp_counters[node] = count + 1
                 nxt = balancer.cycle[count % len(balancer.cycle)]
             else:
-                nxt = balancer.table.get(dest, planned)
+                nxt = balancer.table.get(destination, planned)
             if nxt is None or nxt not in addresses:
                 return SimReply(UNREACHABLE, None, hop_index)
             if nxt == planned:
@@ -522,15 +523,3 @@ class SimState:
             bucket[0] = tokens
             return SimReply(SILENCE, None, hops)
         return SimReply(kind, self.addresses[node], hops)
-
-
-def _address(value) -> IPv4Address:
-    return value if isinstance(value, IPv4Address) else IPv4Address(value)
-
-
-def _copy_balancer(balancer):
-    if isinstance(balancer, PerDestination):
-        return PerDestination(dict(balancer.table))
-    if isinstance(balancer, PerPacket):
-        return PerPacket(list(balancer.cycle))
-    return balancer

@@ -8,12 +8,11 @@ record count and the view over (hop, ttl) pairs is a tree.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad
+from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, finite
 from .transport import ProbeToken, TransportError
 
 DEFAULT_TIMEOUT = 2.0  # seconds a probe waits for its reply
@@ -27,8 +26,7 @@ class TracetreeConfig:
     def __post_init__(self):
         if not 1 <= self.max_ttl <= TTL_LIMIT:
             raise ValueError(f"max_ttl must be in [1, {TTL_LIMIT}], got {self.max_ttl}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
+        finite("timeout", self.timeout, positive=True)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ caller and callers never sleep for it.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import NamedTuple
 
-from .model import Ip
+from .model import Ip, finite
 from .simnet import ECHO_REPLY, TIME_EXCEEDED, SimState, Topology
 
 DEFAULT_RATE_CAP = 200.0  # probes per second
@@ -63,23 +62,6 @@ class TransportStats:
     unanswered: int = 0  # silent or dead-end outcomes: nothing will arrive
     dropped_unmatched: int = 0
     backpressure_events: int = 0  # always 0: send() waits out the cap itself
-
-
-def valid_rate_cap(rate_cap: float) -> float:
-    """`rate_cap` when it is a finite number >= 0 (0: uncapped); a negative,
-    NaN or infinite cap raises ValueError instead of pacing as uncapped."""
-    if not (math.isfinite(rate_cap) and rate_cap >= 0):
-        raise ValueError(f"rate_cap must be a finite number >= 0, got {rate_cap}")
-    return rate_cap
-
-
-def valid_per_hop_delay(per_hop_delay: float) -> float:
-    """`per_hop_delay` when it is a finite number >= 0; at NaN or inf no
-    reply would ever come due, and a negative delay would deliver replies
-    before their probes are sent, so those raise ValueError."""
-    if not (math.isfinite(per_hop_delay) and per_hop_delay >= 0):
-        raise ValueError(f"per_hop_delay must be a finite number >= 0, got {per_hop_delay}")
-    return per_hop_delay
 
 
 class SimClock:
@@ -129,15 +111,18 @@ class SimTransport:
 
     def __init__(
         self,
-        topology: Topology | SimState,
+        topology: Topology,
         *,
         per_hop_delay: float = DEFAULT_PER_HOP_DELAY,
         rate_cap: float = DEFAULT_RATE_CAP,
     ):
-        self.state = topology if isinstance(topology, SimState) else SimState(topology)
+        self.state = SimState(topology)
         self.clock = SimClock()
-        self.per_hop_delay = valid_per_hop_delay(per_hop_delay)
-        self.rate_cap = valid_rate_cap(rate_cap)
+        # at NaN or inf no reply would ever come due, and a negative delay
+        # would deliver replies before their probes are sent
+        self.per_hop_delay = finite("per_hop_delay", per_hop_delay)
+        # a negative, NaN or infinite cap would pace as uncapped (0)
+        self.rate_cap = finite("rate_cap", rate_cap)
         self.stats = TransportStats()
         self._pending: list[tuple[float, int]] = []  # (arrival, seq) heap
         self._replies: dict[int, TransportReply] = {}  # seq -> reply not yet delivered
@@ -158,14 +143,11 @@ class SimTransport:
         if self._closed:
             raise TransportClosedError("transport is closed")
 
-    def send(self, destination, ttl: int) -> ProbeToken:
+    def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
         """Emit one probe, then pace; returns its token."""
         self._check_open()
         now = self.clock.now()
         self.state.apply_events(now)
-        destination = (
-            destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
-        )
         outcome = self.state.route_probe(destination, ttl, now)
         self._seq += 1
         token = ProbeToken(destination, ttl, now, self._seq)

@@ -62,6 +62,32 @@ CHAIN_DOC = {
 }
 
 
+# YAML rate-limit policies that would answer every probe, round a burst,
+# overflow or take a string or a bool for a count: a rate must be a finite
+# number > 0, a burst a whole number >= 1
+RATE_LIMITS_THAT_CANNOT_LIMIT = [
+    "{rate: .nan, burst: 1}",
+    "{rate: .inf, burst: 1}",
+    "{rate: 1.0, burst: 2.5}",
+    "{rate: 1.0, burst: .inf}",
+    '{rate: 1.0, burst: "2"}',
+    "{rate: 1.0, burst: true}",
+]
+
+
+def rate_limited_chain_yaml(policy: str) -> str:
+    """The chain topology as YAML text, its r1 under the given policy."""
+    return (
+        "monitor: mon\n"
+        "nodes:\n"
+        "  mon: 10.0.0.1\n"
+        f"  r1: {{address: 10.0.0.2, policy: {policy}}}\n"
+        "  r2: 10.0.0.3\n"
+        "  d: 10.0.0.4\n"
+        "links: [[mon, r1], [r1, r2], [r2, d]]\n"
+    )
+
+
 @pytest.fixture
 def chain_topology() -> Topology:
     """monitor -> r1 -> r2 -> d, all responsive."""

@@ -7,7 +7,13 @@ import yaml
 
 import pytest
 
-from conftest import CHAIN_DOC, fig1_analog_doc, shared_prefix_doc
+from conftest import (
+    CHAIN_DOC,
+    RATE_LIMITS_THAT_CANNOT_LIMIT,
+    fig1_analog_doc,
+    rate_limited_chain_yaml,
+    shared_prefix_doc,
+)
 from netradar import analytics, cli
 from netradar.cli import main
 from netradar.model import parse_round_log
@@ -193,6 +199,15 @@ class TestBadParameters:
         args = ["--destinations", str(dests), "--transport", "icmp", "--rate-cap", "-5"]
         assert main(["radar", "run", *args, "--rounds", "1", "--out", str(tmp_path / "x")]) == 3
         assert "rate_cap" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
+    def test_rate_limit_that_cannot_limit_is_validation_error(self, chain_files, tmp_path, capsys, policy):
+        _, dests = chain_files
+        topo = tmp_path / "topo.yaml"
+        topo.write_text(rate_limited_chain_yaml(policy), encoding="utf-8")
+        assert main(["tracetree", "once", "--destinations", str(dests), "--transport", f"sim:{topo}"]) == 3
+        assert "rate limit" in capsys.readouterr().err
 
 
 class TestOnceCommands:

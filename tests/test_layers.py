@@ -7,11 +7,15 @@ layer from a `--trace 1` run; this test makes it fail instead.
 """
 from __future__ import annotations
 
+from ipaddress import IPv4Address
+
 import pytest
 
+from conftest import CHAIN_DOC
 from netradar import cli, radar
 from netradar.model import FilteredTree, RawTraceTree
-from netradar.simnet import SimState
+from netradar.simnet import SimState, load_topology
+from netradar.tracetree import DestinationTask
 from netradar.transport import SimTransport
 
 
@@ -48,3 +52,25 @@ def test_simulator_methods(cls, name):
 def test_what_traced_runs_read(cls, name):
     # the `--trace 1` observers and the workload checks read these
     assert name in cls.__dict__
+
+
+def test_run_radar_passes_tasks_first_and_restart_from_by_keyword(monkeypatch):
+    # the `--trace 1` observer reads a round's tasks as args[0] and its
+    # restart distance as kwargs["restart_from"]
+    calls = []
+    real = radar.tracetree
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radar, "tracetree", spy)
+    destinations = [IPv4Address("10.0.0.4")]
+    config = radar.RadarConfig(destinations=destinations, rounds=2)
+    radar.run_radar(config, SimTransport(load_topology(dict(CHAIN_DOC))))
+    assert len(calls) == 2
+    for args, kwargs in calls:
+        tasks = args[0]
+        assert all(isinstance(task, DestinationTask) for task in tasks)
+        assert [task.destination for task in tasks] == destinations
+        assert kwargs["restart_from"] == config.tracetree.max_ttl

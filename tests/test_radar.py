@@ -16,7 +16,6 @@ from netradar.radar import (
     load_destinations,
     next_round_tasks,
     run_radar,
-    update_cache,
 )
 from netradar.simnet import load_topology
 from netradar.tracetree import TracetreeConfig, tracetree
@@ -43,19 +42,28 @@ class TestCacheOps:
         [task] = next_round_tasks({D: 7}, [D], default_distance=30)
         assert task.assumed_distance == 7
 
+    # the cache is the last round's distances: None for a destination the
+    # round did not see
     def test_not_seen_evicted(self):
-        cache = update_cache({D: 12}, {D: None})
-        assert D not in cache
-        [task] = next_round_tasks(cache, [D], default_distance=30)
+        [task] = next_round_tasks({D: None}, [D], default_distance=30)
         assert task.assumed_distance == 30
 
     def test_seen_updates(self):
-        assert update_cache({}, {D: 5}) == {D: 5}
+        transport = SimTransport(load_topology(dict(CHAIN_DOC)))
+        config = TracetreeConfig(max_ttl=8)
+        result = tracetree(next_round_tasks({}, [D], 8), transport, config, restart_from=8)
+        assert result.distances == {D: 3}
+        [task] = next_round_tasks(result.distances, [D], default_distance=8)
+        assert task.assumed_distance == 3
 
     def test_stable_routing_fixed_point(self):
+        transport = SimTransport(load_topology(dict(CHAIN_DOC)))
+        config = TracetreeConfig(max_ttl=8)
         cache = {D: 3}
         for _ in range(2):
-            cache = update_cache(cache, {D: 3})
+            tasks = next_round_tasks(cache, [D], default_distance=8)
+            assert [task.assumed_distance for task in tasks] == [3]
+            cache = tracetree(tasks, transport, config, restart_from=8).distances
         assert cache == {D: 3}
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_DOC, fig1_analog_doc
+from conftest import (
+    CHAIN_DOC,
+    RATE_LIMITS_THAT_CANNOT_LIMIT,
+    fig1_analog_doc,
+    rate_limited_chain_yaml,
+)
 from netradar.simnet import (
     ECHO_REPLY,
     RESPONSIVE,
@@ -26,7 +31,6 @@ from netradar.simnet import (
     SimReply,
     SimState,
     TopologyError,
-    _address,
     load_topology,
 )
 
@@ -92,6 +96,13 @@ class TestLoadTopology:
             RateLimited(rate=0.0)
         with pytest.raises(TopologyError):
             RateLimited(rate=1.0, burst=0)
+
+    @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
+    def test_rate_limit_that_cannot_limit_rejected(self, tmp_path, policy):
+        path = tmp_path / "topo.yaml"
+        path.write_text(rate_limited_chain_yaml(policy), encoding="utf-8")
+        with pytest.raises(TopologyError, match="rate limit"):
+            load_topology(path)
 
 
 class TestRouteProbe:
@@ -272,6 +283,19 @@ class TestEvents:
         state.apply_events(7.0)
         assert state.route_probe(D, 3, 7.0) == (ECHO_REPLY, D, 2)
 
+    def test_remove_node_leaves_other_states_and_the_topology_unchanged(self):
+        doc = fig1_analog_doc()
+        doc["events"] = [{"at": 5.0, "remove_node": "d"}]  # n's balancer next hop
+        topology = load_topology(doc)
+        table = dict(topology.balancers["b"].table)
+        n = IPv4Address("10.0.1.14")
+        edited, untouched = SimState(topology), SimState(topology)
+        edited.apply_events(6.0)
+        assert n not in edited.balancers["b"].table
+        assert topology.balancers["b"].table == table
+        assert untouched.balancers["b"].table == table
+        assert untouched.route_probe(n, 2, 6.0).source == IPv4Address("10.0.1.4")  # still via d
+
     def test_event_referencing_unknown_node(self):
         doc = dict(CHAIN_DOC)
         doc["events"] = [{"at": 5.0, "remove_node": "ghost"}]
@@ -391,6 +415,10 @@ class TestMemoInvalidation:
 # It walked every probe hop by hop from the monitor.  The current
 # route_probe must give equal replies and leave equal per-packet counters
 # and rate-limit buckets on every input.
+
+
+def _address(value) -> IPv4Address:
+    return value if isinstance(value, IPv4Address) else IPv4Address(value)
 
 
 def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) -> SimReply:
