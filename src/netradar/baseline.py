@@ -9,7 +9,7 @@ simulation, and cumulative discovery curves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 from .model import (
@@ -24,25 +24,6 @@ from .model import (
     ttl_links,
 )
 from .tracetree import TracetreeConfig
-
-
-@dataclass
-class TracerouteRound:
-    """One classic traceroute sweep over a destination set: one record per
-    (destination, ttl) probed, destination by destination, ttl upward."""
-
-    records: list[ProbeRecord]
-
-    @property
-    def routes(self) -> dict[IPv4Address, list[TtlNode]]:
-        return routes_from_records(self.records)
-
-    @property
-    def packet_count(self) -> int:
-        return len(self.records)
-
-    def observed_ips(self) -> set[IPv4Address]:
-        return record_ips(self.records)
 
 
 def record_ips(records) -> set[IPv4Address]:
@@ -64,10 +45,10 @@ def _await_reply(transport, token, timeout):
             return None
 
 
-def traceroute_round(destinations, transport, config: TracetreeConfig | None = None) -> TracerouteRound:
+def traceroute_round(destinations, transport, config: TracetreeConfig | None = None) -> RawTraceTree:
     """Probe each destination independently, ttl 1 up to max_ttl, stopping
     at the first echo from the destination.  One probe per (destination,
-    ttl); stars mark timeouts."""
+    ttl), destination by destination, ttl upward; stars mark timeouts."""
     config = config if config is not None else TracetreeConfig()
     transport.prepare(list(destinations))
     records: list[ProbeRecord] = []
@@ -82,7 +63,7 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
             records.append(ProbeRecord(hop, ttl, destination))
             if reply is not None and reply.kind == "echo_reply" and reply.source == destination:
                 break
-    return TracerouteRound(records)
+    return RawTraceTree.from_records(records)
 
 
 def routes_from_records(records) -> dict[IPv4Address, list[TtlNode]]:

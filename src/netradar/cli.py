@@ -1,6 +1,11 @@
 """Command-line interface: measurement, simulation, and analysis
 subcommands emitting round logs, CSV, and DOT.
 
+Each `analyze` operation takes --in, --out and --monitor, plus only the
+flags it reads: counts none; window --window --mode; peaks --window
+--direction --k; distribution --window --bin-width; components --ref
+--obs --dot; event-graph --round --before; correlate --ref --obs.
+
 Exit codes: 0 success, 1 usage error, 2 runtime or transport fault,
 3 validation error (bad input files or parameters).
 """
@@ -19,7 +24,6 @@ from .model import (
     Ip,
     RadarDataset,
     RoundRecord,
-    RawTraceTree,
     parse_round_log,
     serialize_round,
 )
@@ -103,7 +107,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         start, stop = text.split(":")
         return int(start), int(stop)
     except ValueError:
-        raise ValueError(f"bad round range {text!r}, expected START:STOP") from None
+        raise argparse.ArgumentTypeError(f"bad round range {text!r}, expected START:STOP") from None
 
 
 # -- measurement commands ----------------------------------------------------
@@ -159,13 +163,13 @@ def cmd_traceroute_once(args) -> int:
     destinations = load_destinations(args.destinations)
     with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
         started = transport.clock.now()
-        round_ = baseline.traceroute_round(destinations, transport, _measurement_config(args))
+        raw = baseline.traceroute_round(destinations, transport, _measurement_config(args))
         finished = transport.clock.now()
-    block = serialize_round(RawTraceTree.from_records(round_.records), 0, started, finished)
+    block = serialize_round(raw, 0, started, finished)
     _emit(block, args.out)
     print(
-        f"1 round: {round_.packet_count} probes, "
-        f"{len(round_.observed_ips())} distinct addresses",
+        f"1 round: {len(raw.records)} probes, "
+        f"{len(baseline.record_ips(raw.records))} distinct addresses",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -226,12 +230,10 @@ def cmd_analyze(args) -> int:
     elif op == "event-graph":
         graph = analytics.event_graph(dataset, args.round, before_window=args.before)
         text = graph.to_dot()
-    elif op == "correlate":
+    else:  # correlate
         components = analytics.new_address_components(dataset, args.ref, args.obs)
         pairs, rho = analytics.size_vs_discovery_correlation(components)
         text = analytics.correlation_to_csv(pairs, rho)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown analysis {op!r}")
     _emit(text, args.out)
     return EXIT_OK
 
@@ -331,24 +333,28 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     analyze = sub.add_parser("analyze", help="analyses over a dataset file")
-    analyze.add_argument(
-        "operation",
-        choices=["counts", "window", "peaks", "distribution", "components", "event-graph", "correlate"],
-    )
-    analyze.add_argument("--in", required=True, dest="infile", help="dataset (round-log) file")
-    analyze.add_argument("--out", default=None)
-    analyze.add_argument("--monitor", default=None, help="monitor address for the tree root")
-    analyze.add_argument("--window", type=int, default=10, help="rounds per window (window/peaks/distribution)")
-    analyze.add_argument("--mode", choices=["sliding", "blocked"], default="sliding")
-    analyze.add_argument("--direction", choices=["up", "down"], default="up")
-    analyze.add_argument("--k", type=float, default=5.0, help="peak sensitivity")
-    analyze.add_argument("--bin-width", type=int, default=1, dest="bin_width")
-    analyze.add_argument("--ref", type=_parse_range, default=None, help="reference rounds START:STOP")
-    analyze.add_argument("--obs", type=_parse_range, default=None, help="observation rounds START:STOP")
-    analyze.add_argument("--round", type=int, default=None, help="event round (event-graph)")
-    analyze.add_argument("--before", type=int, default=100, help="before-window size (event-graph)")
-    analyze.add_argument("--dot", action="store_true", help="emit DOT instead of CSV (components)")
     analyze.set_defaults(func=cmd_analyze)
+    log_flags = argparse.ArgumentParser(add_help=False)
+    log_flags.add_argument("--in", required=True, dest="infile", help="dataset (round-log) file")
+    log_flags.add_argument("--out", default=None)
+    log_flags.add_argument("--monitor", default=None, help="monitor address for the tree root")
+    operations = analyze.add_subparsers(dest="operation", required=True)
+    ops = {
+        name: operations.add_parser(name, parents=[log_flags])
+        for name in ("counts", "window", "peaks", "distribution", "components", "event-graph", "correlate")
+    }
+    for name in ("window", "peaks", "distribution"):
+        ops[name].add_argument("--window", type=int, default=10, help="rounds per window")
+    ops["window"].add_argument("--mode", choices=["sliding", "blocked"], default="sliding")
+    ops["peaks"].add_argument("--direction", choices=["up", "down"], default="up")
+    ops["peaks"].add_argument("--k", type=float, default=5.0, help="peak sensitivity")
+    ops["distribution"].add_argument("--bin-width", type=int, default=1, dest="bin_width")
+    for name in ("components", "correlate"):
+        ops[name].add_argument("--ref", type=_parse_range, required=True, help="reference rounds START:STOP")
+        ops[name].add_argument("--obs", type=_parse_range, required=True, help="observation rounds START:STOP")
+    ops["components"].add_argument("--dot", action="store_true", help="emit DOT instead of CSV")
+    ops["event-graph"].add_argument("--round", type=int, required=True, help="event round")
+    ops["event-graph"].add_argument("--before", type=int, default=100, help="before-window size")
 
     compare = sub.add_parser("compare", help="traceroute vs simulated tree measurement (curves + loads)")
     compare.add_argument("--in", required=True, dest="infile", help="traceroute round-log file")
@@ -360,14 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "operation", None) in ("components", "correlate") and (
-        args.ref is None or args.obs is None
-    ):
-        parser.error(f"analyze {args.operation} needs --ref and --obs")
-    if getattr(args, "operation", None) == "event-graph" and args.round is None:
-        parser.error("analyze event-graph needs --round")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, ValueError) as exc:  # TopologyError and RoundLogParseError are ValueErrors

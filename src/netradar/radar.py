@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
-from pathlib import Path
 
 from .filtering import filter_tree
 from .model import MAX_TTL_DEFAULT, Ip, RadarDataset, RoundRecord, finite, serialize_round
@@ -40,18 +39,24 @@ class RadarConfig:
 
 def load_destinations(path) -> list[IPv4Address]:
     """Read a destination list: one dotted quad per line, `#` comments and
-    blank lines ignored."""
-    destinations = []
+    blank lines ignored.  A list with no destination, or with one twice,
+    is a ValueError."""
+    destinations: dict[IPv4Address, None] = {}  # a set in file order
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             try:
-                destinations.append(IPv4Address(text))
+                destination = IPv4Address(text)
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: bad destination address {text!r}") from None
-    return destinations
+            if destination in destinations:
+                raise ValueError(f"{path}:{line_no}: duplicate destination {destination}")
+            destinations[destination] = None
+    if not destinations:
+        raise ValueError(f"{path}: no destinations")
+    return list(destinations)
 
 
 def next_round_tasks(cache: dict, destinations, default_distance: int = MAX_TTL_DEFAULT) -> list[DestinationTask]:
@@ -67,8 +72,7 @@ class DatasetWriter:
     is overwritten, not appended to."""
 
     def __init__(self, path):
-        self._path = Path(path)
-        self._fh = open(self._path, "w", encoding="utf-8", newline="")
+        self._fh = open(path, "w", encoding="utf-8", newline="")
 
     def write(self, record: RoundRecord) -> None:
         if record.raw is None:

@@ -26,6 +26,7 @@ from netradar.baseline import (
     cumulative_discovery_curves,
     dataset_observations,
     link_load_distribution,
+    record_ips,
     routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
@@ -106,8 +107,8 @@ def test_c2_optimality_ordering():
         tt = tracetree(tasks, tt_transport)
         shared_pairs = len(tt.raw.records) - len(tt.raw.nodes)
         assert shared_pairs > 0  # >= 2 destinations share (hop, ttl) nodes
-        assert tt.stats.probes_sent < tr.packet_count  # strict under sharing
-        tr_obs.append((tr.observed_ips(), tr.packet_count))
+        assert tt.stats.probes_sent < len(tr.records)  # strict under sharing
+        tr_obs.append((record_ips(tr.records), len(tr.records)))
         tt_ips = {n.hop.address for n in tt.raw.nodes if isinstance(n.hop, Ip)}
         tt_obs.append((tt_ips, tt.stats.probes_sent))
     tr_rounds, tr_packets = cumulative_discovery_curves(tr_obs)
@@ -126,7 +127,7 @@ def test_c3_load_balancing():
     destinations = star_destinations(k)
     tr_transport = SimTransport(load_topology(doc))
     tr = traceroute_round(destinations, tr_transport)
-    tr_loads = link_load_distribution(tr.routes, root=tr_transport.monitor_hop)
+    tr_loads = link_load_distribution(routes_from_records(tr.records), root=tr_transport.monitor_hop)
     assert tr_loads == {1: k, k: 1}  # first-hop link probed exactly k times
     tt_transport = SimTransport(load_topology(doc))
     tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport)

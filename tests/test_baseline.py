@@ -13,6 +13,7 @@ from netradar.baseline import (
     cumulative_discovery_curves,
     dataset_observations,
     link_load_distribution,
+    record_ips,
     routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
@@ -20,7 +21,7 @@ from netradar.baseline import (
     traceroute_round,
 )
 from netradar.cli import _load_dataset
-from netradar.model import Hop, Ip, Star, TtlNode, ip
+from netradar.model import Hop, Ip, Star, TtlNode, ip, parse_round_log, serialize_round
 from netradar.radar import DatasetWriter, RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
@@ -36,21 +37,21 @@ class TestTracerouteRound:
     def test_textbook_chain(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        assert round_.routes[D] == [
+        assert routes_from_records(round_.records)[D] == [
             TtlNode(ip("10.0.0.2"), 1),
             TtlNode(ip("10.0.0.3"), 2),
             TtlNode(ip("10.0.0.4"), 3),
         ]
-        assert round_.packet_count == 3
+        assert len(round_.records) == 3
 
     def test_shared_first_hop_traversed_per_destination(self):
         doc = star_topology_doc(3)
         transport = SimTransport(load_topology(doc))
         round_ = traceroute_round(star_destinations(3), transport)
         hub = ip("10.1.0.2")
-        first_hops = [hops[0].hop for hops in round_.routes.values()]
+        first_hops = [hops[0].hop for hops in routes_from_records(round_.records).values()]
         assert first_hops == [hub, hub, hub]
-        loads = link_load_distribution(round_.routes, root=transport.monitor_hop)
+        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
         assert loads[3] == 1  # the monitor's link, once per destination
 
     def test_silent_node_leaves_star_and_continues(self):
@@ -59,21 +60,21 @@ class TestTracerouteRound:
         doc["nodes"]["r2"] = {"address": "10.0.0.3", "policy": "silent"}
         transport = SimTransport(load_topology(doc))
         round_ = traceroute_round([D], transport)
-        hops = round_.routes[D]
+        hops = routes_from_records(round_.records)[D]
         assert isinstance(hops[1].hop, Star) and hops[1].ttl == 2
         assert hops[2].hop == Ip(D)
 
     def test_packet_count_sums_route_lengths(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        assert round_.packet_count == sum(len(h) for h in round_.routes.values()) == 8
+        assert len(round_.records) == sum(len(h) for h in routes_from_records(round_.records).values()) == 8
 
 
 class TestSimulatedTracetree:
     def test_single_destination_reversed_route(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        simulated = simulate_tracetree_from_traceroute(round_.routes)
+        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
         assert [(r.source, r.ttl) for r in simulated.records] == [
             (ip("10.0.0.4"), 3),
             (ip("10.0.0.3"), 2),
@@ -83,7 +84,7 @@ class TestSimulatedTracetree:
     def test_shared_prefix_probed_once(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        simulated = simulate_tracetree_from_traceroute(round_.routes)
+        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
         # 8 traceroute packets; the second chain stops at the junction
         assert len(simulated.records) == 7
         shared = [r for r in simulated.records if str(r.source) == "10.2.0.3"]
@@ -105,14 +106,14 @@ class TestSimulatedTracetree:
         transport = SimTransport(load_topology(doc))
         dests = [IPv4Address("10.8.0.3"), IPv4Address("10.8.0.5")]
         round_ = traceroute_round(dests, transport)
-        simulated = simulate_tracetree_from_traceroute(round_.routes)
-        assert len(simulated.records) == round_.packet_count
+        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
+        assert len(simulated.records) == len(round_.records)
 
     def test_matches_live_tracetree_on_stable_sim(self):
         # same record multiset as an actual tree measurement with exact distances
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        simulated = simulate_tracetree_from_traceroute(round_.routes)
+        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
         live_transport = SimTransport(load_topology(shared_prefix_doc()))
         live = tracetree(
             [DestinationTask(D1, 4), DestinationTask(D2, 4)], live_transport
@@ -126,13 +127,13 @@ class TestLinkLoads:
         k = 5
         transport = SimTransport(load_topology(star_topology_doc(k)))
         round_ = traceroute_round(star_destinations(k), transport)
-        loads = link_load_distribution(round_.routes, root=transport.monitor_hop)
+        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
         assert loads == {1: k, k: 1}
 
     def test_single_destination_all_ones(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        loads = link_load_distribution(round_.routes, root=transport.monitor_hop)
+        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one(self):
@@ -365,7 +366,7 @@ class TestDiscoveryCurves:
             tt_transport = SimTransport(load_topology(shared_prefix_doc()))
             for _ in range(n):
                 round_ = traceroute_round([D1, D2], tr_transport)
-                tr_obs.append((round_.observed_ips(), round_.packet_count))
+                tr_obs.append((record_ips(round_.records), len(round_.records)))
                 result = tracetree(
                     [DestinationTask(D1, 4), DestinationTask(D2, 4)], tt_transport
                 )
@@ -390,5 +391,8 @@ class TestDiscoveryCurves:
 def test_routes_from_records_round_trip():
     transport = SimTransport(load_topology(shared_prefix_doc()))
     round_ = traceroute_round([D1, D2], transport)
-    rebuilt = routes_from_records(round_.records)
-    assert rebuilt == round_.routes
+    # `compare` rebuilds the routes from the stored log
+    [(_, stored)] = parse_round_log(serialize_round(round_, 0, 0.0, 1.0))
+    rebuilt = routes_from_records(stored.records)
+    assert rebuilt == routes_from_records(round_.records)
+    assert sum(map(len, rebuilt.values())) == len(round_.records) == 8

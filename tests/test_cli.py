@@ -298,6 +298,32 @@ def test_measurement_commands_close_their_transport(chain_files, tmp_path, monke
     assert [t.closed for t in made] == [1]
 
 
+@pytest.mark.parametrize(
+    "listing, message",
+    [("# nothing\n\n", "no destinations"), ("10.0.0.4\n10.0.0.3\n10.0.0.4\n", ":3: duplicate destination 10.0.0.4")],
+    ids=["empty", "repeated"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["radar", "run", "--rounds", "2"], ["tracetree", "once"], ["traceroute", "once"]],
+    ids=["radar-run", "tracetree-once", "traceroute-once"],
+)
+def test_bad_destination_list_fails_before_any_output(chain_files, tmp_path, capsys, monkeypatch, command, listing, message):
+    topo, dests = chain_files
+    dests.write_text(listing, encoding="utf-8")
+    out = tmp_path / "data.rounds"
+    out.write_bytes(b"#round 0 0.0 1.0\n#end\n")  # an existing dataset
+
+    def make(spec, per_hop_delay, rate_cap):
+        raise AssertionError("transport opened")
+
+    monkeypatch.setattr(cli, "_make_transport", make)
+    args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(out)]
+    assert main([*command, *args]) == 3
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"#round 0 0.0 1.0\n#end\n"
+
+
 def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):
     # the reader's bound is the radar's, so no --max-ttl is passed again
     topo, dests = chain_files
@@ -376,10 +402,24 @@ class TestAnalyze:
         assert lines[0].startswith("size,first_round")
         assert lines[1].startswith("2,8,8,1,10.5.0.0|10.5.0.1")
 
-    def test_missing_ref_is_usage_error(self, island_dataset):
+    def test_missing_ref_is_usage_error(self, island_dataset, capsys):
+        cases = [
+            ("components", [], "--ref, --obs"),
+            ("correlate", [], "--ref, --obs"),
+            ("correlate", ["--ref", "0:8"], "--obs"),
+            ("event-graph", [], "--round"),
+        ]
+        for operation, args, missing in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", operation, "--in", str(island_dataset), *args])
+            assert exc.value.code == 1
+            assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+    def test_bad_range_is_usage_error(self, island_dataset, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "components", "--in", str(island_dataset)])
+            main(["analyze", "components", "--in", str(island_dataset), "--ref", "a:b", "--obs", "8:12"])
         assert exc.value.code == 1
+        assert "bad round range 'a:b', expected START:STOP" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, island_dataset, tmp_path):
         blobs = []
@@ -696,6 +736,46 @@ ANALYZE_OUTPUTS = {
         '11,4\n'
     ),
 }
+
+
+# every operation-specific analyze flag, with a value, and the operations
+# that read it; `--in`, `--out` and `--monitor` are common to all
+ANALYZE_FLAGS = {
+    "--window": (["4"], {"window", "peaks", "distribution"}),
+    "--mode": (["blocked"], {"window"}),
+    "--direction": (["down"], {"peaks"}),
+    "--k": (["2"], {"peaks"}),
+    "--bin-width": (["2"], {"distribution"}),
+    "--ref": (["0:8"], {"components", "correlate"}),
+    "--obs": (["8:12"], {"components", "correlate"}),
+    "--dot": ([], {"components"}),
+    "--round": (["8"], {"event-graph"}),
+    "--before": (["8"], {"event-graph"}),
+}
+ANALYZE_OPERATIONS = ["counts", "window", "peaks", "distribution", "components", "event-graph", "correlate"]
+
+
+def _read_flags(operation: str) -> list[str]:
+    return [t for flag, (value, readers) in ANALYZE_FLAGS.items() if operation in readers for t in (flag, *value)]
+
+
+@pytest.mark.parametrize("operation", ANALYZE_OPERATIONS)
+def test_analyze_operation_takes_its_flags(operation):
+    args = cli.build_parser().parse_args(["analyze", operation, "--in", "log", *_read_flags(operation)])
+    read = {flag[2:].replace("-", "_") for flag, (_, readers) in ANALYZE_FLAGS.items() if operation in readers}
+    assert set(vars(args)) == {"command", "func", "operation", "infile", "out", "monitor", *read}
+
+
+@pytest.mark.parametrize(
+    "operation, flag",
+    [(op, flag) for op in ANALYZE_OPERATIONS for flag, (_, readers) in ANALYZE_FLAGS.items() if op not in readers],
+)
+def test_analyze_flag_the_operation_does_not_read_is_usage_error(capsys, operation, flag):
+    value = ANALYZE_FLAGS[flag][0]
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", operation, "--in", "log", *_read_flags(operation), flag, *value])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestAnalyzeOutputs:

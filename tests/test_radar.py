@@ -311,6 +311,16 @@ class TestSinkAndInputs:
         with pytest.raises(ValueError, match="line 1|:1:"):
             load_destinations(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "no destinations"), ("# only a comment\n", "no destinations"), ("10.0.0.4\n\n10.0.0.4\n", ":3: duplicate destination 10.0.0.4")],
+    )
+    def test_load_destinations_empty_or_repeated(self, tmp_path, text, message):
+        path = tmp_path / "dests.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_destinations(path)
+
     @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
     def test_inter_round_delay_must_be_finite(self, delay):
         # a NaN delay ran the rounds back to back
