@@ -169,13 +169,6 @@ def _fold_ranges(dataset: RadarDataset, reference, observation):
     return seen, links, {a for a in seen if a not in before}
 
 
-def new_addresses(dataset: RadarDataset, reference, observation) -> set[IPv4Address]:
-    """Addresses seen in the observation rounds [start, stop) and in none
-    of the reference rounds [start, stop)."""
-    seen, _, fresh = _fold_ranges(dataset, reference, observation)
-    return {seen[a][1] for a in fresh}
-
-
 @dataclass(frozen=True)
 class NewAddressComponent:
     """Maximal set of new addresses mutually connected through new
@@ -231,11 +224,6 @@ def new_address_components(dataset: RadarDataset, reference, observation) -> lis
         )
     components.sort(key=lambda c: (c.first_round, c.last_round, min(c.addresses)))
     return components
-
-
-def component_size_distribution(components) -> dict[int, int]:
-    """{component size: number of components}."""
-    return dict(Counter(c.size for c in components))
 
 
 @dataclass

@@ -162,18 +162,3 @@ def cumulative_discovery_curves(observations):
         packets_curve.append((packets, len(seen)))
     return rounds_curve, packets_curve
 
-
-def dataset_observations(dataset: RadarDataset):
-    """Adapt a radar dataset for cumulative_discovery_curves."""
-    return [(rec.tree.observed_ips(), rec.probes_sent) for rec in dataset.rounds]
-
-
-def step_value(curve, x) -> int:
-    """Value of a cumulative step curve at coordinate x (0 before the
-    first point)."""
-    value = 0
-    for cx, cy in curve:
-        if cx > x:
-            break
-        value = cy
-    return value

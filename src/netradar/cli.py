@@ -52,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # every (sub)command refuses the arguments it does not know, so the
+        # usage shown is that of the command given, not the top level's
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 def _make_transport(spec: str, per_hop_delay: float, rate_cap: float):
     """The transport `spec` names; the caller closes it."""
@@ -187,9 +195,12 @@ def cmd_simulate(args) -> int:
         parts = stripped.split()
         if len(parts) != 3:
             raise ValueError(f"{args.scenario}:{line_no}: expected 'time destination ttl'")
-        at_time, destination, ttl = float(parts[0]), IPv4Address(parts[1]), int(parts[2])
-        state.apply_events(at_time)
-        reply = state.route_probe(destination, ttl, at_time)
+        try:
+            at_time, destination, ttl = float(parts[0]), IPv4Address(parts[1]), int(parts[2])
+            state.apply_events(at_time)
+            reply = state.route_probe(destination, ttl, at_time)
+        except (ScenarioError, ValueError) as exc:
+            raise ValueError(f"{args.scenario}:{line_no}: {exc}") from None
         source = reply.source if reply.source is not None else "-"
         lines_out.append(f"{at_time!r} {destination} {ttl} {reply.kind} {source}")
     _emit("\n".join(lines_out) + "\n", args.out)

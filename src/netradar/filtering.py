@@ -31,7 +31,6 @@ from .model import (
     ProbeRecord,
     RawTraceTree,
     Star,
-    hop_sort_key,
     record_columns,
     ttl_links,
 )
@@ -328,23 +327,3 @@ def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
             records.append(ProbeRecord(hop, ttl, destination))
     return RawTraceTree.from_records(records)
 
-
-def tree_to_dot(tree: FilteredTree, name: str = "tree") -> str:
-    """Graphviz DOT rendering of a filtered tree (stars drawn as points,
-    terminals boxed)."""
-    terminal_hops = set(tree.terminals.values())
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    ids = {node: f"n{i}" for i, node in enumerate(sorted(tree.nodes, key=hop_sort_key))}
-    for node, nid in ids.items():
-        attrs = [f'label="{node}"']
-        if isinstance(node, Star):
-            attrs.append("shape=circle")
-        elif node == tree.root:
-            attrs.append("shape=doublecircle")
-        elif node in terminal_hops:
-            attrs.append("shape=box")
-        lines.append(f"  {nid} [{', '.join(attrs)}];")
-    for parent, child in sorted(tree.edges, key=lambda e: (hop_sort_key(e[0]), hop_sort_key(e[1]))):
-        lines.append(f"  {ids[parent]} -> {ids[child]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -162,19 +162,6 @@ class Star(_Frozen):
 Hop = Ip | Star
 
 
-def ip(address) -> Ip:
-    """Build an Ip hop from anything IPv4Address accepts."""
-    return Ip(IPv4Address(address))
-
-
-def hop_sort_key(hop: Hop) -> tuple:
-    """Sort key for hops: IPs first, ordered numerically octet by octet;
-    stars last, ordered by their disambiguating key."""
-    if isinstance(hop, Ip):
-        return (0, hop._int, "")
-    return (1, 0, hop.key)
-
-
 class TtlNode(NamedTuple):
     """A hop observed at a specific distance: the node type of raw trees."""
 

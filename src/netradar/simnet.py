@@ -25,8 +25,6 @@ from ipaddress import IPv4Address
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
-
 from .model import finite
 
 
@@ -201,8 +199,13 @@ def load_topology(source) -> Topology:
     TopologyError naming the offending element on any violation.
     """
     if isinstance(source, (str, Path)):
+        import yaml  # only a topology file needs PyYAML; loaded here, not at startup
+
         with open(source, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.safe_load(fh)
+            except (yaml.YAMLError, UnicodeDecodeError) as exc:
+                raise TopologyError(f"{source}: malformed YAML: {exc}") from None
     elif isinstance(source, dict):
         doc = source
     else:

@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical topologies and small tree builders."""
+"""Shared fixtures: canonical topologies, small tree builders, and the
+hop and curve helpers the tests share."""
 from __future__ import annotations
 
 from ipaddress import IPv4Address
@@ -18,6 +19,35 @@ def hop(text: str) -> Hop:
     if text.startswith("*"):
         return Star(text[1:])
     return Ip(IPv4Address(text))
+
+
+def ip(address) -> Ip:
+    """Build an Ip hop from anything IPv4Address accepts."""
+    return Ip(IPv4Address(address))
+
+
+def hop_sort_key(hop: Hop) -> tuple:
+    """Sort key for hops: IPs first, ordered numerically octet by octet;
+    stars last, ordered by their disambiguating key."""
+    if isinstance(hop, Ip):
+        return (0, hop._int, "")
+    return (1, 0, hop.key)
+
+
+def dataset_observations(dataset: RadarDataset):
+    """Adapt a radar dataset for baseline.cumulative_discovery_curves."""
+    return [(rec.tree.observed_ips(), rec.probes_sent) for rec in dataset.rounds]
+
+
+def step_value(curve, x) -> int:
+    """Value of a cumulative step curve at coordinate x (0 before the
+    first point)."""
+    value = 0
+    for cx, cy in curve:
+        if cx > x:
+            break
+        value = cy
+    return value
 
 
 def make_tree(root: str, edges, terminals) -> FilteredTree:

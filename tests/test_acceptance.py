@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from ipaddress import IPv4Address
 
 import pytest
 
-from conftest import star_destinations, star_topology_doc
+from conftest import dataset_observations, ip, star_destinations, star_topology_doc, step_value
 from netradar.analytics import (
-    component_size_distribution,
     detect_peaks,
     discovery_time,
     event_graph,
@@ -24,17 +24,15 @@ from netradar.analytics import (
 )
 from netradar.baseline import (
     cumulative_discovery_curves,
-    dataset_observations,
     link_load_distribution,
     record_ips,
     routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
-    step_value,
     traceroute_round,
 )
 from netradar.filtering import filter_tree, reencode_as_raw
-from netradar.model import Ip, RadarDataset, RoundRecord, ip, parse_round_log, serialize_round
+from netradar.model import Ip, RadarDataset, RoundRecord, parse_round_log, serialize_round
 from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
@@ -360,7 +358,7 @@ def test_c7c_island_census_and_discovery_time():
     doc, destinations, island_nodes = island_scenario()
     dataset = run_rounds(doc, destinations, rounds=30)
     components = new_address_components(dataset, (0, 20), (20, 30))
-    assert component_size_distribution(components) == {1: 4, 9: 1}
+    assert Counter(c.size for c in components) == {1: 4, 9: 1}
     [island] = [c for c in components if c.size == 9]
     assert island.addresses == {IPv4Address(a) for a in island_nodes.values()}
     assert discovery_time(island) == 2

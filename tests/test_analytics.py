@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from ipaddress import IPv4Address
 
 import pytest
@@ -12,18 +13,16 @@ from hypothesis import strategies as st
 from conftest import dataset_from_trees, make_tree
 from netradar.analytics import (
     component_neighborhood_dot,
-    component_size_distribution,
     detect_peaks,
     discovery_time,
     event_graph,
     new_address_components,
-    new_addresses,
     per_round_ip_count,
     size_vs_discovery_correlation,
     value_distribution,
     windowed_ip_count,
 )
-from netradar.model import RadarDataset
+from netradar.model import Ip, RadarDataset
 
 
 def chain_tree(*hops, terminals=None):
@@ -172,6 +171,11 @@ NEW_A = "10.50.0.1"
 NEW_B = "10.50.0.2"
 
 
+def new_addresses(dataset, reference, observation):
+    """The new-address set, as the union of the components' addresses."""
+    return {a for c in new_address_components(dataset, reference, observation) for a in c.addresses}
+
+
 class TestNewAddresses:
     def test_stable_no_new(self):
         dataset = dataset_from_trees([STABLE] * 6)
@@ -197,14 +201,14 @@ class TestNewAddresses:
     def test_empty_reference_rejected(self):
         dataset = dataset_from_trees([STABLE] * 3)
         with pytest.raises(ValueError):
-            new_addresses(dataset, (0, 0), (1, 2))
+            new_address_components(dataset, (0, 0), (1, 2))
         with pytest.raises(ValueError):
-            new_addresses(dataset, (5, 8), (8, 9))
+            new_address_components(dataset, (5, 8), (8, 9))
 
     def test_overlapping_ranges_rejected(self):
         dataset = dataset_from_trees([STABLE] * 6)
         with pytest.raises(ValueError):
-            new_addresses(dataset, (0, 4), (3, 6))
+            new_address_components(dataset, (0, 4), (3, 6))
 
 
 class TestComponents:
@@ -242,7 +246,7 @@ class TestComponents:
     def test_components_partition_new_addresses(self):
         bridged = chain_tree(NEW_A, "10.0.0.3", NEW_B, "10.50.0.3")
         dataset = dataset_from_trees([STABLE, bridged])
-        fresh = new_addresses(dataset, (0, 1), (1, 2))
+        fresh = observed_new(dataset, (0, 1), (1, 2))
         components = new_address_components(dataset, (0, 1), (1, 2))
         merged = [a for c in components for a in c.addresses]
         assert len(merged) == len(set(merged)) == len(fresh)
@@ -291,7 +295,7 @@ class TestSizeDistribution:
             new_component({"10.50.0.2"}, 0, 0),
             new_component({f"10.50.1.{i}" for i in range(4)}, 0, 1),
         ]
-        assert component_size_distribution(comps) == {1: 2, 4: 1}
+        assert Counter(c.size for c in comps) == {1: 2, 4: 1}
 
     def test_census_shape(self):
         comps = (
@@ -300,10 +304,11 @@ class TestSizeDistribution:
             + [new_component({f"10.53.0.{i}" for i in range(5)}, 0, 0)]
             + [new_component({f"10.54.0.{i}" for i in range(9)}, 0, 1)]
         )
-        assert component_size_distribution(comps) == {1: 4, 4: 1, 5: 1, 9: 1}
+        assert Counter(c.size for c in comps) == {1: 4, 4: 1, 5: 1, 9: 1}
 
     def test_empty(self):
-        assert component_size_distribution([]) == {}
+        dataset = dataset_from_trees([STABLE] * 4)
+        assert Counter(c.size for c in new_address_components(dataset, (0, 2), (2, 4))) == {}
 
 
 class TestEventGraph:
@@ -405,10 +410,22 @@ class TestCorrelation:
                 assert rho == pytest.approx(float(stats.spearmanr(sizes, times).statistic), abs=1e-12)
 
 
+def observed_new(dataset, reference, observation):
+    """Oracle: the addresses the observation rounds saw and the reference
+    rounds did not, read through `FilteredTree.observed_ips`."""
+
+    def observed(bounds):
+        start, stop = bounds
+        rounds = [rec for rec in dataset.rounds if start <= rec.index < stop]
+        return set().union(*(rec.tree.observed_ips() for rec in rounds))
+
+    return observed(observation) - observed(reference)
+
+
 def brute_force_components(dataset, reference, observation):
     """Oracle: boolean transitive closure over the induced new-address
     subgraph (matrix powers, no shared code with the implementation)."""
-    fresh = sorted(new_addresses(dataset, reference, observation))
+    fresh = sorted(observed_new(dataset, reference, observation))
     index = {a: i for i, a in enumerate(fresh)}
     n = len(fresh)
     reach = [[i == j for j in range(n)] for i in range(n)]
@@ -419,8 +436,6 @@ def brute_force_components(dataset, reference, observation):
         for parent, child in rec.tree.edges:
             if parent == rec.tree.root:
                 continue
-            from netradar.model import Ip
-
             if isinstance(parent, Ip) and isinstance(child, Ip):
                 a, b = parent.address, child.address
                 if a in index and b in index:
@@ -466,8 +481,6 @@ def test_components_match_brute_force_oracle():
     for _ in range(50):
         dataset = random_small_dataset(rng)
         reference, observation = (0, 2), (2, 5)
-        if not new_addresses(dataset, reference, observation):
-            continue
         components = new_address_components(dataset, reference, observation)
         got = {c.addresses for c in components}
         assert got == brute_force_components(dataset, reference, observation)

@@ -8,20 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_DOC, shared_prefix_doc, star_destinations, star_topology_doc
+from conftest import (
+    CHAIN_DOC,
+    dataset_observations,
+    ip,
+    shared_prefix_doc,
+    star_destinations,
+    star_topology_doc,
+    step_value,
+)
 from netradar.baseline import (
     cumulative_discovery_curves,
-    dataset_observations,
     link_load_distribution,
     record_ips,
     routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
-    step_value,
     traceroute_round,
 )
 from netradar.cli import _load_dataset
-from netradar.model import Hop, Ip, Star, TtlNode, ip, parse_round_log, serialize_round
+from netradar.model import Hop, Ip, Star, TtlNode, parse_round_log, serialize_round
 from netradar.radar import DatasetWriter, RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree

@@ -11,6 +11,7 @@ from conftest import (
     CHAIN_DOC,
     RATE_LIMITS_THAT_CANNOT_LIMIT,
     fig1_analog_doc,
+    ip,
     rate_limited_chain_yaml,
     shared_prefix_doc,
 )
@@ -127,7 +128,6 @@ class TestRadarRun:
         # stable topology: same filtered view both rounds (round 1 from the
         # default distance, round 2 from the converged cache)
         from netradar.filtering import filter_tree
-        from netradar.model import ip
 
         trees = [filter_tree(raw, ip("10.0.0.1"))[0] for _, raw in parsed]
         assert trees[0].nodes == trees[1].nodes
@@ -164,6 +164,15 @@ class TestRadarRun:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("content", [b"nodes: [a\n", b"monitor: \xff\n"])
+    def test_malformed_topology_yaml_is_validation_error(self, tmp_path, chain_files, capsys, content):
+        _, dests = chain_files
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(content)
+        args = ["--destinations", str(dests), "--transport", f"sim:{bad}"]
+        assert main(["tracetree", "once", *args]) == 3
+        assert f"netradar: {bad}: malformed YAML" in capsys.readouterr().err
 
 
 class TestBadParameters:
@@ -359,6 +368,23 @@ class TestSimulate:
         args = ["--topology", str(topo), "--scenario", str(scenario), "--out", str(tmp_path / "out")]
         assert main(["simulate", *args]) == 3
         assert "event clock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("x 10.0.0.4 2", "could not convert string to float: 'x'"),
+            ("0.5 10.0.0.999 2", "10.0.0.999"),
+            ("0.5 10.0.0.4 two", "invalid literal for int() with base 10: 'two'"),
+        ],
+    )
+    def test_bad_field_names_file_and_line(self, chain_files, tmp_path, capsys, line, message):
+        topo, _ = chain_files
+        scenario = tmp_path / "probes.txt"
+        scenario.write_text(f"0.0 10.0.0.4 1\n{line}\n", encoding="utf-8")
+        assert main(["simulate", "--topology", str(topo), "--scenario", str(scenario)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"netradar: {scenario}:2: ")
+        assert message in err
 
     def test_nan_event_time_is_validation_error(self, tmp_path, capsys):
         topo = tmp_path / "topo.yaml"
@@ -775,7 +801,9 @@ def test_analyze_flag_the_operation_does_not_read_is_usage_error(capsys, operati
     with pytest.raises(SystemExit) as exc:
         main(["analyze", operation, "--in", "log", *_read_flags(operation), flag, *value])
     assert exc.value.code == 1
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: netradar analyze {operation} [-h] --in INFILE")
+    assert f"netradar analyze {operation}: error: unrecognized arguments: {flag}" in err
 
 
 class TestAnalyzeOutputs:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netradar
+from conftest import hop_sort_key, ip
 from netradar.baseline import simulate_tracetree_from_traceroute
-from netradar.filtering import FilterReport, filter_tree, reencode_as_raw, tree_to_dot
+from netradar.filtering import FilterReport, filter_tree, reencode_as_raw
 from netradar.model import (
     FilteredTree,
     Hop,
@@ -25,8 +26,6 @@ from netradar.model import (
     RawTraceTree,
     Star,
     TtlNode,
-    hop_sort_key,
-    ip,
     parse_round_log,
     serialize_round,
 )
@@ -255,18 +254,6 @@ class TestFilterInvariants:
             assert again.terminals == tree.terminals
             assert report.merged_ip_nodes == 0
             assert report.leaves_pruned == 0
-
-
-def test_dot_export_mentions_every_node():
-    records = [
-        rec("10.0.0.4", 3, "10.0.0.4"),
-        rec("10.0.0.3", 2, "10.0.0.4"),
-        rec("*", 1, "10.0.0.4"),
-    ]
-    tree, _ = filter_tree(RawTraceTree.from_records(records), MONITOR)
-    dot = tree_to_dot(tree)
-    assert dot.startswith("digraph")
-    assert "10.0.0.3" in dot and '"*"' in dot
 
 
 # -- the previous filter, kept verbatim as the differential test's oracle ----

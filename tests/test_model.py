@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import hop_sort_key, ip
 from netradar.model import (
     TTL_LIMIT,
     FilteredTree,
@@ -22,8 +23,6 @@ from netradar.model import (
     TtlNode,
     TtlRangeError,
     dotted_quad,
-    hop_sort_key,
-    ip,
     parse_round_log,
     serialize_round,
 )
