@@ -7,7 +7,8 @@ flags it reads: counts none; window --window --mode; peaks --window
 --obs --dot; event-graph --round --before; correlate --ref --obs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or transport fault,
-3 validation error (bad input files or parameters).
+3 validation error: a bad or missing input file, or a bad parameter,
+such as an --out inside a missing directory.
 """
 from __future__ import annotations
 
@@ -269,31 +270,21 @@ def cmd_compare(args) -> int:
     tr_rounds, tr_packets = baseline.cumulative_discovery_curves(traceroute_obs)
     tt_rounds, tt_packets = baseline.cumulative_discovery_curves(tracetree_obs)
 
-    prefix = args.out_prefix
     rounds_rows = [(r, y_tr, y_tt) for (r, y_tr), (_, y_tt) in zip(tr_rounds, tt_rounds)]
-    Path(f"{prefix}.curves_rounds.csv").write_text(
-        analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
-        encoding="utf-8",
-    )
     packet_rows = [("traceroute", x, y) for x, y in tr_packets]
     packet_rows += [("tracetree", x, y) for x, y in tt_packets]
-    Path(f"{prefix}.curves_packets.csv").write_text(
-        analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),
-        encoding="utf-8",
-    )
-
     load_tr = baseline.link_load_distribution(last_routes, root=root)
     load_tt = baseline.link_load_distribution(baseline.routes_from_records(last_simulated.records))
-    Path(f"{prefix}.load_traceroute.csv").write_text(
-        analytics.histogram_to_csv(load_tr, "times_probed", "links"), encoding="utf-8"
-    )
-    Path(f"{prefix}.load_tracetree.csv").write_text(
-        analytics.histogram_to_csv(load_tt, "times_probed", "links"), encoding="utf-8"
-    )
-    print(
-        f"wrote {prefix}.curves_rounds.csv {prefix}.curves_packets.csv "
-        f"{prefix}.load_traceroute.csv {prefix}.load_tracetree.csv"
-    )
+    outputs = {
+        "curves_rounds": analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
+        "curves_packets": analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),
+        "load_traceroute": analytics.histogram_to_csv(load_tr, "times_probed", "links"),
+        "load_tracetree": analytics.histogram_to_csv(load_tt, "times_probed", "links"),
+    }
+    paths = [f"{args.out_prefix}.{name}.csv" for name in outputs]
+    for path, text in zip(paths, outputs.values()):
+        Path(path).write_text(text, encoding="utf-8")
+    print("wrote", *paths)
     return EXIT_OK
 
 
@@ -302,7 +293,7 @@ def cmd_compare(args) -> int:
 
 def _add_measurement_flags(parser, with_rounds: bool) -> None:
     parser.add_argument("--destinations", required=True, help="destination list file")
-    parser.add_argument("--transport", default="icmp", help="sim:TOPOLOGY_FILE or icmp")
+    parser.add_argument("--transport", default="icmp", help="sim:TOPOLOGY_FILE (JSON) or icmp")
     if with_rounds:
         parser.add_argument("--rounds", type=int, default=None, help="rounds to run (default: unbounded)")
         parser.add_argument("--inter-round", type=float, default=DEFAULT_INTER_ROUND_DELAY, dest="inter_round", help="delay between round starts, seconds")
@@ -338,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_once.set_defaults(func=cmd_traceroute_once)
 
     simulate = sub.add_parser("simulate", help="replay a probe scenario against a topology")
-    simulate.add_argument("--topology", required=True)
+    simulate.add_argument("--topology", required=True, help="JSON topology file")
     simulate.add_argument("--scenario", required=True, help="file of 'time destination ttl' lines")
     simulate.add_argument("--out", default=None)
     simulate.set_defaults(func=cmd_simulate)
@@ -382,6 +373,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ScenarioError, ValueError) as exc:  # TopologyError and RoundLogParseError are ValueErrors
         print(f"netradar: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"netradar: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
     except TransportError as exc:
         print(f"netradar: transport: {exc}", file=sys.stderr)

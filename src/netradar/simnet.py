@@ -3,10 +3,10 @@
 Ground truth for probe routing: a directed graph whose nodes carry an
 address and a response policy (responsive, silent, or rate-limited),
 per-destination and per-packet load balancers, and a schedule of scripted
-topology changes.  Default forwarding follows a deterministic shortest
-path (BFS with address-ordered tie-breaks); balancer policies override it
-at their node.  Serves as the default transport backend and as the oracle
-in tests.
+topology changes, read from a JSON document (`load_topology`).  Default
+forwarding follows a deterministic shortest path (BFS with address-ordered
+tie-breaks); balancer policies override it at their node.  Serves as the
+default transport backend and as the oracle in tests.
 
 A probe is answered from a route entry per destination, memoized with
 the BFS results until an event changes the topology.  The entry holds
@@ -19,6 +19,7 @@ walks on, hop by hop, from there.
 """
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
@@ -137,8 +138,6 @@ def _parse_policy(spec) -> object:
         return RESPONSIVE
     if spec == SILENT:
         return SILENT
-    if isinstance(spec, RateLimited):
-        return spec
     if isinstance(spec, dict) and "rate" in spec:
         return RateLimited(rate=float(spec["rate"]), burst=spec.get("burst", 1))
     raise TopologyError(f"unknown response policy {spec!r}")
@@ -155,11 +154,8 @@ def _parse_node(name: str, spec) -> tuple[IPv4Address, object]:
 
 
 def _parse_balancer(node: str, spec) -> object:
-    if isinstance(spec, (PerDestination, PerPacket)):
-        return spec
     if isinstance(spec, dict) and "per_destination" in spec:
-        table = {IPv4Address(a): str(n) for a, n in spec["per_destination"].items()}
-        return PerDestination(table)
+        return PerDestination({IPv4Address(a): str(n) for a, n in spec["per_destination"].items()})
     if isinstance(spec, dict) and "per_packet" in spec:
         return PerPacket([str(n) for n in spec["per_packet"]])
     raise TopologyError(f"bad balancer spec for node {node!r}")
@@ -192,26 +188,41 @@ def _parse_event(spec) -> ScheduledEvent:
 
 
 def load_topology(source) -> Topology:
-    """Load and validate a topology from a dict, or from a YAML file named
-    by a `str` path or a `Path`; any other source raises TopologyError.
+    """Load and validate a topology from a dict, or from a UTF-8 JSON file
+    named by a `str` path or a `Path`; any other source raises
+    TopologyError.  A dict takes the same forms as a file:
 
-    Schema keys: monitor, nodes, links, balancers, events.  Raises
-    TopologyError naming the offending element on any violation.
+        {"monitor": "m",
+         "nodes": {"m": "10.0.0.1", "d": "10.0.0.5",
+                   "a": {"address": "10.0.0.2", "policy": "silent"},
+                   "b": {"address": "10.0.0.3", "policy": {"rate": 0.5, "burst": 2}},
+                   "c": {"address": "10.0.0.4", "policy": "responsive"}},
+         "links": [["m", "a"], ["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+         "balancers": {"a": {"per_destination": {"10.0.0.5": "c"}}, "c": {"per_packet": ["d"]}},
+         "events": [{"at": 600, "change_policy": {"node": "a", "policy": "responsive"}},
+                    {"at": 1200, "add_island": {"nodes": {"x": "10.0.9.1"}, "links": [["b", "x"]]}},
+                    {"at": 1800, "rewire": {"node": "b", "remove": "d", "add": "x"}},
+                    {"at": 2400, "remove_node": "x"}]}
+
+    A node is its address or an object with one; a policy defaults to
+    "responsive", a rate limit's burst to 1.  A per-destination balancer
+    sends the destinations it lists to their next hop, the rest along the
+    shortest path; a per-packet one cycles through its next hops.  An
+    event applies one action at simulated time `at`, in seconds.
+    Raises TopologyError naming the offending element on any violation.
     """
     if isinstance(source, (str, Path)):
-        import yaml  # only a topology file needs PyYAML; loaded here, not at startup
-
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                doc = yaml.safe_load(fh)
-            except (yaml.YAMLError, UnicodeDecodeError) as exc:
-                raise TopologyError(f"{source}: malformed YAML: {exc}") from None
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+                raise TopologyError(f"{source}: malformed JSON: {exc}") from None
     elif isinstance(source, dict):
         doc = source
     else:
         raise TopologyError(f"cannot load a topology from {type(source).__name__}")
     if not isinstance(doc, dict):
-        raise TopologyError("topology document must be a mapping")
+        raise TopologyError("topology document must be a JSON object")
     try:
         node_specs = doc.get("nodes") or {}
         addresses, policies = {}, {}
@@ -221,10 +232,7 @@ def load_topology(source) -> Topology:
         for pair in doc.get("links") or []:
             u, v = (str(pair[0]), str(pair[1]))
             links.setdefault(u, []).append(v)
-        balancers = {
-            str(n): _parse_balancer(str(n), s)
-            for n, s in (doc.get("balancers") or {}).items()
-        }
+        balancers = {str(n): _parse_balancer(str(n), s) for n, s in (doc.get("balancers") or {}).items()}
         events = [_parse_event(e) for e in doc.get("events") or []]
         topo = Topology(
             monitor=str(doc.get("monitor", "")),
@@ -242,14 +250,20 @@ def load_topology(source) -> Topology:
     return topo
 
 
+def _address_map(addresses: dict[str, IPv4Address], error: type[Exception]) -> dict[int, str]:
+    """Each address, as an integer, to its node; `error` if two nodes share one."""
+    nodes: dict[int, str] = {}
+    for name, addr in addresses.items():
+        other = nodes.setdefault(int(addr), name)
+        if other != name:
+            raise error(f"duplicate address {addr}: nodes {other!r} and {name!r}")
+    return nodes
+
+
 def _validate(topo: Topology) -> None:
     if topo.monitor not in topo.addresses:
         raise TopologyError(f"monitor {topo.monitor!r} is not a declared node")
-    seen_addr: dict[IPv4Address, str] = {}
-    for name, addr in topo.addresses.items():
-        if addr in seen_addr:
-            raise TopologyError(f"duplicate address {addr}: nodes {seen_addr[addr]!r} and {name!r}")
-        seen_addr[addr] = name
+    _address_map(topo.addresses, TopologyError)
     for u, targets in topo.links.items():
         if u not in topo.addresses:
             raise TopologyError(f"link endpoint {u!r} is not a declared node")
@@ -262,12 +276,10 @@ def _validate(topo: Topology) -> None:
         neighbours = set(topo.links.get(node, ()))
         if isinstance(balancer, PerDestination):
             hops = set(balancer.table.values())
-        elif isinstance(balancer, PerPacket):
-            if not balancer.cycle:
-                raise TopologyError(f"per-packet balancer at {node!r} has an empty cycle")
-            hops = set(balancer.cycle)
+        elif not balancer.cycle:
+            raise TopologyError(f"per-packet balancer at {node!r} has an empty cycle")
         else:
-            raise TopologyError(f"unknown balancer type at {node!r}")
+            hops = set(balancer.cycle)
         for hop in hops:
             if hop not in neighbours:
                 raise TopologyError(f"balancer next hop {hop!r} is not a neighbour of {node!r}")
@@ -284,19 +296,14 @@ class SimState:
         self.policies = dict(topology.policies)
         # RemoveNode stores new balancers here; it never edits the topology's
         self.balancers = dict(topology.balancers)
-        # a link listed twice is one link, as events add and remove links
-        self._adj = {u: sorted(set(vs), key=lambda v: int(topology.addresses[v])) for u, vs in topology.links.items()}
+        self._adj = {u: self._out_links(vs) for u, vs in topology.links.items()}
         self._pending = sorted(
             enumerate(topology.events), key=lambda pair: (pair[1].at_time, pair[0])
         )
         self._applied_time = float("-inf")
         self._pp_counters: dict[str, int] = {}
         self._buckets: dict[str, list[float]] = {}
-        # routing is keyed by the address integer, never by IPv4Address
-        self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
-        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
-        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
-        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
+        self._invalidate_routes()
 
     # -- events ------------------------------------------------------------
 
@@ -313,10 +320,16 @@ class SimState:
             self._apply(event.action)
 
     def _invalidate_routes(self) -> None:
-        self._paths.clear()
-        self._parents.clear()
-        self._routes.clear()
-        self._addr_to_node = {int(a): n for n, a in self.addresses.items()}
+        """Forget every memoized route; ScenarioError if two nodes share an address."""
+        # routing is keyed by the address integer, never by IPv4Address
+        self._addr_to_node = _address_map(self.addresses, ScenarioError)
+        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
+        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
+        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
+
+    def _out_links(self, targets) -> list[str]:
+        """Out-links: each target once (a link listed twice is one), in address order."""
+        return sorted(set(targets), key=lambda v: int(self.addresses[v]))
 
     def _require_node(self, name: str, action: str) -> None:
         if name not in self.addresses:
@@ -333,9 +346,7 @@ class SimState:
                 self._adj[action.node].remove(action.remove)
             if action.add is not None:
                 self._require_node(action.add, "rewire")
-                if action.add not in self._adj[action.node]:
-                    self._adj[action.node].append(action.add)
-                    self._adj[action.node].sort(key=lambda v: int(self.addresses[v]))
+                self._adj[action.node] = self._out_links([*self._adj[action.node], action.add])
         elif isinstance(action, AddIsland):
             for name, (addr, policy) in action.nodes.items():
                 if name in self.addresses:
@@ -343,17 +354,10 @@ class SimState:
                 self.addresses[name] = addr
                 self.policies[name] = policy
                 self._adj[name] = []
-            taken: dict[IPv4Address, str] = {}
-            for name, addr in self.addresses.items():
-                if addr in taken:
-                    raise ScenarioError(f"island duplicates address {addr}")
-                taken[addr] = name
             for u, v in action.links:
                 self._require_node(u, "island link")
                 self._require_node(v, "island link")
-                if v not in self._adj[u]:
-                    self._adj[u].append(v)
-                    self._adj[u].sort(key=lambda v2: int(self.addresses[v2]))
+                self._adj[u] = self._out_links([*self._adj[u], v])
         elif isinstance(action, RemoveNode):
             self._require_node(action.node, "remove_node")
             del self.addresses[action.node]

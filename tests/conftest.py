@@ -2,7 +2,11 @@
 hop and curve helpers the tests share."""
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 
@@ -92,30 +96,23 @@ CHAIN_DOC = {
 }
 
 
-# YAML rate-limit policies that would answer every probe, round a burst,
-# overflow or take a string or a bool for a count: a rate must be a finite
-# number > 0, a burst a whole number >= 1
+# rate-limit policies, as JSON text, that would answer every probe, round a
+# burst, overflow or take a string or a bool for a count: a rate must be a
+# finite number > 0, a burst a whole number >= 1
 RATE_LIMITS_THAT_CANNOT_LIMIT = [
-    "{rate: .nan, burst: 1}",
-    "{rate: .inf, burst: 1}",
-    "{rate: 1.0, burst: 2.5}",
-    "{rate: 1.0, burst: .inf}",
-    '{rate: 1.0, burst: "2"}',
-    "{rate: 1.0, burst: true}",
+    pytest.param('{"rate": NaN, "burst": 1}', id="nan-rate"),
+    pytest.param('{"rate": Infinity, "burst": 1}', id="infinite-rate"),
+    pytest.param('{"rate": 1.0, "burst": 2.5}', id="fractional-burst"),
+    pytest.param('{"rate": 1.0, "burst": Infinity}', id="infinite-burst"),
+    pytest.param('{"rate": 1.0, "burst": "2"}', id="string-burst"),
+    pytest.param('{"rate": 1.0, "burst": true}', id="bool-burst"),
 ]
 
 
-def rate_limited_chain_yaml(policy: str) -> str:
-    """The chain topology as YAML text, its r1 under the given policy."""
-    return (
-        "monitor: mon\n"
-        "nodes:\n"
-        "  mon: 10.0.0.1\n"
-        f"  r1: {{address: 10.0.0.2, policy: {policy}}}\n"
-        "  r2: 10.0.0.3\n"
-        "  d: 10.0.0.4\n"
-        "links: [[mon, r1], [r1, r2], [r2, d]]\n"
-    )
+def rate_limited_chain_json(policy: str) -> str:
+    """The chain topology as JSON text, its r1 under the given policy."""
+    nodes = dict(CHAIN_DOC["nodes"], r1={"address": "10.0.0.2", "policy": json.loads(policy)})
+    return json.dumps(dict(CHAIN_DOC, nodes=nodes))
 
 
 @pytest.fixture
@@ -221,3 +218,15 @@ def shared_prefix_doc() -> dict:
             ["t2", "d2"],
         ],
     }
+
+
+def perfbench_inet():
+    """perfbench's Internet-like topology generator, imported read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inet.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inet", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module

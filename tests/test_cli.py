@@ -1,9 +1,10 @@
 """End-to-end CLI runs against simulator fixtures."""
 from __future__ import annotations
 
+import errno
+import json
+import os
 from pathlib import Path
-
-import yaml
 
 import pytest
 
@@ -12,7 +13,7 @@ from conftest import (
     RATE_LIMITS_THAT_CANNOT_LIMIT,
     fig1_analog_doc,
     ip,
-    rate_limited_chain_yaml,
+    rate_limited_chain_json,
     shared_prefix_doc,
 )
 from netradar import analytics, cli
@@ -24,8 +25,8 @@ from netradar.transport import SimTransport, TransportError
 
 @pytest.fixture
 def chain_files(tmp_path):
-    topo = tmp_path / "chain.yaml"
-    topo.write_text(yaml.safe_dump(CHAIN_DOC), encoding="utf-8")
+    topo = tmp_path / "chain.json"
+    topo.write_text(json.dumps(CHAIN_DOC), encoding="utf-8")
     dests = tmp_path / "dests.txt"
     dests.write_text("10.0.0.4\n", encoding="utf-8")
     return topo, dests
@@ -33,8 +34,8 @@ def chain_files(tmp_path):
 
 def _radar_log(directory, doc, destinations, rounds) -> Path:
     """Run `radar run` over a simulated topology; returns the round-log path."""
-    topo = directory / "topo.yaml"
-    topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    topo = directory / "topo.json"
+    topo.write_text(json.dumps(doc), encoding="utf-8")
     dests = directory / "dests.txt"
     dests.write_text("".join(f"{d}\n" for d in destinations), encoding="utf-8")
     out = directory / "data.rounds"
@@ -147,8 +148,8 @@ class TestRadarRun:
 
     def test_bad_topology_is_validation_error(self, tmp_path, chain_files):
         _, dests = chain_files
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("monitor: ghost\nnodes: {a: 10.0.0.1}\nlinks: []\n", encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"monitor": "ghost", "nodes": {"a": "10.0.0.1"}, "links": []}', encoding="utf-8")
         code = main(
             [
                 "radar",
@@ -165,14 +166,14 @@ class TestRadarRun:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("content", [b"nodes: [a\n", b"monitor: \xff\n"])
-    def test_malformed_topology_yaml_is_validation_error(self, tmp_path, chain_files, capsys, content):
+    @pytest.mark.parametrize("content", [b'{"nodes": [', b'{"monitor": "\xff"}'], ids=["unclosed", "not-utf8"])
+    def test_malformed_topology_json_is_validation_error(self, tmp_path, chain_files, capsys, content):
         _, dests = chain_files
-        bad = tmp_path / "bad.yaml"
+        bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         args = ["--destinations", str(dests), "--transport", f"sim:{bad}"]
         assert main(["tracetree", "once", *args]) == 3
-        assert f"netradar: {bad}: malformed YAML" in capsys.readouterr().err
+        assert f"netradar: {bad}: malformed JSON" in capsys.readouterr().err
 
 
 class TestBadParameters:
@@ -213,8 +214,8 @@ class TestBadParameters:
     @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
     def test_rate_limit_that_cannot_limit_is_validation_error(self, chain_files, tmp_path, capsys, policy):
         _, dests = chain_files
-        topo = tmp_path / "topo.yaml"
-        topo.write_text(rate_limited_chain_yaml(policy), encoding="utf-8")
+        topo = tmp_path / "topo.json"
+        topo.write_text(rate_limited_chain_json(policy), encoding="utf-8")
         assert main(["tracetree", "once", "--destinations", str(dests), "--transport", f"sim:{topo}"]) == 3
         assert "rate limit" in capsys.readouterr().err
 
@@ -333,6 +334,25 @@ def test_bad_destination_list_fails_before_any_output(chain_files, tmp_path, cap
     assert out.read_bytes() == b"#round 0 0.0 1.0\n#end\n"
 
 
+@pytest.mark.parametrize(
+    "args, reported, error",
+    [
+        ("tracetree once --destinations {dests} --transport sim:{missing}", "{missing}", errno.ENOENT),
+        ("tracetree once --destinations {missing} --transport sim:{topo}", "{missing}", errno.ENOENT),
+        ("analyze counts --in {missing}", "{missing}", errno.ENOENT),
+        ("simulate --topology {topo} --scenario {missing}", "{missing}", errno.ENOENT),
+        ("tracetree once --destinations {dests} --transport sim:{directory}", "{directory}", errno.EISDIR),
+        ("radar run --destinations {dests} --transport sim:{topo} --rounds 1 --out {missing}/x", "{missing}/x", errno.ENOENT),
+    ],
+    ids=["sim-topology", "destinations", "analyze-in", "simulate-scenario", "sim-directory", "out-directory"],
+)
+def test_missing_file_is_validation_error(chain_files, tmp_path, capsys, args, reported, error):
+    topo, dests = chain_files
+    paths = {"topo": topo, "dests": dests, "missing": tmp_path / "missing", "directory": tmp_path}
+    assert main([word.format(**paths) for word in args.split()]) == 3
+    assert capsys.readouterr().err == f"netradar: {reported.format(**paths)}: {os.strerror(error)}\n"
+
+
 def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):
     # the reader's bound is the radar's, so no --max-ttl is passed again
     topo, dests = chain_files
@@ -387,10 +407,9 @@ class TestSimulate:
         assert message in err
 
     def test_nan_event_time_is_validation_error(self, tmp_path, capsys):
-        topo = tmp_path / "topo.yaml"
+        topo = tmp_path / "topo.json"
         scenario = tmp_path / "probes.txt"
-        doc = dict(CHAIN_DOC, events=[{"at": 5.0, "remove_node": "r2"}])
-        topo.write_text(yaml.safe_dump(doc).replace("at: 5.0", "at: .nan"), encoding="utf-8")
+        topo.write_text(json.dumps(dict(CHAIN_DOC, events=[{"at": float("nan"), "remove_node": "r2"}])), encoding="utf-8")
         scenario.write_text("0.0 10.0.0.4 1\n", encoding="utf-8")
         assert main(["simulate", "--topology", str(topo), "--scenario", str(scenario)]) == 3
         assert "event time" in capsys.readouterr().err
@@ -834,8 +853,8 @@ class TestAnalyzeOutputs:
 class TestCompare:
     def test_emits_curves_and_loads(self, tmp_path):
         doc = shared_prefix_doc()
-        topo = tmp_path / "topo.yaml"
-        topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc), encoding="utf-8")
         dests = tmp_path / "dests.txt"
         dests.write_text("10.2.0.6\n10.2.0.7\n", encoding="utf-8")
         log = tmp_path / "tr.rounds"
@@ -868,8 +887,8 @@ class TestCompare:
 
     def test_curve_and_load_csv_bytes(self, tmp_path):
         doc = shared_prefix_doc()
-        topo = tmp_path / "topo.yaml"
-        topo.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc), encoding="utf-8")
         dests = tmp_path / "dests.txt"
         dests.write_text("10.2.0.6\n10.2.0.7\n", encoding="utf-8")
         log = tmp_path / "tr.rounds"

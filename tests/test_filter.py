@@ -1,7 +1,6 @@
 """The six-stage filter: stage semantics, invariants, idempotence."""
 from __future__ import annotations
 
-import importlib.util
 import os
 import random
 import subprocess
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netradar
-from conftest import hop_sort_key, ip
+from conftest import hop_sort_key, ip, perfbench_inet
 from netradar.baseline import simulate_tracetree_from_traceroute
 from netradar.filtering import FilterReport, filter_tree, reencode_as_raw
 from netradar.model import (
@@ -560,25 +559,11 @@ class TestAgainstOracle:
         assert _shape(tree) == _shape(oracle_filter_tree(raw, MONITOR)[0])
 
 
-PERFBENCH_INET = Path(__file__).resolve().parents[1] / "perfbench" / "inet.py"
-
-
-def _perfbench_inet():
-    """perfbench's Internet-like topology generator, imported read-only."""
-    spec = importlib.util.spec_from_file_location("perfbench_inet", PERFBENCH_INET)
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up
-        spec.loader.exec_module(module)
-    return module
-
-
 def test_radar_run_with_a_cut_matches_the_oracle():
     # seven rounds over 200 destinations: an island graft, a lengthened
     # path, then a cut that leaves a third of the destinations timing out
     # up to max_ttl for one round, then a policy change
-    inet = _perfbench_inet()
+    inet = perfbench_inet()
     events = inet.EventRounds(island=2, lengthen=3, cut=5, policy=6)
     net = inet.generate(3001, 200, events, cut_share=0.35)
     transport = SimTransport(load_topology(net.doc))

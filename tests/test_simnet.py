@@ -1,6 +1,7 @@
 """Simulator: loading/validation, probe routing, policies, events."""
 from __future__ import annotations
 
+import json
 from ipaddress import IPv4Address
 
 import pytest
@@ -11,7 +12,8 @@ from conftest import (
     CHAIN_DOC,
     RATE_LIMITS_THAT_CANNOT_LIMIT,
     fig1_analog_doc,
-    rate_limited_chain_yaml,
+    perfbench_inet,
+    rate_limited_chain_json,
 )
 from netradar.simnet import (
     ECHO_REPLY,
@@ -22,7 +24,6 @@ from netradar.simnet import (
     UNREACHABLE,
     AddIsland,
     ChangePolicy,
-    PerDestination,
     PerPacket,
     RateLimited,
     RemoveNode,
@@ -76,16 +77,22 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="monitor"):
             load_topology({"monitor": "nope", "nodes": {"a": "10.0.0.1"}, "links": []})
 
-    def test_yaml_file_round_trip(self, tmp_path):
-        path = tmp_path / "topo.yaml"
+    def test_json_file_round_trip(self, tmp_path):
+        path = tmp_path / "topo.json"
         path.write_text(
-            "monitor: a\nnodes:\n  a: 10.0.0.1\n  b: 10.0.0.2\nlinks:\n  - [a, b]\n",
+            '{"monitor": "a", "nodes": {"a": "10.0.0.1", "b": "10.0.0.2"}, "links": [["a", "b"]]}',
             encoding="utf-8",
         )
         topology = load_topology(path)
         assert topology.addresses["b"] == IPv4Address("10.0.0.2")
 
-    @pytest.mark.parametrize("source", [3, b"monitor: a\n", None], ids=["int", "bytes", "None"])
+    def test_inet_document_loads_the_same_from_a_file(self, tmp_path):
+        doc = perfbench_inet().generate(3001, 200).doc
+        path = tmp_path / "inet.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_topology(path) == load_topology(doc)
+
+    @pytest.mark.parametrize("source", [3, b'{"monitor": "a"}', None], ids=["int", "bytes", "None"])
     def test_other_sources_rejected(self, source):
         # a dict, a str path or a Path; an int would open a file descriptor
         with pytest.raises(TopologyError, match="cannot load a topology from"):
@@ -99,8 +106,8 @@ class TestLoadTopology:
 
     @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
     def test_rate_limit_that_cannot_limit_rejected(self, tmp_path, policy):
-        path = tmp_path / "topo.yaml"
-        path.write_text(rate_limited_chain_yaml(policy), encoding="utf-8")
+        path = tmp_path / "topo.json"
+        path.write_text(rate_limited_chain_json(policy), encoding="utf-8")
         with pytest.raises(TopologyError, match="rate limit"):
             load_topology(path)
 
@@ -303,6 +310,12 @@ class TestEvents:
         with pytest.raises(ScenarioError, match="ghost"):
             state.apply_events(6.0)
 
+    def test_island_reusing_an_address_rejected(self):
+        doc = dict(CHAIN_DOC, events=[{"at": 5.0, "add_island": {"nodes": {"x": "10.0.0.3"}, "links": [["r1", "x"]]}}])
+        state = SimState(load_topology(doc))
+        with pytest.raises(ScenarioError, match="duplicate address 10.0.0.3: nodes 'r2' and 'x'"):
+            state.apply_events(6.0)
+
     def test_event_clock_must_not_go_backwards(self, chain_topology):
         state = SimState(chain_topology)
         state.apply_events(10.0)
@@ -460,6 +473,8 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
     return self._respond(node, TIME_EXCEEDED, ttl, at_time)
 
 
+# each response policy as a document writes it, and as an event carries it
+POLICY_SPECS = [RESPONSIVE, SILENT, {"rate": 2.0}, {"rate": 0.5, "burst": 2}]
 POLICIES = [RESPONSIVE, SILENT, RateLimited(rate=2.0), RateLimited(rate=0.5, burst=2)]
 UNKNOWN = IPv4Address("10.60.1.250")  # never a node: unreachable
 
@@ -474,12 +489,13 @@ def sim_documents(draw):
     policy, a tree of links from the monitor plus random ones, self-links
     and repeated links included, and per-packet or
     per-destination balancers on any node, the monitor and destinations
-    included.  Destination tables name nodes and the unknown address."""
+    included.  Destination tables name nodes and the unknown address.  The
+    document is what a JSON topology file holds."""
     count = draw(st.integers(1, 8))
     names = [f"n{i}" for i in range(count)]
     numbers = draw(st.lists(st.integers(1, 60), min_size=count, max_size=count, unique=True))
     nodes = {
-        name: {"address": str(_address_of(i)), "policy": draw(st.sampled_from(POLICIES))}
+        name: {"address": str(_address_of(i)), "policy": draw(st.sampled_from(POLICY_SPECS))}
         for name, i in zip(names, numbers)
     }
     # a random tree from the monitor reaches every node, more links cross it
@@ -492,13 +508,12 @@ def sim_documents(draw):
         if not neighbours[name] or draw(st.integers(0, 3)):
             continue
         if draw(st.booleans()):
-            balancers[name] = PerPacket(draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=4)))
+            balancers[name] = {"per_packet": draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=4))}
         else:
-            balancers[name] = PerDestination(
-                draw(st.dictionaries(st.sampled_from(targets), st.sampled_from(neighbours[name]), max_size=4))
-            )
-    doc = {"monitor": "n0", "nodes": nodes, "links": [list(pair) for pair in links], "balancers": balancers}
-    return doc, targets
+            table = draw(st.dictionaries(st.sampled_from(targets), st.sampled_from(neighbours[name]), max_size=4))
+            balancers[name] = {"per_destination": {str(a): n for a, n in table.items()}}
+    doc = {"monitor": "n0", "nodes": nodes, "links": links, "balancers": balancers}
+    return json.loads(json.dumps(doc)), targets
 
 
 def _draw_event(draw, state: SimState, fresh: list):

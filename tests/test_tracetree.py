@@ -1,6 +1,7 @@
 """The backward tree measurement engine against the simulator."""
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from ipaddress import IPv4Address
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CHAIN_DOC, shared_prefix_doc
 from netradar.model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, serialize_round
-from netradar.simnet import PerDestination, PerPacket, RateLimited, load_topology
+from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
 from netradar.tracetree import (
     DestinationTask,
@@ -382,7 +383,7 @@ def oracle_tracetree(tasks, transport, config: TracetreeConfig | None = None, re
     return TracetreeResult(raw=raw, distances=distances, stats=stats, hops=hops)
 
 
-POLICIES = ["responsive", "silent", RateLimited(rate=2.0), RateLimited(rate=0.5, burst=2)]
+POLICIES = ["responsive", "silent", {"rate": 2.0}, {"rate": 0.5, "burst": 2}]
 UNKNOWN = IPv4Address("10.70.1.250")  # never a node: all stars
 
 
@@ -390,7 +391,8 @@ UNKNOWN = IPv4Address("10.70.1.250")  # never a node: all stars
 def measurement_scenarios(draw):
     """A random topology of up to 10 nodes (n0 the monitor) with every
     policy, per-destination and per-packet balancers and one scheduled
-    event, and the settings of two consecutive rounds over it."""
+    event, and the settings of two consecutive rounds over it.  The
+    document is what a JSON topology file holds."""
     count = draw(st.integers(2, 10))
     names = [f"n{i}" for i in range(count)]
     addresses = [f"10.70.0.{i + 1}" for i in range(count)]
@@ -404,10 +406,10 @@ def measurement_scenarios(draw):
         if not neighbours[name] or draw(st.integers(0, 2)):
             continue
         if draw(st.booleans()):
-            balancers[name] = PerPacket(draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=3)))
+            balancers[name] = {"per_packet": draw(st.lists(st.sampled_from(neighbours[name]), min_size=1, max_size=3))}
         else:
             table = draw(st.dictionaries(st.sampled_from(addresses), st.sampled_from(neighbours[name]), max_size=3))
-            balancers[name] = PerDestination({IPv4Address(a): n for a, n in table.items()})
+            balancers[name] = {"per_destination": table}
     at = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]))
     victim = draw(st.sampled_from(names[1:]))
     event = draw(
@@ -422,7 +424,7 @@ def measurement_scenarios(draw):
     doc = {
         "monitor": "n0",
         "nodes": nodes,
-        "links": [list(pair) for pair in links],
+        "links": links,
         "balancers": balancers,
         "events": [event],
     }
@@ -439,7 +441,7 @@ def measurement_scenarios(draw):
         "rate_cap": draw(st.sampled_from([0.0, 200.0])),
         "fail_after": draw(st.sampled_from([None, None, 3, 12])),
     }
-    return doc, rounds, knobs
+    return json.loads(json.dumps(doc)), rounds, knobs
 
 
 class TestAgainstOracle:
