@@ -104,10 +104,11 @@ def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
     partial chains do not re-traverse the link into their junction.
     """
     nodes = [node for hops in routes.values() for node in hops]
-    destinations = [dest for dest, hops in routes.items() for _ in hops]
+    # a destination's index is its place among the routes with a hop
+    keys = [index << 7 | node.ttl for index, hops in enumerate(filter(None, routes.values())) for node in hops]
     # a (destination, ttl) holds distinct nodes, so each link counts once
     # per destination
-    graph = ttl_links(destinations, [node.ttl for node in nodes], nodes)
+    graph = ttl_links(keys, nodes)
     loads = Counter(zip(graph.lows, graph.highs))
     if root is not None:
         top = TtlNode(root, 0)

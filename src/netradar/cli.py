@@ -103,7 +103,7 @@ def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
                 index=meta.index,
                 start_time=meta.start_time,
                 end_time=meta.end_time,
-                probes_sent=len(raw.records),
+                probes_sent=len(raw.keys),
                 tree=tree,
                 raw=raw,
             )
@@ -177,7 +177,7 @@ def cmd_traceroute_once(args) -> int:
     block = serialize_round(raw, 0, started, finished)
     _emit(block, args.out)
     print(
-        f"1 round: {len(raw.records)} probes, "
+        f"1 round: {len(raw.keys)} probes, "
         f"{len(baseline.record_ips(raw.records))} distinct addresses",
         file=sys.stderr,
     )
@@ -259,13 +259,15 @@ def cmd_compare(args) -> int:
     traceroute_obs = []
     tracetree_obs = []
     last_routes = None
-    last_simulated = None
+    last_simulated_records = None
     for _, raw in parsed:
-        routes = baseline.routes_from_records(raw.records)
+        records = raw.records  # a view built on each read: read once
+        routes = baseline.routes_from_records(records)
         simulated = baseline.simulate_tracetree_from_traceroute(routes)
-        traceroute_obs.append((baseline.record_ips(raw.records), len(raw.records)))
-        tracetree_obs.append((baseline.record_ips(simulated.records), len(simulated.records)))
-        last_routes, last_simulated = routes, simulated
+        simulated_records = simulated.records
+        traceroute_obs.append((baseline.record_ips(records), len(records)))
+        tracetree_obs.append((baseline.record_ips(simulated_records), len(simulated_records)))
+        last_routes, last_simulated_records = routes, simulated_records
 
     tr_rounds, tr_packets = baseline.cumulative_discovery_curves(traceroute_obs)
     tt_rounds, tt_packets = baseline.cumulative_discovery_curves(tracetree_obs)
@@ -274,7 +276,7 @@ def cmd_compare(args) -> int:
     packet_rows = [("traceroute", x, y) for x, y in tr_packets]
     packet_rows += [("tracetree", x, y) for x, y in tt_packets]
     load_tr = baseline.link_load_distribution(last_routes, root=root)
-    load_tt = baseline.link_load_distribution(baseline.routes_from_records(last_simulated.records))
+    load_tt = baseline.link_load_distribution(baseline.routes_from_records(last_simulated_records))
     outputs = {
         "curves_rounds": analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
         "curves_packets": analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),

@@ -5,18 +5,19 @@ prune dangling stars, merge sibling stars, extract a deterministic BFS
 tree, prune leaves no destination terminated at.  The output is a
 possible routing tree from the monitor to the destinations.
 
-The filter reads a round's records directly and never derives the raw
-(hop, ttl) graph.  It works on integer node ids: an address is its own
-integer, and a star is numbered per (key, ttl) in first-record order.
-Its edges come from `model.ttl_links`, the one edge rule.  A node keeps
-its one successor inline and gets a set only for a second, and only a
-node with several successors sorts them.  A round without stars skips
-stages 3 and 4.  Stage 4 merges a star with no sibling without building
-sets, renames raw stars instead of rewriting their neighbours' edges,
-and builds the key string of a star named after one parent once per
-parent.  Hop objects are made only for the returned parent map.  Nothing
-depends on set iteration order, so the output is the same under every
-hash seed.
+The filter reads a round's two record columns, its hops and its packed
+(destination index, ttl) keys, and never derives the raw (hop, ttl)
+graph or a record tuple.  It works on integer node ids: an address is
+its own integer, and a star is numbered per (key, ttl) in first-record
+order.  Its edges come from `model.ttl_links`, the one edge rule, over
+the stored keys.  A node keeps its one successor inline and gets a set
+only for a second, and only a node with several successors sorts them.
+A round without stars skips stages 3 and 4.  Stage 4 merges a star with
+no sibling without building sets, renames raw stars instead of
+rewriting their neighbours' edges, and builds the key string of a star
+named after one parent once per parent.  Hop objects are made only for
+the returned parent map.  Nothing depends on set iteration order, so
+the output is the same under every hash seed.
 """
 from __future__ import annotations
 
@@ -24,16 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
-from .model import (
-    FilteredTree,
-    Hop,
-    Ip,
-    ProbeRecord,
-    RawTraceTree,
-    Star,
-    record_columns,
-    ttl_links,
-)
+from .model import FilteredTree, Hop, Ip, ProbeRecord, RawTraceTree, Star, ttl_links
 
 
 @dataclass
@@ -64,7 +56,7 @@ def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterRep
     ttl-1 observation.  Destination terminals survive every stage.
     """
     report = FilterReport()
-    records = raw.records
+    keys = raw.keys
     # the root is the monitor's integer, so records carrying the monitor's
     # address merge into it
     root = monitor._int
@@ -78,8 +70,8 @@ def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterRep
     add_ip_ttl = ip_ttls.add
     nodes = []
     append = nodes.append
-    sources, ttls, destinations = record_columns(records)
-    for source, ttl in zip(sources, ttls):
+    for source, key in zip(raw.sources, keys):
+        ttl = key & 127
         if source.__class__ is Ip:
             node = source._int
             hop_of[node] = source
@@ -97,7 +89,7 @@ def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterRep
     # `out` keeps a node's one successor inline and makes a set only for a
     # second; only stars are ever looked up by parent, so only stars get
     # an `inn`.
-    graph = ttl_links(destinations, ttls, nodes)
+    graph = ttl_links(keys, nodes)
     out: dict[int, int | set[int]] = {}
     inn: dict[int, set[int]] = defaultdict(set)
     loops: set[int] = set()
@@ -116,7 +108,7 @@ def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterRep
         if v >= _STAR_BASE:
             inn[v].add(u)
     report.loops_removed = len(loops)
-    terminals = graph.terminals  # in step with graph.destinations
+    terminals = graph.terminals  # in step with raw.destinations
 
     if star_keys:
         rename, key_of = _merge_stars(star_ids.values(), star_keys, set(terminals), out, inn, hop_of, report)
@@ -152,11 +144,11 @@ def filter_tree(raw: RawTraceTree, monitor: Ip) -> tuple[FilteredTree, FilterRep
             if child not in parent:
                 parent[child] = node
                 append(child)
-    if len(order) == 1 and records:
+    if len(order) == 1 and keys:
         report.degenerate = True
     reached = list(map(parent.__contains__, terminals))
     terminals = list(compress(terminals, reached))
-    destinations = compress(graph.destinations, reached)
+    destinations = compress(raw.destinations, reached)
     del parent[root]
     protected = set(terminals)
 

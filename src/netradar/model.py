@@ -5,18 +5,23 @@ trees, measurement rounds, and the plain-text round-log format that ties
 them together on disk.
 
 A raw tree is its probe records, the same records the round log holds,
-one line each.  Its (hop, ttl) graph of nodes, edges and terminals is a
-reader's view, derived on demand and never stored; the filter works on
-the records directly.  Both, and the traceroute baseline's link loads,
-read one function, `ttl_links`, the one edge rule: it keys each
-record's node by `destination << 7 | ttl`, the int tracetree keys its
-probes by, holding a key's first node inline and a list only where a key
-sees a second distinct node, then joins consecutive ttls of a
+one line each, kept as two columns in step: `sources`, each record's
+hop, and `keys`, an `array('I')` of `index << 7 | ttl`, where `index`
+points into `destinations`, the round's distinct destinations in
+first-record order.  A record costs one list slot and one 4-byte key,
+and no tuple; `records` builds the `ProbeRecord` view on demand.  Its
+(hop, ttl) graph of nodes, edges and terminals is a reader's view too,
+derived on demand and never stored; the filter works on the columns
+directly.  Both, and the traceroute baseline's link loads, read one
+function, `ttl_links`, the one edge rule: it groups the records' nodes
+by their keys, holding a key's first node inline and a list only where
+a key sees a second distinct node, then joins consecutive ttls of a
 destination, links the monitor to ttl 1 and finds each destination's
 terminal.
 Likewise a filtered tree is its parent map, child to parent; its node
 and edge sets are derived from the map.  A retained round therefore
-costs its records and one parent map and nothing more.
+costs its two columns, its destinations and one parent map and nothing
+more.
 
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
@@ -26,19 +31,20 @@ its dotted quad once, from the integer (`dotted_quad`), and caches it
 for the round log.  The rounds of a radar run share one `Ip` per
 address, carried from round to round in tracetree's address table, so
 an address that keeps answering is rendered once per run.  Likewise the
-rounds parsed from one round-log document share one immutable
-`ProbeRecord` per distinct record line, so a line repeated round after
-round is read once.  A `Star` compares by its key and never equals an
-`Ip`.  `TtlNode` and `ProbeRecord` are named tuples over hops.  Inside
-the hot loops (simulator, transport, tracetree, filter, analytics)
-addresses are keyed by their integer, read as `IPv4Address._ip` (what
-`int()` returns, without the method call) or `Ip._int`; `IPv4Address`
-objects and dotted quads appear only at the edges: topology and
-destination files, the round log, CSV/DOT output, and the public fields
-callers read.
+rounds parsed from one round-log document share one hop per distinct
+source text and one `IPv4Address` per distinct destination, and a
+record line repeated round after round is read once.  A `Star` compares
+by its key and never equals an `Ip`.  `TtlNode` and `ProbeRecord` are
+named tuples over hops; a round stores neither.  Inside the hot loops
+(simulator, transport, tracetree, filter, analytics) addresses are keyed
+by their integer, read as `IPv4Address._ip` (what `int()` returns,
+without the method call) or `Ip._int`; `IPv4Address` objects and dotted
+quads appear only at the edges: topology and destination files, the
+round log, CSV/DOT output, and the public fields callers read.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from ipaddress import IPv4Address
@@ -187,33 +193,24 @@ class TtlLinks(NamedTuple):
     lows: list
     highs: list
     heads: list  # per destination, its nodes at ttl 1: what the monitor links to
-    destinations: list[IPv4Address]  # in first-record order
-    terminals: list  # in step with `destinations`: the first node at its highest ttl
+    terminals: list  # per destination index: the first node at its highest ttl
 
 
-def record_columns(records) -> tuple[tuple, tuple, tuple]:
-    """The sources, ttls and destinations of records, as three tuples in
-    step: one pass in C, after which a loop over them unpacks no
-    ProbeRecord."""
-    return tuple(zip(*records)) or ((), (), ())
-
-
-def ttl_links(destinations, ttls, nodes) -> TtlLinks:
-    """The graph of records given as three sequences in step, one entry
-    per record: per destination, every node at ttl t links to every node
-    at ttl t+1, and the monitor links to every node at ttl 1; a
+def ttl_links(keys, nodes) -> TtlLinks:
+    """The graph of records given as their keys and nodes, two sequences
+    in step: per destination, every node at ttl t links to every node at
+    ttl t+1, and the monitor links to every node at ttl 1; a
     destination's probing ended at the first node of its highest ttl.
 
     This is the one edge rule: the raw (hop, ttl) graph, the filter and
-    the traceroute baseline's link loads all read it.  Nodes are grouped
-    by one packed int per (destination, ttl), `destination << 7 | ttl` (a
-    ttl is at most TTL_LIMIT = 64), the key tracetree gives its probes.
-    `first` holds each key's first node, in first-record order; only a
-    key that sees a second distinct node gets a list, in `more`, of the
-    nodes after the first in first-sighting order.
+    the traceroute baseline's link loads all read it.  A key is
+    `index << 7 | ttl` (a ttl is at most TTL_LIMIT = 64), as
+    `RawTraceTree.keys` stores it, and the indexes of n destinations are
+    0 to n-1, each with at least one record.  `first` holds each key's
+    first node, in first-record order; only a key that sees a second
+    distinct node gets a list, in `more`, of the nodes after the first in
+    first-sighting order.
     """
-    # keyed by the destination integer: IPv4Address.__hash__ is costly
-    keys = [destination._ip << 7 | ttl for destination, ttl in zip(destinations, ttls)]
     first = dict(zip(keys, nodes))
     more: dict[int, list] = {}
     if len(first) < len(keys):  # a (destination, ttl) holds two records
@@ -224,12 +221,11 @@ def ttl_links(destinations, ttls, nodes) -> TtlLinks:
                 others = more.setdefault(key, [])
                 if node not in others:
                     others.append(node)
-    by_int = {destination._ip: destination for destination in destinations}
     get = first.get
     lows: list = []
     highs: list = []
     add_low, add_high = lows.append, highs.append
-    top: dict[int, int] = {}  # destination integer -> its highest key
+    top: dict[int, int] = {}  # destination index -> its highest key
     highest = top.get
     for key, low in first.items():
         high = get(key + 1)
@@ -246,46 +242,78 @@ def ttl_links(destinations, ttls, nodes) -> TtlLinks:
             add_low(low)
             add_high(high)
     heads = []
-    for d in by_int:
+    for d in range(len(top)):
         node = get(d << 7 | 1)
         if node is not None:
             heads.append(node)
             if more:
                 heads += more.get(d << 7 | 1, ())
-    terminals = [first[top[d]] for d in by_int]
-    return TtlLinks(lows, highs, heads, list(by_int.values()), terminals)
+    terminals = [first[top[d]] for d in range(len(top))]
+    return TtlLinks(lows, highs, heads, terminals)
 
 
-@dataclass
+@dataclass(slots=True)
 class RawTraceTree:
     """Direct tree-measurement output: the probe records of one round.
 
-    `records`, in emission order, is the only stored view; it is what
-    the round log serializes line for line.  `graph()` derives the
-    (hop, ttl) view for readers and never caches it: edges join ttl t to
-    t+1 and are reconstructed per destination from consecutive-ttl
-    records, which is what makes the text log a lossless serialization.
-    Chains that stopped early (their bottom record hit an already-seen
-    node) are reattached through the records of whichever destination
-    kept probing, because the shared (hop, ttl) node appears in that chain
+    The records, in emission order, are stored as two columns in step:
+    `sources[i]` is record i's hop and `keys[i]` is `index << 7 | ttl`,
+    where `destinations[index]` is its destination.  `destinations`
+    holds the round's distinct destinations in first-record order, so a
+    round holds fewer than 2^25 of them (a key is 32 bits).  Every
+    builder (`from_records`, `tracetree`, `parse_round_log`) makes the
+    same container types, exact in size, so equal rounds compare equal.
+
+    `records` and `graph()` are derived views, built on every call and
+    never cached.  The records are what the round log serializes line
+    for line.  The (hop, ttl) graph's edges join ttl t to t+1 and are
+    reconstructed per destination from consecutive-ttl records, which is
+    what makes the text log a lossless serialization.  Chains that
+    stopped early (their bottom record hit an already-seen node) are
+    reattached through the records of whichever destination kept
+    probing, because the shared (hop, ttl) node appears in that chain
     too.
     """
 
-    records: list[ProbeRecord]
+    sources: list  # Hop per record
+    keys: array  # array('I'): index << 7 | ttl per record
+    destinations: list[IPv4Address]
 
     @classmethod
     def from_records(cls, records) -> "RawTraceTree":
-        return cls(list(records))
+        """The round of `records`, (source, ttl, destination) triples in
+        emission order."""
+        sources: list = []
+        keys = array("I")
+        index_of: dict[int, int] = {}  # destination integer -> its index
+        destinations: list[IPv4Address] = []
+        add_source, add_key = sources.append, keys.append
+        for source, ttl, destination in records:
+            index = index_of.get(destination._ip)
+            if index is None:
+                index = index_of[destination._ip] = len(destinations)
+                destinations.append(destination)
+            add_source(source)
+            add_key(index << 7 | ttl)
+        return cls(sources[:], keys[:], destinations[:])
+
+    @property
+    def records(self) -> list[ProbeRecord]:
+        """The records in emission order, built from the columns."""
+        destinations = self.destinations
+        return [
+            ProbeRecord(source, key & 127, destinations[key >> 7]) for source, key in zip(self.sources, self.keys)
+        ]
 
     def graph(self) -> tuple[set[TtlNode], set[tuple[TtlNode, TtlNode]], dict[IPv4Address, TtlNode]]:
         """Derive `(nodes, edges, terminals)` from the records: a reader's
-        view for tests and tools; the filter works on the records itself."""
+        view for tests and tools; the filter works on the columns itself."""
         # one TtlNode object per (hop, ttl), shared by the node set and the edges
         interned: dict[TtlNode, TtlNode] = {}
-        sources, ttls, destinations = record_columns(self.records)
-        nodes = [interned.setdefault(node, node) for node in map(TtlNode, sources, ttls)]
-        graph = ttl_links(destinations, ttls, nodes)
-        return set(interned), set(zip(graph.lows, graph.highs)), dict(zip(graph.destinations, graph.terminals))
+        ttls = [key & 127 for key in self.keys]
+        nodes = [interned.setdefault(node, node) for node in map(TtlNode, self.sources, ttls)]
+        graph = ttl_links(self.keys, nodes)
+        return set(interned), set(zip(graph.lows, graph.highs)), dict(zip(self.destinations, graph.terminals))
 
     @property
     def nodes(self) -> set[TtlNode]:
@@ -300,7 +328,7 @@ class RawTraceTree:
         return self.graph()[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundMeta:
     """Header data of one serialized round."""
 
@@ -317,12 +345,8 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
     space separators, newline line ends.
     """
     lines = [f"#round {index} {float(start_time)!r} {float(end_time)!r}"]
-    dest_text: dict[int, str] = {}  # rendered once per destination
-    for source, ttl, destination in raw.records:
-        text = dest_text.get(destination._ip)
-        if text is None:
-            text = dest_text[destination._ip] = dotted_quad(destination._ip)
-        lines.append(f"{source} {ttl} {text}")
+    texts = [dotted_quad(destination._ip) for destination in raw.destinations]  # once each
+    lines += [f"{source} {key & 127} {texts[key >> 7]}" for source, key in zip(raw.sources, raw.keys)]
     lines.append("#end")
     return "\n".join(lines) + "\n"
 
@@ -338,17 +362,20 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     an unterminated final round, its `#round` line); a ttl outside
     [1, TTL_LIMIT] raises TtlRangeError.
 
-    A document's rounds share one immutable ProbeRecord per distinct
-    record line: a line read before was valid then, so a repeat costs one
-    dict lookup.
+    A document's rounds share one hop per distinct source text and one
+    IPv4Address per distinct destination text.  A record line read
+    before was valid then, so a repeat costs two dict lookups and two
+    appends.
     """
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
     header_no = 0
-    records: list[ProbeRecord] = []
+    sources: list = []
+    keys = array("I")
+    index_of: dict[str, int] = {}  # this round's destination text -> its index
     # one object per distinct text across the document: a log repeats its
     # lines, hops and destinations round after round
-    known: dict[str, ProbeRecord] = {}
+    known: dict[str, tuple[Hop, int, str]] = {}  # line -> (source, ttl, destination text)
     destinations: dict[str, IPv4Address] = {}
     hops: dict[str, Ip] = {}
     stars: dict[str, Star] = {}
@@ -356,36 +383,39 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     if not lines[-1]:  # the final line end, or an empty document
         lines.pop()
     for line_no, line in enumerate(lines, start=1):
-        record = known.get(line)
-        if record is not None and meta is not None:
-            # read before, so valid; outside a block it falls through to
-            # the check below
-            records.append(record)
-        elif line.startswith("#round"):
-            if meta is not None:
-                raise RoundLogParseError("new round before #end", line_no)
-            parts = line.split(" ")
-            if len(parts) != 4 or parts[0] != "#round":
-                raise RoundLogParseError("malformed round header", line_no)
-            try:
-                meta = RoundMeta(int(parts[1]), float(parts[2]), float(parts[3]))
-            except ValueError:
-                raise RoundLogParseError("malformed round header", line_no) from None
-            if (
-                str(meta.index) != parts[1]
-                or repr(meta.start_time) != parts[2]
-                or repr(meta.end_time) != parts[3]
-                or not (isfinite(meta.start_time) and isfinite(meta.end_time))
-            ):
-                raise RoundLogParseError("malformed round header", line_no)
-            header_no = line_no
-            records = []
-        elif line == "#end":
-            if meta is None:
-                raise RoundLogParseError("#end without a round header", line_no)
-            rounds.append((meta, RawTraceTree.from_records(records)))
-            meta = None
-        else:
+        seen = known.get(line)
+        # a line read before was valid then; outside a block it is checked
+        if seen is None or meta is None:
+            if line.startswith("#round"):
+                if meta is not None:
+                    raise RoundLogParseError("new round before #end", line_no)
+                parts = line.split(" ")
+                if len(parts) != 4 or parts[0] != "#round":
+                    raise RoundLogParseError("malformed round header", line_no)
+                try:
+                    meta = RoundMeta(int(parts[1]), float(parts[2]), float(parts[3]))
+                except ValueError:
+                    raise RoundLogParseError("malformed round header", line_no) from None
+                if (
+                    str(meta.index) != parts[1]
+                    or repr(meta.start_time) != parts[2]
+                    or repr(meta.end_time) != parts[3]
+                    or not (isfinite(meta.start_time) and isfinite(meta.end_time))
+                ):
+                    raise RoundLogParseError("malformed round header", line_no)
+                header_no = line_no
+                sources = []
+                keys = array("I")
+                index_of = {}
+                continue
+            if line == "#end":
+                if meta is None:
+                    raise RoundLogParseError("#end without a round header", line_no)
+                # exact-size copies: a kept round holds no growth slack
+                raw = RawTraceTree(sources[:], keys[:], [destinations[dest_txt] for dest_txt in index_of])
+                rounds.append((meta, raw))
+                meta = None
+                continue
             if meta is None:
                 raise RoundLogParseError("content outside a round block", line_no)
             parts = line.split(" ")
@@ -417,8 +447,14 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                         source = hops[src_txt] = Ip(IPv4Address(src_txt))
                     except ValueError:
                         raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
-            record = known[line] = ProbeRecord(source, ttl, destination)
-            records.append(record)
+            seen = known[line] = (source, ttl, dest_txt)
+        source, ttl, dest_txt = seen
+        # IPv4Address reads one text per address, so a text is a destination
+        index = index_of.get(dest_txt)
+        if index is None:
+            index = index_of[dest_txt] = len(index_of)
+        sources.append(source)
+        keys.append(index << 7 | ttl)
     if meta is not None:
         raise RoundLogParseError("missing #end for final round", header_no)
     return rounds

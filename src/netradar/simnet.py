@@ -55,7 +55,10 @@ class RateLimited:
     burst: int = 1
 
     def __post_init__(self):
-        # a NaN or an infinite rate refills the bucket at once: neither limits
+        # a bool or a string is no number; a NaN or an infinite rate
+        # refills the bucket at once: neither limits
+        if type(self.rate) not in (int, float):
+            raise TopologyError(f"rate limit rate must be a finite number > 0, got {self.rate!r}")
         finite("rate limit rate", self.rate, positive=True, error=TopologyError)
         burst = self.burst  # a bool or a string is no count; inf % 1 is NaN
         if type(burst) not in (int, float) or not (burst >= 1 and burst % 1 == 0):
@@ -139,7 +142,7 @@ def _parse_policy(spec) -> object:
     if spec == SILENT:
         return SILENT
     if isinstance(spec, dict) and "rate" in spec:
-        return RateLimited(rate=float(spec["rate"]), burst=spec.get("burst", 1))
+        return RateLimited(rate=spec["rate"], burst=spec.get("burst", 1))
     raise TopologyError(f"unknown response policy {spec!r}")
 
 

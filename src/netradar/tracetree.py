@@ -8,11 +8,12 @@ record count and the view over (hop, ttl) pairs is a tree.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 
-from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, finite
+from .model import MAX_TTL_DEFAULT, TTL_LIMIT, Ip, RawTraceTree, Star, dotted_quad, finite
 from .transport import ProbeToken, TransportError
 
 DEFAULT_TIMEOUT = 2.0  # seconds a probe waits for its reply
@@ -92,10 +93,12 @@ def tracetree(
     transport.prepare(destinations)
 
     # One int per probe: the destination integer << 7 | ttl (ttl <= TTL_LIMIT
-    # < 128); `seen` packs the reply source the same way.  Records carry the
-    # caller's IPv4Address objects and the Ips of the carried `hops` table,
-    # so consecutive rounds share one Ip per address and a steady round
-    # builds no address object.
+    # < 128); `seen` packs the reply source the same way.  A record is two
+    # appends, its hop to `sources` and `index << 7 | ttl` to `keys`, where
+    # `index` numbers its destination in first-record order.  Records carry
+    # the caller's IPv4Address objects and the Ips of the carried `hops`
+    # table, so consecutive rounds share one Ip per address and a steady
+    # round builds no address object.
     clock = transport.clock
     send = transport.send
     timeout = config.timeout
@@ -108,8 +111,10 @@ def tracetree(
     inflight: dict[int, ProbeToken] = {}
     expiry: deque[tuple[float, int]] = deque()  # (deadline, key), in send order
     seen: set[int] = set()
-    records: list[ProbeRecord] = []
-    record = records.append
+    sources: list = []
+    keys = array("I")
+    add_source, add_key = sources.append, keys.append
+    index_of: dict[int, int] = {}  # destination integer -> its index, in first-record order
     previous = hops if hops is not None else {}
     hops = {}
     echo_at: dict[int, int] = {}
@@ -179,7 +184,11 @@ def tracetree(
                     fresh = True
                 else:
                     break
-                record(ProbeRecord(source, ttl, by_int[d]))
+                index = index_of.get(d)
+                if index is None:
+                    index = index_of[d] = len(index_of)
+                add_source(source)
+                add_key(index << 7 | ttl)
                 # the restart chain is queued first, then the next hop down
                 # below a fresh sighting or a star
                 pushes = (key - 1,) if fresh else ()
@@ -194,6 +203,7 @@ def tracetree(
         stats.complete = False
 
     stats.duration = clock.now() - started
-    raw = RawTraceTree.from_records(records)
+    # exact-size copies: a kept round holds no growth slack
+    raw = RawTraceTree(sources[:], keys[:], [by_int[d] for d in index_of])
     distances = {dest: echo_at.get(d) for d, dest in by_int.items()}
     return TracetreeResult(raw=raw, distances=distances, stats=stats, hops=hops)

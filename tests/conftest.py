@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from netradar.model import FilteredTree, Hop, Ip, RadarDataset, RoundRecord, Star
+from netradar.model import FilteredTree, Hop, Ip, RadarDataset, RawTraceTree, RoundRecord, Star
 from netradar.simnet import Topology, load_topology
 
 
@@ -36,6 +36,15 @@ def hop_sort_key(hop: Hop) -> tuple:
     if isinstance(hop, Ip):
         return (0, hop._int, "")
     return (1, 0, hop.key)
+
+
+def assert_same_columns(a: RawTraceTree, b: RawTraceTree) -> None:
+    """`a` and `b` hold equal columns in the same container types, as
+    every builder of a round must make them."""
+    assert a == b
+    assert type(a.sources) is type(b.sources) is list
+    assert type(a.destinations) is type(b.destinations) is list
+    assert a.keys.typecode == b.keys.typecode == "I"
 
 
 def dataset_observations(dataset: RadarDataset):
@@ -106,6 +115,8 @@ RATE_LIMITS_THAT_CANNOT_LIMIT = [
     pytest.param('{"rate": 1.0, "burst": Infinity}', id="infinite-burst"),
     pytest.param('{"rate": 1.0, "burst": "2"}', id="string-burst"),
     pytest.param('{"rate": 1.0, "burst": true}', id="bool-burst"),
+    pytest.param('{"rate": "2", "burst": 1}', id="string-rate"),
+    pytest.param('{"rate": true, "burst": 1}', id="bool-rate"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hop_sort_key, ip
+from conftest import assert_same_columns, hop_sort_key, ip
 from netradar.model import (
     TTL_LIMIT,
     FilteredTree,
@@ -180,10 +180,12 @@ class TestParseRoundLog:
         assert (err.value.__class__, err.value.line_no) == (RoundLogParseError, line_no)
 
     def test_a_line_repeated_in_two_rounds_is_one_record(self):
+        # records are a view built on each read: what is shared is the
+        # stored hop
         text = "#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\n#end\n#round 1 2.0 3.0\n* 2 5.6.7.8\n1.2.3.4 3 5.6.7.8\n#end\n"
         [(_, first), (_, second)] = parse_round_log(text)
-        assert first.records[0] is second.records[1]
-        assert first.records[0] == rec("1.2.3.4", 3, "5.6.7.8")
+        assert first.sources[0] is second.sources[1]
+        assert first.records[0] == second.records[1] == rec("1.2.3.4", 3, "5.6.7.8")
 
     @pytest.mark.parametrize(
         "text, line_no",
@@ -327,6 +329,37 @@ def test_round_trip_property(records):
     assert parsed.terminals == raw.terminals
     # byte-exact when re-serialized
     assert serialize_round(parsed, 3, meta.start_time, meta.end_time) == text
+
+
+@st.composite
+def column_records(draw):
+    """Records in any order towards up to 300 destinations, so indexes run
+    past the 7 ttl bits: stars, repeated (destination, ttl) pairs, and ttl
+    1 and TTL_LIMIT drawn often."""
+    count = draw(st.integers(1, 300))
+    first = draw(st.integers(0, 2**32 - count))
+    destinations = [IPv4Address(first + i) for i in range(count)]
+    ttls = st.one_of(st.sampled_from([1, TTL_LIMIT]), st.integers(1, TTL_LIMIT))
+    sources = st.sampled_from(["*", *_POOL[:6]])
+    drawn = draw(st.lists(st.tuples(st.integers(0, count - 1), ttls, sources), max_size=500))
+    return [rec(source, ttl, str(destinations[d])) for d, ttl, source in drawn]
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_records())
+def test_columns_give_back_their_records(records):
+    raw = RawTraceTree.from_records(records)
+    assert raw.records == records
+    assert len(raw.sources) == len(raw.keys) == len(records)
+    assert raw.destinations == list(dict.fromkeys(r.destination for r in records))
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_records())
+def test_parsed_round_has_the_serialized_columns(records):
+    raw = RawTraceTree.from_records(records)
+    [(_, parsed)] = parse_round_log(serialize_round(raw, 0, 0.0, 1.0))
+    assert_same_columns(parsed, raw)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 from ipaddress import IPv4Address
 
 import pytest
@@ -20,6 +21,8 @@ from netradar.radar import (
 from netradar.simnet import load_topology
 from netradar.tracetree import TracetreeConfig, tracetree
 from netradar.transport import SimTransport, TransportError
+
+from test_acceptance import fan_doc
 
 D = IPv4Address("10.0.0.4")
 
@@ -139,6 +142,32 @@ class TestRunRadar:
         assert alive_ttl_nodes() == before
         assert len(dataset.rounds) == 6
         assert all(rec.raw.records for rec in dataset.rounds)
+
+    def test_a_kept_round_costs_under_20_bytes_a_record(self):
+        # a steady fan round over the carried address table keeps one hop
+        # slot and one packed key per record, and no tuple per record
+        doc, destinations = fan_doc(chains=200, depth=10)
+
+        class TraceAfterRoundZero:
+            def write(self, record):
+                if record.index == 0:
+                    gc.collect()
+                    tracemalloc.start()
+
+        try:
+            transport = SimTransport(load_topology(doc))
+            dataset = run_radar(small_config(destinations, rounds=2, max_ttl=12), transport, TraceAfterRoundZero())
+            record = dataset.rounds[1]
+            count = len(record.raw.keys)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            record.raw = None
+            gc.collect()
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert count == record.probes_sent == 2000
+        assert kept <= 20 * count, f"{kept / count:.1f} bytes kept per record"
 
     def test_interrupt_preserves_partial_dataset(self):
         class Interrupting(SimTransport):

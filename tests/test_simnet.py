@@ -104,6 +104,13 @@ class TestLoadTopology:
         with pytest.raises(TopologyError):
             RateLimited(rate=1.0, burst=0)
 
+    @pytest.mark.parametrize("rate", ["2", True], ids=["string", "bool"])
+    def test_rate_that_is_no_number_named(self, rate):
+        # refused as a burst of the same value is, not read as 2.0 or 1.0
+        nodes = dict(CHAIN_DOC["nodes"], r1={"address": "10.0.0.2", "policy": {"rate": rate}})
+        with pytest.raises(TopologyError, match=f"rate limit rate must be a finite number > 0, got {rate!r}"):
+            load_topology(dict(CHAIN_DOC, nodes=nodes))
+
     @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
     def test_rate_limit_that_cannot_limit_rejected(self, tmp_path, policy):
         path = tmp_path / "topo.json"

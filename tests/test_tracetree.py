@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_DOC, shared_prefix_doc
+from conftest import CHAIN_DOC, assert_same_columns, shared_prefix_doc
 from netradar.model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, serialize_round
 from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
@@ -442,6 +442,21 @@ def measurement_scenarios(draw):
         "fail_after": draw(st.sampled_from([None, None, 3, 12])),
     }
     return json.loads(json.dumps(doc)), rounds, knobs
+
+
+@settings(max_examples=100, deadline=None)
+@given(measurement_scenarios())
+def test_round_columns_equal_those_built_from_its_records(scenario):
+    # stars, restart chains, balancers and a transport fault included
+    doc, rounds, s = scenario
+    transport = Flaky(load_topology(doc), s["fail_after"], per_hop_delay=s["per_hop_delay"], rate_cap=s["rate_cap"])
+    hops = {}
+    for tasks in rounds:
+        result = tracetree(tasks, transport, s["config"], restart_from=s["restart_from"], hops=hops)
+        assert_same_columns(result.raw, RawTraceTree.from_records(result.raw.records))
+        if result.stats.complete:  # a fault leaves the probes in flight unrecorded
+            assert len(result.raw.keys) == result.stats.probes_sent
+        hops = result.hops
 
 
 class TestAgainstOracle:
