@@ -235,8 +235,8 @@ class EventGraph:
     edges: set[tuple[IPv4Address, IPv4Address]]
     new_edges: set[tuple[IPv4Address, IPv4Address]]
 
-    def to_dot(self, name: str = "event") -> str:
-        lines = [f"graph {name} {{", "  node [shape=point, width=0.08];"]
+    def to_dot(self) -> str:
+        lines = ["graph event {", "  node [shape=point, width=0.08];"]
         ids = {a: f"n{i}" for i, a in enumerate(sorted(self.nodes))}
         for address, node_id in ids.items():
             lines.append(f'  {node_id} [tooltip="{address}"];')
@@ -316,12 +316,12 @@ def rows_to_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def series_to_csv(series, value_name: str = "value") -> str:
+def series_to_csv(series, value_name: str) -> str:
     """CSV with columns: round,<value_name>."""
     return rows_to_csv(["round", value_name], series)
 
 
-def histogram_to_csv(histogram: dict, key_name: str, count_name: str = "count") -> str:
+def histogram_to_csv(histogram: dict, key_name: str, count_name: str) -> str:
     """CSV with columns: <key_name>,<count_name>, keys ascending."""
     return rows_to_csv([key_name, count_name], ((key, histogram[key]) for key in sorted(histogram)))
 
@@ -350,11 +350,11 @@ def correlation_to_csv(pairs, rho: float) -> str:
     return f"# spearman_rho={rho}\n" + rows_to_csv(["size", "discovery_time"], pairs)
 
 
-def component_neighborhood_dot(dataset: RadarDataset, reference, observation, name: str = "components") -> str:
+def component_neighborhood_dot(dataset: RadarDataset, reference, observation) -> str:
     """DOT rendering of the observation-window union graph with new
     addresses drawn solid black, as in island figures."""
     seen, links, fresh = _fold_ranges(dataset, reference, observation)
-    lines = [f"graph {name} {{"]
+    lines = ["graph components {"]
     ids = {a: f"n{i}" for i, a in enumerate(sorted(seen))}
     for a, node_id in ids.items():
         address = seen[a][1]

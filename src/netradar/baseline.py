@@ -2,12 +2,14 @@
 
 Traceroute probes every destination independently, ttl 1 upward, which
 re-discovers shared path prefixes once per destination.  The analyses
-here quantify that against tree probing: simulated tree measurements
-replayed over recorded routes, link-load histograms, destination-subset
-simulation, and cumulative discovery curves.
+here quantify that against tree probing over traceroute rounds
+(`RawTraceTree`s, as every module passes them): simulated tree
+measurements, link-load histograms, destination-subset simulation, and
+cumulative discovery curves.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv4Address
@@ -26,9 +28,9 @@ from .model import (
 from .tracetree import TracetreeConfig
 
 
-def record_ips(records) -> set[IPv4Address]:
-    """Distinct addresses that answered among `records`; stars do not count."""
-    return {rec.source.address for rec in records if isinstance(rec.source, Ip)}
+def record_ips(raw: RawTraceTree) -> set[IPv4Address]:
+    """Distinct addresses that answered in round `raw`; stars do not count."""
+    return {hop.address for hop in raw.sources if isinstance(hop, Ip)}
 
 
 def _await_reply(transport, token, timeout):
@@ -56,63 +58,53 @@ def traceroute_round(destinations, transport, config: TracetreeConfig | None = N
         for ttl in range(1, config.max_ttl + 1):
             token = transport.send(destination, ttl)
             reply = _await_reply(transport, token, config.timeout)
-            if reply is None:
-                hop: Hop = Star(str(destination))
-            else:
-                hop = Ip(reply.source)
+            hop: Hop = Star(str(destination)) if reply is None else Ip(reply.source)
             records.append(ProbeRecord(hop, ttl, destination))
             if reply is not None and reply.kind == "echo_reply" and reply.source == destination:
                 break
     return RawTraceTree.from_records(records)
 
 
-def routes_from_records(records) -> dict[IPv4Address, list[TtlNode]]:
-    """Rebuild per-destination routes from a traceroute record stream
-    (one record per (destination, ttl), as traceroute emits them)."""
-    routes: dict[IPv4Address, list[TtlNode]] = {}
-    for rec in records:
-        routes.setdefault(rec.destination, []).append(TtlNode(rec.source, rec.ttl))
-    for hops in routes.values():
-        hops.sort(key=lambda n: n.ttl)
-    return routes
-
-
-def simulate_tracetree_from_traceroute(routes) -> RawTraceTree:
-    """Replay the tree-probing stopping rule over recorded routes: walk
-    each route backward from its terminal, stop at the first (hop, ttl)
-    already seen.  Yields the records a tree measurement would have
-    produced had routing matched the recorded routes."""
+def simulate_tracetree_from_traceroute(raw: RawTraceTree) -> RawTraceTree:
+    """Replay the tree-probing stopping rule over a traceroute round: walk
+    each destination's route backward from its terminal, stop at the
+    first (hop, ttl) already seen.  Yields the round a tree measurement
+    would have produced had routing matched the recorded routes."""
+    routes: list[list] = [[] for _ in raw.destinations]  # per destination: (key, hop), ttl upward
+    for key, hop in sorted(zip(raw.keys, raw.sources), key=lambda pair: pair[0]):
+        routes[key >> 7].append((key, hop))
     seen: set[TtlNode] = set()
-    records: list[ProbeRecord] = []
-    for destination, hops in routes.items():
-        for node in reversed(hops):
-            records.append(ProbeRecord(node.hop, node.ttl, destination))
-            if isinstance(node.hop, Ip):
+    sources: list = []
+    keys = array("I")
+    for route in routes:
+        for key, hop in reversed(route):
+            sources.append(hop)
+            keys.append(key)
+            if isinstance(hop, Ip):
+                node = TtlNode(hop, key & 127)
                 if node in seen:
                     break
                 seen.add(node)
-    return RawTraceTree.from_records(records)
+    return RawTraceTree(sources, keys, raw.destinations[:])
 
 
-def link_load_distribution(routes, root: Hop | None = None) -> dict[int, int]:
+def link_load_distribution(raw: RawTraceTree, first_hops: bool = False) -> dict[int, int]:
     """Histogram of link discovery counts: for each directed (hop, ttl)
-    link appearing in the routes, how many destinations discovered it,
-    bucketed as {times_discovered: number_of_links}.
+    link in round `raw`, how many destinations discovered it, bucketed as
+    {times_discovered: number_of_links}.
 
-    Pass the monitor as `root` to count first-hop links (traceroute
-    routes start at the monitor); tree-measurement chains pass None, as
-    partial chains do not re-traverse the link into their junction.
+    `first_hops` counts the monitor's link to each ttl-1 hop too
+    (traceroute routes start at the monitor); tree-measurement chains
+    leave it False, as partial chains do not re-traverse the link into
+    their junction.
     """
-    nodes = [node for hops in routes.values() for node in hops]
-    # a destination's index is its place among the routes with a hop
-    keys = [index << 7 | node.ttl for index, hops in enumerate(filter(None, routes.values())) for node in hops]
+    nodes = [TtlNode(hop, key & 127) for hop, key in zip(raw.sources, raw.keys)]
     # a (destination, ttl) holds distinct nodes, so each link counts once
     # per destination
-    graph = ttl_links(keys, nodes)
+    graph = ttl_links(raw.keys, nodes)
     loads = Counter(zip(graph.lows, graph.highs))
-    if root is not None:
-        top = TtlNode(root, 0)
-        loads.update((top, node) for node in graph.heads)
+    if first_hops:
+        loads.update((None, node) for node in graph.heads)  # None: the monitor
     return dict(Counter(loads.values()))
 
 

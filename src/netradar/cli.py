@@ -26,6 +26,7 @@ from .model import (
     RadarDataset,
     RoundRecord,
     parse_round_log,
+    read_text,
     serialize_round,
 )
 from .radar import (
@@ -81,22 +82,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tree_root(monitor: str | None) -> Ip:
-    """The root of a tree read from a log: `--monitor`, else the placeholder."""
-    return Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
-
-
-def _read_log(path: str) -> str:
-    """A round log's text as written: no newline translation, so the
-    parser sees every line end."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+def _read_rounds(path: str) -> list:
+    """The rounds of the log at `path`, read as written: no newline
+    translation, so the parser sees every line end.  An error names the
+    file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse_round_log(fh.read())
+    except ValueError as exc:  # bytes that are not UTF-8, or not a round log
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
-    root = _tree_root(monitor)
+    root = Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
     rounds = []
-    for meta, raw in parse_round_log(_read_log(path)):
+    for meta, raw in _read_rounds(path):
         tree, _ = filter_tree(raw, root)
         rounds.append(
             RoundRecord(
@@ -126,14 +126,12 @@ def _measurement_config(args) -> TracetreeConfig:
     return TracetreeConfig(max_ttl=args.max_ttl, timeout=args.timeout)
 
 
+def _radar_config(args, inter_round_delay: float, rounds: int | None) -> RadarConfig:
+    return RadarConfig(load_destinations(args.destinations), inter_round_delay, rounds, _measurement_config(args))
+
+
 def cmd_radar_run(args) -> int:
-    destinations = load_destinations(args.destinations)
-    config = RadarConfig(
-        destinations=destinations,
-        inter_round_delay=args.inter_round,
-        rounds=args.rounds,
-        tracetree=_measurement_config(args),
-    )
+    config = _radar_config(args, args.inter_round, args.rounds)
     with (
         closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport,
         DatasetWriter(args.out) as sink,
@@ -148,13 +146,7 @@ def cmd_radar_run(args) -> int:
 
 
 def cmd_tracetree_once(args) -> int:
-    destinations = load_destinations(args.destinations)
-    config = RadarConfig(
-        destinations=destinations,
-        inter_round_delay=0.0,
-        rounds=1,
-        tracetree=_measurement_config(args),
-    )
+    config = _radar_config(args, 0.0, 1)
     with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
         dataset = run_radar(config, transport)
     record = dataset.rounds[0]
@@ -178,7 +170,7 @@ def cmd_traceroute_once(args) -> int:
     _emit(block, args.out)
     print(
         f"1 round: {len(raw.keys)} probes, "
-        f"{len(baseline.record_ips(raw.records))} distinct addresses",
+        f"{len(baseline.record_ips(raw))} distinct addresses",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -188,8 +180,7 @@ def cmd_simulate(args) -> int:
     topology = load_topology(args.topology)
     state = SimState(topology)
     lines_out = []
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(read_text(args.scenario).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -251,23 +242,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    parsed = parse_round_log(_read_log(args.infile))
+    parsed = _read_rounds(args.infile)
     if not parsed:
         raise ValueError(f"{args.infile}: no rounds")
-    root = _tree_root(args.monitor)
-
-    traceroute_obs = []
-    tracetree_obs = []
-    last_routes = None
-    last_simulated_records = None
+    traceroute_obs, tracetree_obs = [], []
     for _, raw in parsed:
-        records = raw.records  # a view built on each read: read once
-        routes = baseline.routes_from_records(records)
-        simulated = baseline.simulate_tracetree_from_traceroute(routes)
-        simulated_records = simulated.records
-        traceroute_obs.append((baseline.record_ips(records), len(records)))
-        tracetree_obs.append((baseline.record_ips(simulated_records), len(simulated_records)))
-        last_routes, last_simulated_records = routes, simulated_records
+        simulated = baseline.simulate_tracetree_from_traceroute(raw)
+        traceroute_obs.append((baseline.record_ips(raw), len(raw.keys)))
+        tracetree_obs.append((baseline.record_ips(simulated), len(simulated.keys)))
 
     tr_rounds, tr_packets = baseline.cumulative_discovery_curves(traceroute_obs)
     tt_rounds, tt_packets = baseline.cumulative_discovery_curves(tracetree_obs)
@@ -275,8 +257,9 @@ def cmd_compare(args) -> int:
     rounds_rows = [(r, y_tr, y_tt) for (r, y_tr), (_, y_tt) in zip(tr_rounds, tt_rounds)]
     packet_rows = [("traceroute", x, y) for x, y in tr_packets]
     packet_rows += [("tracetree", x, y) for x, y in tt_packets]
-    load_tr = baseline.link_load_distribution(last_routes, root=root)
-    load_tt = baseline.link_load_distribution(baseline.routes_from_records(last_simulated_records))
+    # the link loads of the last round
+    load_tr = baseline.link_load_distribution(raw, first_hops=True)
+    load_tt = baseline.link_load_distribution(simulated)
     outputs = {
         "curves_rounds": analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
         "curves_packets": analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),
@@ -363,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="traceroute vs simulated tree measurement (curves + loads)")
     compare.add_argument("--in", required=True, dest="infile", help="traceroute round-log file")
     compare.add_argument("--out-prefix", default="compare", dest="out_prefix")
-    compare.add_argument("--monitor", default=None)
     compare.set_defaults(func=cmd_compare)
 
     return parser

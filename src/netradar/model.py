@@ -78,6 +78,15 @@ def finite(name: str, value: float, positive: bool = False, error: type[ValueErr
     return value
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 class _Frozen:
     """Base of the hop types: their fields are set once, in __init__."""
 

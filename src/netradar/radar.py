@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 
 from .filtering import filter_tree
-from .model import MAX_TTL_DEFAULT, Ip, RadarDataset, RoundRecord, finite, serialize_round
+from .model import Ip, RadarDataset, RoundRecord, finite, read_text, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -42,24 +42,23 @@ def load_destinations(path) -> list[IPv4Address]:
     blank lines ignored.  A list with no destination, or with one twice,
     is a ValueError."""
     destinations: dict[IPv4Address, None] = {}  # a set in file order
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                destination = IPv4Address(text)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: bad destination address {text!r}") from None
-            if destination in destinations:
-                raise ValueError(f"{path}:{line_no}: duplicate destination {destination}")
-            destinations[destination] = None
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            destination = IPv4Address(text)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: bad destination address {text!r}") from None
+        if destination in destinations:
+            raise ValueError(f"{path}:{line_no}: duplicate destination {destination}")
+        destinations[destination] = None
     if not destinations:
         raise ValueError(f"{path}: no destinations")
     return list(destinations)
 
 
-def next_round_tasks(cache: dict, destinations, default_distance: int = MAX_TTL_DEFAULT) -> list[DestinationTask]:
+def next_round_tasks(cache: dict, destinations, default_distance: int) -> list[DestinationTask]:
     """Each destination probes from its cached distance, or from
     `default_distance` when the cache has nothing for it or holds None
     (the last round did not see it)."""

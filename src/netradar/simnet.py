@@ -146,20 +146,30 @@ def _parse_policy(spec) -> object:
     raise TopologyError(f"unknown response policy {spec!r}")
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TopologyError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _link(pair) -> tuple[str, str]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TopologyError(f"a link must be a list of two node names, got {pair!r}")
+    return str(pair[0]), str(pair[1])
+
+
 def _parse_node(name: str, spec) -> tuple[IPv4Address, object]:
-    if isinstance(spec, (str, int)):
-        return IPv4Address(spec), RESPONSIVE
-    if isinstance(spec, dict):
-        if "address" not in spec:
-            raise TopologyError(f"node {name!r} has no address")
-        return IPv4Address(spec["address"]), _parse_policy(spec.get("policy"))
-    raise TopologyError(f"bad node spec for {name!r}")
+    address, policy = (spec.get("address"), spec.get("policy")) if isinstance(spec, dict) else (spec, None)
+    if not isinstance(address, str):
+        raise TopologyError(f"node {name!r} needs an address string, got {address!r}")
+    return IPv4Address(address), _parse_policy(policy)
 
 
 def _parse_balancer(node: str, spec) -> object:
     if isinstance(spec, dict) and "per_destination" in spec:
-        return PerDestination({IPv4Address(a): str(n) for a, n in spec["per_destination"].items()})
-    if isinstance(spec, dict) and "per_packet" in spec:
+        table = _object(spec["per_destination"], f"per-destination balancer at {node!r}")
+        return PerDestination({IPv4Address(a): str(n) for a, n in table.items()})
+    if isinstance(spec, dict) and isinstance(spec.get("per_packet"), list):
         return PerPacket([str(n) for n in spec["per_packet"]])
     raise TopologyError(f"bad balancer spec for node {node!r}")
 
@@ -167,6 +177,8 @@ def _parse_balancer(node: str, spec) -> object:
 def _parse_event(spec) -> ScheduledEvent:
     if not isinstance(spec, dict) or "at" not in spec:
         raise TopologyError(f"event needs an 'at' time: {spec!r}")
+    if type(spec["at"]) not in (int, float):  # a bool or a string is no time
+        raise TopologyError(f"event time must be a number, got {spec['at']!r}")
     at = float(spec["at"])
     if "rewire" in spec:
         body = spec["rewire"]
@@ -177,8 +189,9 @@ def _parse_event(spec) -> ScheduledEvent:
         )
     elif "add_island" in spec:
         body = spec["add_island"]
-        nodes = {str(n): _parse_node(str(n), s) for n, s in body.get("nodes", {}).items()}
-        links = [(str(u), str(v)) for u, v in body.get("links", [])]
+        island = _object(body.get("nodes", {}), "island nodes")
+        nodes = {str(n): _parse_node(str(n), s) for n, s in island.items()}
+        links = [_link(pair) for pair in body.get("links", [])]
         action = AddIsland(nodes=nodes, links=links)
     elif "remove_node" in spec:
         action = RemoveNode(node=str(spec["remove_node"]))
@@ -207,11 +220,13 @@ def load_topology(source) -> Topology:
                     {"at": 1800, "rewire": {"node": "b", "remove": "d", "add": "x"}},
                     {"at": 2400, "remove_node": "x"}]}
 
-    A node is its address or an object with one; a policy defaults to
+    A node is its address, a dotted-quad string, or an object with one;
+    a link is a list of two node names.  A policy defaults to
     "responsive", a rate limit's burst to 1.  A per-destination balancer
     sends the destinations it lists to their next hop, the rest along the
     shortest path; a per-packet one cycles through its next hops.  An
-    event applies one action at simulated time `at`, in seconds.
+    event applies one action at simulated time `at`, a number of
+    seconds.
     Raises TopologyError naming the offending element on any violation.
     """
     if isinstance(source, (str, Path)):
@@ -227,15 +242,15 @@ def load_topology(source) -> Topology:
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
     try:
-        node_specs = doc.get("nodes") or {}
         addresses, policies = {}, {}
-        for name, spec in node_specs.items():
+        for name, spec in _object(doc.get("nodes") or {}, "nodes").items():
             addresses[str(name)], policies[str(name)] = _parse_node(str(name), spec)
         links: dict[str, list[str]] = {name: [] for name in addresses}
         for pair in doc.get("links") or []:
-            u, v = (str(pair[0]), str(pair[1]))
+            u, v = _link(pair)
             links.setdefault(u, []).append(v)
-        balancers = {str(n): _parse_balancer(str(n), s) for n, s in (doc.get("balancers") or {}).items()}
+        balancer_specs = _object(doc.get("balancers") or {}, "balancers")
+        balancers = {str(n): _parse_balancer(str(n), s) for n, s in balancer_specs.items()}
         events = [_parse_event(e) for e in doc.get("events") or []]
         topo = Topology(
             monitor=str(doc.get("monitor", "")),

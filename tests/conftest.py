@@ -120,6 +120,40 @@ RATE_LIMITS_THAT_CANNOT_LIMIT = [
 ]
 
 
+def _malformed(id_: str, match: str, **changes) -> pytest.param:
+    """A small topology with `changes` made to it that no loader may take."""
+    doc = {
+        "monitor": "m",
+        "nodes": {"m": "10.0.0.1", "a": "10.0.0.2", "b": "10.0.0.3"},
+        "links": [["m", "a"], ["m", "b"]],
+    }
+    nodes = changes.pop("nodes", {})
+    doc["nodes"] = nodes if isinstance(nodes, list) else {**doc["nodes"], **nodes}
+    return pytest.param({**doc, **changes}, match, id=id_)
+
+
+# topology documents of the wrong shape, each with a part of the message
+# that refuses it: none may load, end in a traceback or be coerced
+MALFORMED_TOPOLOGIES = [
+    _malformed("one-name-link", "a link must be a list of two node names", links=[["m"]]),
+    _malformed("string-links", "a link must be a list of two node names", links="mm"),
+    _malformed("three-name-link", "a link must be a list of two node names", links=[["m", "a", "b"]]),
+    _malformed("node-list", "nodes must be an object", nodes=["m"]),
+    _malformed("balancer-list", "balancers must be an object", balancers=["a"]),
+    _malformed("string-cycle", "bad balancer spec", balancers={"m": {"per_packet": "ab"}}),
+    _malformed("table-list", "must be an object", balancers={"m": {"per_destination": ["a"]}}),
+    _malformed("bool-node", "node 'b' needs an address string, got True", nodes={"b": True}),
+    _malformed("int-address", "node 'b' needs an address string, got 5", nodes={"b": {"address": 5}}),
+    _malformed("string-time", "event time must be a number", events=[{"at": "7", "remove_node": "b"}]),
+    _malformed("bool-time", "event time must be a number", events=[{"at": True, "remove_node": "b"}]),
+    _malformed(
+        "island-node-list",
+        "island nodes must be an object",
+        events=[{"at": 1.0, "add_island": {"nodes": ["x"], "links": []}}],
+    ),
+]
+
+
 def rate_limited_chain_json(policy: str) -> str:
     """The chain topology as JSON text, its r1 under the given policy."""
     nodes = dict(CHAIN_DOC["nodes"], r1={"address": "10.0.0.2", "policy": json.loads(policy)})

@@ -26,7 +26,6 @@ from netradar.baseline import (
     cumulative_discovery_curves,
     link_load_distribution,
     record_ips,
-    routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
     traceroute_round,
@@ -106,9 +105,8 @@ def test_c2_optimality_ordering():
         shared_pairs = len(tt.raw.records) - len(tt.raw.nodes)
         assert shared_pairs > 0  # >= 2 destinations share (hop, ttl) nodes
         assert tt.stats.probes_sent < len(tr.records)  # strict under sharing
-        tr_obs.append((record_ips(tr.records), len(tr.records)))
-        tt_ips = {n.hop.address for n in tt.raw.nodes if isinstance(n.hop, Ip)}
-        tt_obs.append((tt_ips, tt.stats.probes_sent))
+        tr_obs.append((record_ips(tr), len(tr.records)))
+        tt_obs.append((record_ips(tt.raw), tt.stats.probes_sent))
     tr_rounds, tr_packets = cumulative_discovery_curves(tr_obs)
     tt_rounds, tt_packets = cumulative_discovery_curves(tt_obs)
     for (_, y_tr), (_, y_tt) in zip(tr_rounds, tt_rounds):
@@ -125,11 +123,11 @@ def test_c3_load_balancing():
     destinations = star_destinations(k)
     tr_transport = SimTransport(load_topology(doc))
     tr = traceroute_round(destinations, tr_transport)
-    tr_loads = link_load_distribution(routes_from_records(tr.records), root=tr_transport.monitor_hop)
+    tr_loads = link_load_distribution(tr, first_hops=True)
     assert tr_loads == {1: k, k: 1}  # first-hop link probed exactly k times
     tt_transport = SimTransport(load_topology(doc))
     tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport)
-    tt_loads = link_load_distribution(routes_from_records(tt.raw.records))
+    tt_loads = link_load_distribution(tt.raw)
     assert set(tt_loads) == {1}  # every link discovered exactly once
     print(f"[acceptance] C3 PASS: load balancing (traceroute first hop {k}x, tracetree all 1)")
 

@@ -21,13 +21,12 @@ from netradar.baseline import (
     cumulative_discovery_curves,
     link_load_distribution,
     record_ips,
-    routes_from_records,
     simulate_destination_subset,
     simulate_tracetree_from_traceroute,
     traceroute_round,
 )
 from netradar.cli import _load_dataset
-from netradar.model import Hop, Ip, Star, TtlNode, parse_round_log, serialize_round
+from netradar.model import Hop, Ip, ProbeRecord, RawTraceTree, Star, TtlNode, parse_round_log, serialize_round
 from netradar.radar import DatasetWriter, RadarConfig, run_radar
 from netradar.simnet import load_topology
 from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
@@ -43,21 +42,20 @@ class TestTracerouteRound:
     def test_textbook_chain(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        assert routes_from_records(round_.records)[D] == [
-            TtlNode(ip("10.0.0.2"), 1),
-            TtlNode(ip("10.0.0.3"), 2),
-            TtlNode(ip("10.0.0.4"), 3),
+        assert [(r.source, r.ttl, r.destination) for r in round_.records] == [
+            (ip("10.0.0.2"), 1, D),
+            (ip("10.0.0.3"), 2, D),
+            (ip("10.0.0.4"), 3, D),
         ]
-        assert len(round_.records) == 3
 
     def test_shared_first_hop_traversed_per_destination(self):
         doc = star_topology_doc(3)
         transport = SimTransport(load_topology(doc))
         round_ = traceroute_round(star_destinations(3), transport)
         hub = ip("10.1.0.2")
-        first_hops = [hops[0].hop for hops in routes_from_records(round_.records).values()]
+        first_hops = [r.source for r in round_.records if r.ttl == 1]
         assert first_hops == [hub, hub, hub]
-        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
+        loads = link_load_distribution(round_, first_hops=True)
         assert loads[3] == 1  # the monitor's link, once per destination
 
     def test_silent_node_leaves_star_and_continues(self):
@@ -66,21 +64,21 @@ class TestTracerouteRound:
         doc["nodes"]["r2"] = {"address": "10.0.0.3", "policy": "silent"}
         transport = SimTransport(load_topology(doc))
         round_ = traceroute_round([D], transport)
-        hops = routes_from_records(round_.records)[D]
-        assert isinstance(hops[1].hop, Star) and hops[1].ttl == 2
-        assert hops[2].hop == Ip(D)
+        hops = round_.records
+        assert isinstance(hops[1].source, Star) and hops[1].ttl == 2
+        assert hops[2].source == Ip(D)
 
     def test_packet_count_sums_route_lengths(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        assert len(round_.records) == sum(len(h) for h in routes_from_records(round_.records).values()) == 8
+        assert Counter(r.destination for r in round_.records) == {D1: 4, D2: 4}
 
 
 class TestSimulatedTracetree:
     def test_single_destination_reversed_route(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
+        simulated = simulate_tracetree_from_traceroute(round_)
         assert [(r.source, r.ttl) for r in simulated.records] == [
             (ip("10.0.0.4"), 3),
             (ip("10.0.0.3"), 2),
@@ -90,7 +88,7 @@ class TestSimulatedTracetree:
     def test_shared_prefix_probed_once(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
+        simulated = simulate_tracetree_from_traceroute(round_)
         # 8 traceroute packets; the second chain stops at the junction
         assert len(simulated.records) == 7
         shared = [r for r in simulated.records if str(r.source) == "10.2.0.3"]
@@ -112,14 +110,14 @@ class TestSimulatedTracetree:
         transport = SimTransport(load_topology(doc))
         dests = [IPv4Address("10.8.0.3"), IPv4Address("10.8.0.5")]
         round_ = traceroute_round(dests, transport)
-        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
+        simulated = simulate_tracetree_from_traceroute(round_)
         assert len(simulated.records) == len(round_.records)
 
     def test_matches_live_tracetree_on_stable_sim(self):
         # same record multiset as an actual tree measurement with exact distances
         transport = SimTransport(load_topology(shared_prefix_doc()))
         round_ = traceroute_round([D1, D2], transport)
-        simulated = simulate_tracetree_from_traceroute(routes_from_records(round_.records))
+        simulated = simulate_tracetree_from_traceroute(round_)
         live_transport = SimTransport(load_topology(shared_prefix_doc()))
         live = tracetree(
             [DestinationTask(D1, 4), DestinationTask(D2, 4)], live_transport
@@ -133,19 +131,19 @@ class TestLinkLoads:
         k = 5
         transport = SimTransport(load_topology(star_topology_doc(k)))
         round_ = traceroute_round(star_destinations(k), transport)
-        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
+        loads = link_load_distribution(round_, first_hops=True)
         assert loads == {1: k, k: 1}
 
     def test_single_destination_all_ones(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         round_ = traceroute_round([D], transport)
-        loads = link_load_distribution(routes_from_records(round_.records), root=transport.monitor_hop)
+        loads = link_load_distribution(round_, first_hops=True)
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
-        loads = link_load_distribution(routes_from_records(result.raw.records))
+        loads = link_load_distribution(result.raw)
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one_on_star_topology(self):
@@ -153,7 +151,7 @@ class TestLinkLoads:
         transport = SimTransport(load_topology(star_topology_doc(k)))
         tasks = [DestinationTask(d, 2) for d in star_destinations(k)]
         result = tracetree(tasks, transport)
-        loads = link_load_distribution(routes_from_records(result.raw.records))
+        loads = link_load_distribution(result.raw)
         assert set(loads) == {1}
 
 
@@ -189,10 +187,13 @@ def oracle_link_load_distribution(routes, root: Hop | None = None) -> dict[int, 
 
 @st.composite
 def messy_routes(draw):
-    """`random_routes` with hops listed twice, extra hops at a ttl already
-    taken (a balancer), and every route in shuffled order."""
+    """The routes of a `random_routes` round with hops listed twice, extra
+    hops at a ttl already taken (a balancer), and every route in shuffled
+    order."""
     rng = draw(st.randoms(use_true_random=False))
-    routes = random_routes(rng, loops=draw(st.booleans()), stars=draw(st.booleans()))
+    routes: dict[IPv4Address, list[TtlNode]] = {}
+    for rec in random_routes(rng, loops=draw(st.booleans()), stars=draw(st.booleans())).records:
+        routes.setdefault(rec.destination, []).append(TtlNode(rec.source, rec.ttl))
     hops_anywhere = [node.hop for hops in routes.values() for node in hops]
     for hops in routes.values():
         hops.extend(rng.choices(hops, k=rng.randint(0, 3)))
@@ -206,7 +207,10 @@ class TestLinkLoadsAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(messy_routes(), st.sampled_from([None, ip("10.20.9.1")]))
     def test_same_histogram(self, routes, root):
-        assert link_load_distribution(routes, root) == oracle_link_load_distribution(routes, root)
+        round_ = RawTraceTree.from_records(
+            ProbeRecord(node.hop, node.ttl, destination) for destination, hops in routes.items() for node in hops
+        )
+        assert link_load_distribution(round_, first_hops=root is not None) == oracle_link_load_distribution(routes, root)
 
 
 class TestDestinationSubset:
@@ -372,7 +376,7 @@ class TestDiscoveryCurves:
             tt_transport = SimTransport(load_topology(shared_prefix_doc()))
             for _ in range(n):
                 round_ = traceroute_round([D1, D2], tr_transport)
-                tr_obs.append((record_ips(round_.records), len(round_.records)))
+                tr_obs.append((record_ips(round_), len(round_.records)))
                 result = tracetree(
                     [DestinationTask(D1, 4), DestinationTask(D2, 4)], tt_transport
                 )
@@ -394,11 +398,12 @@ class TestDiscoveryCurves:
             assert step_value(tt_packets, x) >= step_value(tr_packets, x)
 
 
-def test_routes_from_records_round_trip():
+def test_traceroute_round_survives_the_log():
     transport = SimTransport(load_topology(shared_prefix_doc()))
     round_ = traceroute_round([D1, D2], transport)
-    # `compare` rebuilds the routes from the stored log
+    # `compare` reads the round back from the stored log
     [(_, stored)] = parse_round_log(serialize_round(round_, 0, 0.0, 1.0))
-    rebuilt = routes_from_records(stored.records)
-    assert rebuilt == routes_from_records(round_.records)
-    assert sum(map(len, rebuilt.values())) == len(round_.records) == 8
+    assert stored == round_
+    assert simulate_tracetree_from_traceroute(stored) == simulate_tracetree_from_traceroute(round_)
+    assert link_load_distribution(stored, first_hops=True) == link_load_distribution(round_, first_hops=True)
+    assert len(stored.keys) == 8

@@ -4,12 +4,14 @@ from __future__ import annotations
 import errno
 import json
 import os
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
 
 from conftest import (
     CHAIN_DOC,
+    MALFORMED_TOPOLOGIES,
     RATE_LIMITS_THAT_CANNOT_LIMIT,
     fig1_analog_doc,
     ip,
@@ -17,8 +19,9 @@ from conftest import (
     shared_prefix_doc,
 )
 from netradar import analytics, cli
+from netradar.baseline import traceroute_round
 from netradar.cli import main
-from netradar.model import parse_round_log
+from netradar.model import parse_round_log, serialize_round
 from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
 
@@ -211,6 +214,14 @@ class TestBadParameters:
         assert "rate_cap" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("doc, match", MALFORMED_TOPOLOGIES)
+    def test_malformed_topology_document_is_validation_error(self, chain_files, tmp_path, capsys, doc, match):
+        _, dests = chain_files
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["tracetree", "once", "--destinations", str(dests), "--transport", f"sim:{topo}"]) == 3
+        assert match in capsys.readouterr().err
+
     @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
     def test_rate_limit_that_cannot_limit_is_validation_error(self, chain_files, tmp_path, capsys, policy):
         _, dests = chain_files
@@ -351,6 +362,32 @@ def test_missing_file_is_validation_error(chain_files, tmp_path, capsys, args, r
     paths = {"topo": topo, "dests": dests, "missing": tmp_path / "missing", "directory": tmp_path}
     assert main([word.format(**paths) for word in args.split()]) == 3
     assert capsys.readouterr().err == f"netradar: {reported.format(**paths)}: {os.strerror(error)}\n"
+
+
+BAD_LOG = b"#round 0 0.0 1.0\nfoo 1 5.6.7.8\n#end\n"
+NOT_UTF8_LOG = b"#round 0 0.0 1.0\n\xff 1 5.6.7.8\n#end\n"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+@pytest.mark.parametrize(
+    "args, content, reason",
+    [
+        ("analyze counts --in {bad}", BAD_LOG, "line 2: bad source address 'foo'\n"),
+        ("compare --in {bad} --out-prefix {prefix}", BAD_LOG, "line 2: bad source address 'foo'\n"),
+        ("analyze counts --in {bad}", NOT_UTF8_LOG, NOT_UTF8),
+        ("compare --in {bad} --out-prefix {prefix}", NOT_UTF8_LOG, NOT_UTF8),
+        ("tracetree once --destinations {bad} --transport sim:{topo}", b"10.0.0.4\n\xff\n", NOT_UTF8),
+        ("simulate --topology {topo} --scenario {bad}", b"0.0 10.0.0.4 1\n\xff\n", NOT_UTF8),
+    ],
+    ids=["analyze-log", "compare-log", "analyze-log-bytes", "compare-log-bytes", "destinations-bytes", "scenario-bytes"],
+)
+def test_unreadable_input_names_its_file(chain_files, tmp_path, capsys, args, content, reason):
+    topo, _ = chain_files
+    bad = tmp_path / "input"
+    bad.write_bytes(content)
+    paths = {"topo": topo, "bad": bad, "prefix": tmp_path / "cmp"}
+    assert main([word.format(**paths) for word in args.split()]) == 3
+    assert capsys.readouterr().err.startswith(f"netradar: {bad}: {reason}")
 
 
 def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):
@@ -874,7 +911,7 @@ class TestCompare:
             == 0
         )
         prefix = str(tmp_path / "cmp")
-        assert main(["compare", "--in", str(log), "--monitor", "10.2.0.1", "--out-prefix", prefix]) == 0
+        assert main(["compare", "--in", str(log), "--out-prefix", prefix]) == 0
         rounds_csv = (tmp_path / "cmp.curves_rounds.csv").read_text(encoding="utf-8")
         header, row = rounds_csv.splitlines()
         assert header == "round,traceroute_ips,tracetree_ips"
@@ -895,12 +932,48 @@ class TestCompare:
         args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(log)]
         assert main(["traceroute", "once", *args]) == 0
         prefix = str(tmp_path / "cmp")
-        assert main(["compare", "--in", str(log), "--monitor", "10.2.0.1", "--out-prefix", prefix]) == 0
+        assert main(["compare", "--in", str(log), "--out-prefix", prefix]) == 0
         expected = {
             "curves_rounds": "round,traceroute_ips,tracetree_ips\n1,6,6\n",
             "curves_packets": "tool,cum_packets,distinct_ips\ntraceroute,8,6\ntracetree,7,6\n",
             "load_traceroute": "times_probed,links\n1,4\n2,2\n",
             "load_tracetree": "times_probed,links\n1,5\n",
+        }
+        for name, text in expected.items():
+            assert (tmp_path / f"cmp.{name}.csv").read_bytes() == text.encode()
+
+    def test_monitor_is_usage_error(self, capsys):
+        # the monitor's address never reaches compare's outputs
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in", "tr.rounds", "--monitor", "10.2.0.1"])
+        assert exc.value.code == 1
+        assert "usage: netradar compare" in capsys.readouterr().err
+
+    def test_csv_bytes_over_rounds_with_stars_balancers_and_events(self, tmp_path):
+        # four traceroute rounds over the fig1 analog: a silent router, a
+        # per-packet balancer and three splices between the rounds
+        transport = SimTransport(load_topology(_fig1_events_doc()))
+        destinations = [IPv4Address(d) for d in ("10.0.1.14", "10.0.1.15", "10.0.1.16", "10.0.1.13", "10.0.1.7")]
+        blocks = []
+        for index in range(4):
+            transport.clock.advance_to(index * 2000.0)
+            started = transport.clock.now()
+            raw = traceroute_round(destinations, transport)
+            blocks.append(serialize_round(raw, index, started, transport.clock.now()))
+        log = tmp_path / "tr.rounds"
+        log.write_text("".join(blocks), encoding="utf-8")
+        assert "* 4 10.0.1.14" in blocks[0] and "10.0.9.9 6 10.0.1.16" in blocks[3]
+        prefix = str(tmp_path / "cmp")
+        assert main(["compare", "--in", str(log), "--out-prefix", prefix]) == 0
+        expected = {
+            "curves_rounds": "round,traceroute_ips,tracetree_ips\n1,13,12\n2,13,13\n3,14,14\n4,16,16\n",
+            "curves_packets": (
+                "tool,cum_packets,distinct_ips\n"
+                "traceroute,23,13\ntraceroute,46,13\ntraceroute,70,14\ntraceroute,96,16\n"
+                "tracetree,17,12\ntracetree,34,13\ntracetree,52,14\ntracetree,72,16\n"
+            ),
+            "load_traceroute": "times_probed,links\n1,9\n2,6\n5,1\n",
+            "load_tracetree": "times_probed,links\n1,15\n",
         }
         for name, text in expected.items():
             assert (tmp_path / f"cmp.{name}.csv").read_bytes() == text.encode()

@@ -186,11 +186,12 @@ class TestStageByStage:
 
 
 def random_routes(rng: random.Random, loops=True, stars=True):
-    """Random per-destination routes with shared prefixes, repeated
-    addresses (routing loops), and stars; replayed through the
-    tree-probing stopping rule to get measurement-shaped records."""
+    """A traceroute round of random per-destination routes with shared
+    prefixes, repeated addresses (routing loops), and stars; replayed
+    through the tree-probing stopping rule to get measurement-shaped
+    records."""
     pool = [f"10.20.{i // 200}.{i % 200}" for i in range(60)]
-    routes = {}
+    records = []
     n_dest = rng.randint(1, 6)
     shared_prefix = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
     for d in range(n_dest):
@@ -211,8 +212,8 @@ def random_routes(rng: random.Random, loops=True, stars=True):
                     hops.append(TtlNode(rng.choice(prior), ttl))
                     continue
             hops.append(TtlNode(ip(address), ttl))
-        routes[dest] = hops
-    return routes
+        records += [ProbeRecord(node.hop, node.ttl, dest) for node in hops]
+    return RawTraceTree.from_records(records)
 
 
 class TestFilterInvariants:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CHAIN_DOC,
+    MALFORMED_TOPOLOGIES,
     RATE_LIMITS_THAT_CANNOT_LIMIT,
     fig1_analog_doc,
     perfbench_inet,
@@ -110,6 +111,11 @@ class TestLoadTopology:
         nodes = dict(CHAIN_DOC["nodes"], r1={"address": "10.0.0.2", "policy": {"rate": rate}})
         with pytest.raises(TopologyError, match=f"rate limit rate must be a finite number > 0, got {rate!r}"):
             load_topology(dict(CHAIN_DOC, nodes=nodes))
+
+    @pytest.mark.parametrize("doc, match", MALFORMED_TOPOLOGIES)
+    def test_malformed_document_named(self, doc, match):
+        with pytest.raises(TopologyError, match=match):
+            load_topology(doc)
 
     @pytest.mark.parametrize("policy", RATE_LIMITS_THAT_CANNOT_LIMIT)
     def test_rate_limit_that_cannot_limit_rejected(self, tmp_path, policy):
