@@ -25,8 +25,8 @@ from .model import (
     Ip,
     RadarDataset,
     RoundRecord,
+    numbered_lines,
     parse_round_log,
-    read_text,
     serialize_round,
 )
 from .radar import (
@@ -180,11 +180,8 @@ def cmd_simulate(args) -> int:
     topology = load_topology(args.topology)
     state = SimState(topology)
     lines_out = []
-    for line_no, line in enumerate(read_text(args.scenario).splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
+    for line_no, line in numbered_lines(args.scenario):
+        parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{args.scenario}:{line_no}: expected 'time destination ttl'")
         try:

@@ -1,5 +1,10 @@
 """Real ICMP probe transport (optional; requires raw-socket privileges).
 
+`IcmpTransport` takes sequencing, pacing, late-reply counting and closing
+from `netradar.transport.Transport`, and adds the raw socket, packet
+build and decode, and the table that matches a wire sequence back to its
+probe.
+
 Echo requests carry the measurement identity: the ICMP identifier holds a
 per-measurement nonce and the sequence field a rolling 16-bit counter of
 sends, so replies match back to their probe.  Time-exceeded answers quote
@@ -21,16 +26,8 @@ import socket
 import struct
 from ipaddress import IPv4Address
 
-from .model import Ip, finite
-from .transport import (
-    DEFAULT_RATE_CAP,
-    ProbeToken,
-    TransportClosedError,
-    TransportError,
-    TransportReply,
-    TransportStats,
-    WallClock,
-)
+from .model import Ip
+from .transport import DEFAULT_RATE_CAP, ProbeToken, Transport, TransportError, TransportReply, WallClock
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
@@ -50,21 +47,14 @@ def _checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-class IcmpTransport:
+class IcmpTransport(Transport):
     """Probe transport over raw ICMP sockets, same contract as the
     simulator backend but on the wall clock."""
 
     def __init__(self, *, rate_cap: float = DEFAULT_RATE_CAP, nonce: int | None = None):
-        self.clock = WallClock()
-        # a negative, NaN or infinite cap would pace as uncapped (0); checked
-        # before the socket opens
-        self.rate_cap = finite("rate_cap", rate_cap)
-        self.stats = TransportStats()
+        super().__init__(WallClock(), rate_cap)  # checks the cap before the socket opens
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
-        self._expired: set[int] = set()  # token seqs timed out, token still held
-        self._seq = 0
-        self._closed = False
         self._sock = self._open_socket()
 
     def _open_socket(self):
@@ -85,13 +75,6 @@ class IcmpTransport:
             probe.close()
         return Ip(IPv4Address(local))
 
-    def prepare(self, destinations) -> None:
-        """Nothing to warm: the raw socket keeps no per-destination state."""
-
-    def _check_open(self):
-        if self._closed:
-            raise TransportClosedError("transport is closed")
-
     def _build_packet(self, seq: int) -> bytes:
         checksum = _checksum(struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq))
         return struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq)
@@ -99,23 +82,19 @@ class IcmpTransport:
     def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
         self._check_open()
         now = self.clock.now()
-        self._seq += 1
-        wire_seq = self._seq & SEQ_MASK
-        token = ProbeToken(destination, ttl, now, self._seq)
+        wire_seq = (self._seq + 1) & SEQ_MASK  # the seq _emitted() takes next
         try:
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
             self._sock.sendto(self._build_packet(wire_seq), (str(destination), 0))
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
+        token = self._emitted(destination, ttl, now)
         # a reused wire seq can no longer match the probe it replaces, so
         # that probe need not be remembered as expired either
         replaced = self._tokens.get(wire_seq)
         if replaced is not None:
             self._expired.discard(replaced.seq)
         self._tokens[wire_seq] = token
-        self.stats.sent += 1
-        if self.rate_cap:
-            self.clock.sleep(1.0 / self.rate_cap)
         return token
 
     def _decode(self, packet: bytes, source: str) -> TransportReply | None:
@@ -145,19 +124,7 @@ class IcmpTransport:
         if token is None:
             self.stats.dropped_unmatched += 1
             return None
-        late = token.seq in self._expired
-        if late:
-            self._expired.discard(token.seq)
-            self.stats.late += 1
-        else:
-            self.stats.delivered += 1
-        return TransportReply(
-            token=token,
-            source=IPv4Address(source),
-            kind=kind,
-            received_at=self.clock.now(),
-            late=late,
-        )
+        return self._matched(TransportReply(token, IPv4Address(source), kind, self.clock.now()))
 
     def poll(self, deadline: float) -> list[TransportReply]:
         self._check_open()
@@ -190,5 +157,5 @@ class IcmpTransport:
 
     def close(self) -> None:
         if not self._closed:
-            self._closed = True
             self._sock.close()
+        super().close()

@@ -78,13 +78,20 @@ def finite(name: str, value: float, positive: bool = False, error: type[ValueErr
     return value
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 file; bytes that are not UTF-8 raise a ValueError naming it."""
+def numbered_lines(path):
+    """Yield (1-based line number, text) for each line of a UTF-8 file that
+    holds more than a `#` comment and blanks, the comment and the blanks
+    around the text cut off.  Lines end at "\n" only, as in round logs.
+    Bytes that are not UTF-8 raise a ValueError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 class _Frozen:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 
 from .filtering import filter_tree
-from .model import Ip, RadarDataset, RoundRecord, finite, read_text, serialize_round
+from .model import Ip, RadarDataset, RoundRecord, finite, numbered_lines, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -42,10 +42,7 @@ def load_destinations(path) -> list[IPv4Address]:
     blank lines ignored.  A list with no destination, or with one twice,
     is a ValueError."""
     destinations: dict[IPv4Address, None] = {}  # a set in file order
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for line_no, text in numbered_lines(path):
         try:
             destination = IPv4Address(text)
         except ValueError:

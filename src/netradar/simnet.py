@@ -20,6 +20,7 @@ walks on, hop by hop, from there.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
@@ -55,13 +56,12 @@ class RateLimited:
     burst: int = 1
 
     def __post_init__(self):
-        # a bool or a string is no number; a NaN or an infinite rate
-        # refills the bucket at once: neither limits
-        if type(self.rate) not in (int, float):
+        # a NaN or an infinite rate refills the bucket at once: neither limits
+        if not _number(self.rate):
             raise TopologyError(f"rate limit rate must be a finite number > 0, got {self.rate!r}")
         finite("rate limit rate", self.rate, positive=True, error=TopologyError)
-        burst = self.burst  # a bool or a string is no count; inf % 1 is NaN
-        if type(burst) not in (int, float) or not (burst >= 1 and burst % 1 == 0):
+        burst = self.burst  # inf % 1 is NaN
+        if not (_number(burst) and burst >= 1 and burst % 1 == 0):
             raise TopologyError(f"rate limit burst must be a whole number >= 1, got {burst!r}")
 
 
@@ -136,6 +136,12 @@ class SimReply(NamedTuple):
     hops: int
 
 
+def _number(value) -> bool:
+    """Whether a document value is a number the simulator can compute
+    with: a bool or a string is not, nor an int past the float range."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def _parse_policy(spec) -> object:
     if spec is None or spec == RESPONSIVE:
         return RESPONSIVE
@@ -177,7 +183,7 @@ def _parse_balancer(node: str, spec) -> object:
 def _parse_event(spec) -> ScheduledEvent:
     if not isinstance(spec, dict) or "at" not in spec:
         raise TopologyError(f"event needs an 'at' time: {spec!r}")
-    if type(spec["at"]) not in (int, float):  # a bool or a string is no time
+    if not _number(spec["at"]):
         raise TopologyError(f"event time must be a number, got {spec['at']!r}")
     at = float(spec["at"])
     if "rewire" in spec:

@@ -1,16 +1,18 @@
-"""Probe transports: the uniform send/poll contract and the simulator
-backend.
+"""Probe transports: the send/poll contract, the rules every backend
+shares, and the simulator backend.
 
 A prober calls prepare(destinations) once before a round's first send,
 so a backend can warm its per-destination state.  A transport issues one
 ProbeToken per emitted probe and later surfaces matched replies through
 poll().  Replies to tokens the caller already expired are still
-delivered, flagged late.  The real ICMP backend in `netradar.icmp`
-follows the same contract.
+delivered, flagged late.  send() paces itself: after each probe it sleeps
+1/rate_cap on its own clock (not at all with rate_cap 0: uncapped), so
+the cap holds for every caller and callers never sleep for it.
 
-send() paces itself: after each probe it sleeps 1/rate_cap on its own
-clock (not at all with rate_cap 0: uncapped), so the cap holds for every
-caller and callers never sleep for it.
+`Transport` holds these rules once: the clock and the rate cap, the
+stats, the sequence and tokens, pacing, late-reply counting and closing.
+`SimTransport` adds the simulator and its pending replies; `IcmpTransport`
+in `netradar.icmp` adds the raw socket and the wire.
 """
 from __future__ import annotations
 
@@ -100,7 +102,51 @@ class WallClock:
             time.sleep(seconds)
 
 
-class SimTransport:
+class Transport:
+    """The contract's shared rules.  A backend adds send(), poll(), expire()
+    and monitor_hop: send() calls _check_open() first and _emitted() once the
+    probe is out, and poll() passes each matched reply through _matched()."""
+
+    def __init__(self, clock, rate_cap: float):
+        self.clock = clock
+        # a negative, NaN or infinite cap would pace as uncapped (0)
+        self.rate_cap = finite("rate_cap", rate_cap)
+        self.stats = TransportStats()
+        self._expired: set[int] = set()  # seqs timed out whose reply may still come
+        self._seq = 0
+        self._closed = False
+
+    def prepare(self, destinations) -> None:
+        """Nothing to warm unless the backend keeps per-destination state."""
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise TransportClosedError("transport is closed")
+
+    def _emitted(self, destination: IPv4Address, ttl: int, sent_at: float) -> ProbeToken:
+        """Number and count a probe just emitted, then pace."""
+        self._seq += 1
+        self.stats.sent += 1
+        if self.rate_cap:
+            self.clock.sleep(1.0 / self.rate_cap)
+        return ProbeToken(destination, ttl, sent_at, self._seq)
+
+    def _matched(self, reply: TransportReply) -> TransportReply:
+        """Count a reply matched to its token: late if the caller expired
+        the token, delivered otherwise."""
+        seq = reply.token.seq
+        if seq in self._expired:
+            self._expired.discard(seq)
+            self.stats.late += 1
+            return reply._replace(late=True)
+        self.stats.delivered += 1
+        return reply
+
+    def close(self) -> None:
+        self._closed = True
+
+
+class SimTransport(Transport):
     """Transport backed by the deterministic simulator.
 
     Replies are synthesized at send time and delivered through poll()
@@ -117,20 +163,12 @@ class SimTransport:
         rate_cap: float = DEFAULT_RATE_CAP,
     ):
         self.state = SimState(topology)
-        self.clock = SimClock()
         # at NaN or inf no reply would ever come due, and a negative delay
         # would deliver replies before their probes are sent
         self.per_hop_delay = finite("per_hop_delay", per_hop_delay)
-        # a negative, NaN or infinite cap would pace as uncapped (0)
-        self.rate_cap = finite("rate_cap", rate_cap)
-        self.stats = TransportStats()
+        super().__init__(SimClock(), rate_cap)
         self._pending: list[tuple[float, int]] = []  # (arrival, seq) heap
         self._replies: dict[int, TransportReply] = {}  # seq -> reply not yet delivered
-        # seqs the caller timed out whose reply is still pending; an
-        # unanswered probe has nothing pending, so it is never recorded
-        self._expired: set[int] = set()
-        self._seq = 0
-        self._closed = False
 
     @property
     def monitor_hop(self) -> Ip:
@@ -139,57 +177,34 @@ class SimTransport:
     def prepare(self, destinations) -> None:
         self.state.prepare_destinations(destinations)
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise TransportClosedError("transport is closed")
-
     def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
         """Emit one probe, then pace; returns its token."""
         self._check_open()
         now = self.clock.now()
         self.state.apply_events(now)
         outcome = self.state.route_probe(destination, ttl, now)
-        self._seq += 1
-        token = ProbeToken(destination, ttl, now, self._seq)
-        self.stats.sent += 1
+        token = self._emitted(destination, ttl, now)
         if outcome.kind in (TIME_EXCEEDED, ECHO_REPLY):
             arrival = now + 2.0 * self.per_hop_delay * outcome.hops
-            self._replies[self._seq] = TransportReply(token, outcome.source, outcome.kind, arrival)
-            heapq.heappush(self._pending, (arrival, self._seq))
+            self._replies[token.seq] = TransportReply(token, outcome.source, outcome.kind, arrival)
+            heapq.heappush(self._pending, (arrival, token.seq))
         else:
             self.stats.unanswered += 1
-        if self.rate_cap:
-            self.clock.sleep(1.0 / self.rate_cap)
         return token
 
     def poll(self, deadline: float) -> list[TransportReply]:
         """Deliver replies.  Advances the virtual clock no further than the
         earliest pending arrival, or to the deadline when nothing is due."""
         self._check_open()
-        now = self.clock.now()
-        deadline = max(deadline, now)
-        if self._pending and self._pending[0][0] <= deadline:
-            self.clock.advance_to(self._pending[0][0])
-        else:
-            self.clock.advance_to(deadline)
+        self.clock.advance_to(min(self._pending[0][0], deadline) if self._pending else deadline)
         now = self.clock.now()
         out = []
         while self._pending and self._pending[0][0] <= now:
             _, seq = heapq.heappop(self._pending)
-            reply = self._replies.pop(seq)
-            if seq in self._expired:
-                self._expired.discard(seq)
-                self.stats.late += 1
-                reply = reply._replace(late=True)
-            else:
-                self.stats.delivered += 1
-            out.append(reply)
+            out.append(self._matched(self._replies.pop(seq)))
         return out
 
     def expire(self, token: ProbeToken) -> None:
         """The caller timed this token out; a later arrival is flagged late."""
         if token.seq in self._replies:
             self._expired.add(token.seq)
-
-    def close(self) -> None:
-        self._closed = True

@@ -151,6 +151,18 @@ MALFORMED_TOPOLOGIES = [
         "island nodes must be an object",
         events=[{"at": 1.0, "add_island": {"nodes": ["x"], "links": []}}],
     ),
+    # integers past the float range: no float() or isfinite() may overflow
+    _malformed("huge-time", "event time must be a number", events=[{"at": 10**400, "remove_node": "b"}]),
+    _malformed(
+        "huge-rate",
+        "rate limit rate must be a finite number > 0",
+        nodes={"b": {"address": "10.0.0.3", "policy": {"rate": 10**400}}},
+    ),
+    _malformed(
+        "huge-burst",
+        "rate limit burst must be a whole number >= 1",
+        nodes={"b": {"address": "10.0.0.3", "policy": {"rate": 1, "burst": 10**400}}},
+    ),
 ]
 
 

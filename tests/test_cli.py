@@ -390,6 +390,25 @@ def test_unreadable_input_names_its_file(chain_files, tmp_path, capsys, args, co
     assert capsys.readouterr().err.startswith(f"netradar: {bad}: {reason}")
 
 
+@pytest.mark.parametrize("brk", ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize(
+    "args, text, reported",
+    [
+        ("simulate --topology {topo} --scenario {bad}", "0 10.0.0.4 1{brk}\n1 10.0.0.4 x\n", ":2: "),
+        ("tracetree once --destinations {bad} --transport sim:{topo}", "10.0.0.4{brk}\n10.0.0.4\n", ":2: duplicate"),
+    ],
+    ids=["scenario", "destinations"],
+)
+def test_input_line_numbers_count_newlines_only(chain_files, tmp_path, capsys, args, text, reported, brk):
+    # both readers end a line at "\n" only, as round logs do, so a line
+    # number never drifts from the file
+    topo, _ = chain_files
+    bad = tmp_path / "input"
+    bad.write_bytes(text.format(brk=brk).encode())
+    assert main([word.format(topo=topo, bad=bad) for word in args.split()]) == 3
+    assert capsys.readouterr().err.startswith(f"netradar: {bad}{reported}")
+
+
 def test_analyze_reads_a_log_of_any_max_ttl(chain_files, tmp_path):
     # the reader's bound is the radar's, so no --max-ttl is passed again
     topo, dests = chain_files

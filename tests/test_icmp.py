@@ -107,6 +107,7 @@ class StubSocket:
 
     def __init__(self):
         self.sent = []
+        self.closes = 0
 
     def setsockopt(self, *args):
         pass
@@ -115,7 +116,7 @@ class StubSocket:
         self.sent.append((packet, address))
 
     def close(self):
-        pass
+        self.closes += 1
 
 
 def stub_transport(monkeypatch, rate_cap: float = 0.0) -> IcmpTransport:
@@ -184,6 +185,13 @@ def test_five_thousand_destinations_round_trip(monkeypatch):
         assert reply is not None and reply.token == token and not reply.late
     assert transport.stats.delivered == 5000
     assert transport._tokens == {}
+
+
+def test_second_close_leaves_the_socket_alone(monkeypatch):
+    transport = stub_transport(monkeypatch)
+    transport.close()
+    transport.close()
+    assert transport._sock.closes == 1
 
 
 def test_socket_fault_is_a_transport_error(monkeypatch):

@@ -23,6 +23,7 @@ from netradar.model import (
     TtlNode,
     TtlRangeError,
     dotted_quad,
+    numbered_lines,
     parse_round_log,
     serialize_round,
 )
@@ -614,3 +615,11 @@ def test_repeated_rounds_cost_a_list_slot_per_record():
     added = 3 * len(rounds) * per_round
     growth = (_kept_by_parse(document(4 * len(rounds))) - _kept_by_parse(document(len(rounds)))) / added
     assert growth <= 16, f"{growth:.1f} bytes kept per added record"
+
+
+def test_numbered_lines_end_at_newline_only(tmp_path):
+    # what str.splitlines() also breaks at stays inside a line, so every
+    # line number is the one an editor counting "\n" shows
+    path = tmp_path / "input"
+    path.write_bytes("a\f\n\n  # note\nb # tail\r\n\u2028c\x85d\x1c\n".encode())
+    assert list(numbered_lines(path)) == [(1, "a"), (4, "b"), (5, "c\x85d")]

@@ -7,6 +7,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from conftest import CHAIN_DOC
+from test_icmp import stub_transport
 from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import SimState, load_topology
 from netradar import transport as transport_module
@@ -102,8 +103,9 @@ class TestPacingAndLifecycle:
         assert transport.clock.now() == 2 * gap
         assert transport.stats.backpressure_events == 0
 
-    def test_send_after_close(self):
-        transport = chain_transport()
+    @pytest.mark.parametrize("backend", ["sim", "icmp"])
+    def test_send_after_close(self, monkeypatch, backend):
+        transport = chain_transport() if backend == "sim" else stub_transport(monkeypatch)
         transport.close()
         with pytest.raises(TransportClosedError):
             transport.send(D, 1)
