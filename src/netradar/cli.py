@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
-from ipaddress import IPv4Address
 from pathlib import Path
 
 from . import analytics, baseline
@@ -26,6 +25,7 @@ from .model import (
     RadarDataset,
     RoundRecord,
     numbered_lines,
+    parse_address,
     parse_round_log,
     serialize_round,
 )
@@ -45,7 +45,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VALIDATION = 3
 
-PLACEHOLDER_MONITOR = Ip(IPv4Address("0.0.0.0"))  # round logs do not carry the monitor
+PLACEHOLDER_MONITOR = Ip(parse_address("0.0.0.0"))  # round logs do not carry the monitor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,8 +93,15 @@ def _read_rounds(path: str) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _field(read, text: str, what: str):
+    try:
+        return read(text)
+    except ValueError:  # "bad ttl '1x'", worded as the round log words it
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
-    root = Ip(IPv4Address(monitor)) if monitor else PLACEHOLDER_MONITOR
+    root = PLACEHOLDER_MONITOR if monitor is None else Ip(_field(parse_address, monitor, "--monitor address"))
     rounds = []
     for meta, raw in _read_rounds(path):
         tree, _ = filter_tree(raw, root)
@@ -185,7 +192,8 @@ def cmd_simulate(args) -> int:
         if len(parts) != 3:
             raise ValueError(f"{args.scenario}:{line_no}: expected 'time destination ttl'")
         try:
-            at_time, destination, ttl = float(parts[0]), IPv4Address(parts[1]), int(parts[2])
+            at_time, destination = _field(float, parts[0], "time"), parse_address(parts[1])
+            ttl = _field(int, parts[2], "ttl")
             state.apply_events(at_time)
             reply = state.route_probe(destination, ttl, at_time)
         except (ScenarioError, ValueError) as exc:

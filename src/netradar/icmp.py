@@ -26,7 +26,7 @@ import socket
 import struct
 from ipaddress import IPv4Address
 
-from .model import Ip
+from .model import Ip, parse_address
 from .transport import DEFAULT_RATE_CAP, ProbeToken, Transport, TransportError, TransportReply, WallClock
 
 ICMP_ECHO_REQUEST = 8
@@ -73,7 +73,7 @@ class IcmpTransport(Transport):
             local = probe.getsockname()[0]
         finally:
             probe.close()
-        return Ip(IPv4Address(local))
+        return Ip(parse_address(local))
 
     def _build_packet(self, seq: int) -> bytes:
         checksum = _checksum(struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq))
@@ -124,7 +124,7 @@ class IcmpTransport(Transport):
         if token is None:
             self.stats.dropped_unmatched += 1
             return None
-        return self._matched(TransportReply(token, IPv4Address(source), kind, self.clock.now()))
+        return self._matched(TransportReply(token, parse_address(source), kind, self.clock.now()))
 
     def poll(self, deadline: float) -> list[TransportReply]:
         self._check_open()

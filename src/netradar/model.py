@@ -40,7 +40,8 @@ named tuples over hops; a round stores neither.  Inside the hot loops
 by their integer, read as `IPv4Address._ip` (what `int()` returns,
 without the method call) or `Ip._int`; `IPv4Address` objects and dotted
 quads appear only at the edges: topology and destination files, the
-round log, CSV/DOT output, and the public fields callers read.
+round log, CSV/DOT output, and the public fields callers read; every
+address read from text there goes through `parse_address`.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from typing import NamedTuple
 
 MAX_TTL_DEFAULT = 30
 TTL_LIMIT = 64  # the largest ttl a radar probes with, so the largest a round log holds
+_OCTETS = {str(i): i for i in range(256)}  # the canonical text of each octet
 
 
 class RoundLogParseError(ValueError):
@@ -110,6 +112,15 @@ def dotted_quad(value: int) -> str:
     """The dotted-quad text of an IPv4 address integer, equal to
     `str(IPv4Address(value))` without building the object."""
     return "%d.%d.%d.%d" % (value >> 24, (value >> 16) & 255, (value >> 8) & 255, value & 255)
+
+
+def parse_address(text: str) -> IPv4Address:
+    """`IPv4Address(text)`, value and errors alike; canonical octets read by table."""
+    try:
+        a, b, c, d = text.split(".")
+        return IPv4Address(_OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d])
+    except (AttributeError, KeyError, TypeError, ValueError):  # not a str of four canonical octets
+        return IPv4Address(text)
 
 
 class Ip(_Frozen):
@@ -449,7 +460,7 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
             destination = destinations.get(dest_txt)
             if destination is None:
                 try:
-                    destination = destinations[dest_txt] = IPv4Address(dest_txt)
+                    destination = destinations[dest_txt] = parse_address(dest_txt)
                 except ValueError:
                     raise RoundLogParseError(f"bad destination address {dest_txt!r}", line_no) from None
             if src_txt == "*":
@@ -460,7 +471,7 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                 source = hops.get(src_txt)
                 if source is None:
                     try:
-                        source = hops[src_txt] = Ip(IPv4Address(src_txt))
+                        source = hops[src_txt] = Ip(parse_address(src_txt))
                     except ValueError:
                         raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
             seen = known[line] = (source, ttl, dest_txt)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 
 from .filtering import filter_tree
-from .model import Ip, RadarDataset, RoundRecord, finite, numbered_lines, serialize_round
+from .model import Ip, RadarDataset, RoundRecord, finite, numbered_lines, parse_address, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -44,7 +44,7 @@ def load_destinations(path) -> list[IPv4Address]:
     destinations: dict[IPv4Address, None] = {}  # a set in file order
     for line_no, text in numbered_lines(path):
         try:
-            destination = IPv4Address(text)
+            destination = parse_address(text)
         except ValueError:
             raise ValueError(f"{path}:{line_no}: bad destination address {text!r}") from None
         if destination in destinations:

@@ -23,11 +23,11 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
+from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import finite
+from .model import finite, parse_address
 
 
 class TopologyError(ValueError):
@@ -168,13 +168,19 @@ def _parse_node(name: str, spec) -> tuple[IPv4Address, object]:
     address, policy = (spec.get("address"), spec.get("policy")) if isinstance(spec, dict) else (spec, None)
     if not isinstance(address, str):
         raise TopologyError(f"node {name!r} needs an address string, got {address!r}")
-    return IPv4Address(address), _parse_policy(policy)
+    try:
+        return parse_address(address), _parse_policy(policy)
+    except AddressValueError as exc:
+        raise TopologyError(f"node {name!r}: {exc}") from None
 
 
 def _parse_balancer(node: str, spec) -> object:
     if isinstance(spec, dict) and "per_destination" in spec:
         table = _object(spec["per_destination"], f"per-destination balancer at {node!r}")
-        return PerDestination({IPv4Address(a): str(n) for a, n in table.items()})
+        try:
+            return PerDestination({parse_address(a): str(n) for a, n in table.items()})
+        except AddressValueError as exc:
+            raise TopologyError(f"per-destination balancer at {node!r}: {exc}") from None
     if isinstance(spec, dict) and isinstance(spec.get("per_packet"), list):
         return PerPacket([str(n) for n in spec["per_packet"]])
     raise TopologyError(f"bad balancer spec for node {node!r}")

@@ -132,8 +132,9 @@ def _malformed(id_: str, match: str, **changes) -> pytest.param:
     return pytest.param({**doc, **changes}, match, id=id_)
 
 
-# topology documents of the wrong shape, each with a part of the message
-# that refuses it: none may load, end in a traceback or be coerced
+# topology documents of the wrong shape or with a bad address, each with a
+# part of the message that refuses it: none may load, end in a traceback or
+# be coerced
 MALFORMED_TOPOLOGIES = [
     _malformed("one-name-link", "a link must be a list of two node names", links=[["m"]]),
     _malformed("string-links", "a link must be a list of two node names", links="mm"),
@@ -162,6 +163,19 @@ MALFORMED_TOPOLOGIES = [
         "huge-burst",
         "rate limit burst must be a whole number >= 1",
         nodes={"b": {"address": "10.0.0.3", "policy": {"rate": 1, "burst": 10**400}}},
+    ),
+    # a bad address names the node, or the balancer, it belongs to
+    _malformed("bad-address", "node 'b': Leading zeros are not permitted in '03'", nodes={"b": "10.0.0.03"}),
+    _malformed("bad-object-address", "node 'b': Expected 4 octets in '10.0.0'", nodes={"b": {"address": "10.0.0"}}),
+    _malformed(
+        "bad-island-address",
+        "node 'x': Expected 4 octets in '10.0.9'",
+        events=[{"at": 1.0, "add_island": {"nodes": {"x": "10.0.9"}, "links": [["a", "x"]]}}],
+    ),
+    _malformed(
+        "bad-balancer-key",
+        "per-destination balancer at 'm': Leading zeros are not permitted in '02'",
+        balancers={"m": {"per_destination": {"10.0.0.02": "a"}}},
     ),
 ]
 

@@ -448,9 +448,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("x 10.0.0.4 2", "could not convert string to float: 'x'"),
+            ("x 10.0.0.4 2", "bad time 'x'"),
             ("0.5 10.0.0.999 2", "10.0.0.999"),
-            ("0.5 10.0.0.4 two", "invalid literal for int() with base 10: 'two'"),
+            ("0.5 10.0.0.4 1x", "bad ttl '1x'"),
         ],
     )
     def test_bad_field_names_file_and_line(self, chain_files, tmp_path, capsys, line, message):
@@ -548,6 +548,14 @@ class TestAnalyze:
         )
         assert code == 0
         assert "penwidth" in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("monitor", ["", "10.0.0", "10.0.0.01"], ids=["empty", "three-octets", "leading-zero"])
+    def test_bad_monitor_is_validation_error(self, island_dataset, tmp_path, capsys, monitor):
+        # an empty --monitor is no address, not a request for the placeholder root
+        out = tmp_path / "counts.csv"
+        assert main(["analyze", "counts", "--in", str(island_dataset), "--monitor", monitor, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"netradar: bad --monitor address {monitor!r}\n"
+        assert not out.exists()
 
     def test_parse_error_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.rounds"

@@ -1,15 +1,18 @@
 """Round-log format, raw-tree reconstruction, and the core data types."""
 from __future__ import annotations
 
+import ast
 import gc
 import pickle
 import tracemalloc
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netradar
 from conftest import assert_same_columns, hop_sort_key, ip
 from netradar.model import (
     TTL_LIMIT,
@@ -24,6 +27,7 @@ from netradar.model import (
     TtlRangeError,
     dotted_quad,
     numbered_lines,
+    parse_address,
     parse_round_log,
     serialize_round,
 )
@@ -623,3 +627,63 @@ def test_numbered_lines_end_at_newline_only(tmp_path):
     path = tmp_path / "input"
     path.write_bytes("a\f\n\n  # note\nb # tail\r\n\u2028c\x85d\x1c\n".encode())
     assert list(numbered_lines(path)) == [(1, "a"), (4, "b"), (5, "c\x85d")]
+
+
+# one part of an address text: canonical octets, and the near misses the
+# table must send on to IPv4Address
+OCTET_TEXT = st.one_of(
+    st.integers(0, 255).map(str),
+    st.integers(0, 999).map(lambda n: f"0{n}"),
+    st.integers(256, 99999).map(str),
+    st.sampled_from(["", "+1", "-1", " 1", "1 ", "\u0663", "\uff11", "1/8", "0x1", "1_0", "1e2"]),
+    st.text(max_size=4),
+)
+ADDRESS_TEXT = st.one_of(
+    st.lists(st.integers(0, 255).map(str), min_size=4, max_size=4).map(".".join),
+    st.lists(OCTET_TEXT, min_size=3, max_size=5).map(".".join),
+    st.text(max_size=20),
+)
+
+
+@given(st.one_of(ADDRESS_TEXT, st.integers(-1, 2**32), st.binary(min_size=3, max_size=5)))
+@example("10.0.0.1")
+@example("255.255.255.255")
+@example("10.0.0.01")
+@example("10.0.0.256")
+@example("1.2.3")
+@example("1.2.3.4.5")
+@example("1..2.3")
+@example("1.2.3.4/32")
+@example("")
+def test_parse_address_reads_as_ipv4address(value):
+    try:
+        expected = IPv4Address(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_address(value)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        parsed = parse_address(value)
+        assert type(parsed) is IPv4Address and parsed == expected
+
+
+def test_only_parse_address_builds_addresses():
+    # address text is read by one function: a second reader could accept,
+    # or word an error, differently
+    found = []
+    for path in sorted(Path(netradar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {
+            id(node)
+            for function in tree.body
+            if path.name == "model.py" and isinstance(function, ast.FunctionDef) and function.name == "parse_address"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "IPv4Address" and a.asname for a in node.names):
+                found.append(f"{path.name}:{node.lineno}: IPv4Address imported under another name")
+            if isinstance(node, ast.Call) and id(node) not in reader:
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("IPv4Address", "ip_address"):
+                    found.append(f"{path.name}:{node.lineno}: {name}(...)")
+    assert found == []
