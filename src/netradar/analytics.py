@@ -119,11 +119,6 @@ def value_distribution(series, bin_width: int = 1) -> dict[int, int]:
     return dict(counts)
 
 
-def _rounds_in(dataset: RadarDataset, bounds) -> list:
-    start, stop = bounds
-    return [rec for rec in dataset.rounds if start <= rec.index < stop]
-
-
 def _union(rounds) -> tuple[dict[int, tuple[int, IPv4Address]], set[tuple[int, int]]]:
     """Fold `rounds` once, keyed by address integer: each address seen
     maps to (index of the first round that saw it, the address), and each
@@ -146,26 +141,24 @@ def _union(rounds) -> tuple[dict[int, tuple[int, IPv4Address]], set[tuple[int, i
     return seen, links
 
 
-def _check_ranges(reference, observation) -> None:
-    for name, (start, stop) in (("reference", reference), ("observation", observation)):
-        if stop <= start:
-            raise ValueError(f"{name} range [{start}, {stop}) is empty")
-    if reference[1] > observation[0]:
-        raise ValueError("reference must end before the observation starts")
+def _fold(dataset: RadarDataset, name: str, start: int, stop: int):
+    """`_union` of the rounds with an index in [start, stop); an empty
+    range, or one that holds no round, is a ValueError naming `name`."""
+    if stop <= start:
+        raise ValueError(f"{name} [{start}, {stop}) is empty")
+    rounds = [rec for rec in dataset.rounds if start <= rec.index < stop]
+    if not rounds:
+        raise ValueError(f"no rounds in {name} [{start}, {stop})")
+    return _union(rounds)
 
 
 def _fold_ranges(dataset: RadarDataset, reference, observation):
     """One fold per range: the observation fold, its links, and the
     integers of the addresses new in it."""
-    _check_ranges(reference, observation)
-    reference_rounds = _rounds_in(dataset, reference)
-    if not reference_rounds:
-        raise ValueError(f"no rounds in reference range {reference}")
-    observation_rounds = _rounds_in(dataset, observation)
-    if not observation_rounds:
-        raise ValueError(f"no rounds in observation range {observation}")
-    before, _ = _union(reference_rounds)
-    seen, links = _union(observation_rounds)
+    if reference[1] > observation[0]:
+        raise ValueError("reference must end before the observation starts")
+    before, _ = _fold(dataset, "reference range", *reference)
+    seen, links = _fold(dataset, "observation range", *observation)
     return seen, links, {a for a in seen if a not in before}
 
 
@@ -250,22 +243,11 @@ class EventGraph:
 def event_graph(dataset: RadarDataset, event_round: int, before_window: int = 100) -> EventGraph:
     """Merge `before_window` rounds before the event with the single round
     at `event_round`, flagging edges absent from the whole before-window."""
-    if before_window < 1:
-        raise ValueError("before_window must be >= 1")
-    first_index = dataset.rounds[0].index if dataset.rounds else 0
     start = event_round - before_window
-    if start < first_index:
-        raise ValueError(
-            f"before-window [{start}, {event_round}) starts before the dataset ({first_index})"
-        )
-    before = _rounds_in(dataset, (start, event_round))
-    if len(before) < before_window:
-        raise ValueError("before-window is not fully covered by the dataset")
-    event_records = _rounds_in(dataset, (event_round, event_round + 1))
-    if not event_records:
-        raise ValueError(f"no round with index {event_round}")
-    before_seen, before_links = _union(before)
-    after_seen, after_links = _union(event_records)
+    if not {rec.index for rec in dataset.rounds}.issuperset(range(start, event_round)):
+        raise ValueError(f"before-window [{start}, {event_round}) is not fully covered by the dataset")
+    before_seen, before_links = _fold(dataset, "before-window", start, event_round)
+    after_seen, after_links = _fold(dataset, "event round", event_round, event_round + 1)
     address = {a: address for a, (_, address) in {**after_seen, **before_seen}.items()}
     return EventGraph(
         nodes=set(address.values()),

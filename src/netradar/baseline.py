@@ -134,7 +134,7 @@ def simulate_destination_subset(dataset: RadarDataset, subset) -> RadarDataset:
                 parents[node] = parent
                 node = parent
         rounds.append(replace(rec, tree=FilteredTree(tree.root, parents, terminals), raw=None))
-    return RadarDataset(monitor_id=dataset.monitor_id, rounds=rounds)
+    return RadarDataset(rounds)
 
 
 def cumulative_discovery_curves(observations):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
+from math import isfinite
 from pathlib import Path
 
 from . import analytics, baseline
@@ -27,6 +28,7 @@ from .model import (
     numbered_lines,
     parse_address,
     parse_round_log,
+    read_ttl,
     serialize_round,
 )
 from .radar import (
@@ -34,7 +36,7 @@ from .radar import (
     DatasetWriter,
     RadarConfig,
     load_destinations,
-    run_radar,
+    radar_rounds,
 )
 from .simnet import ScenarioError, SimState, TopologyError, load_topology
 from .tracetree import DEFAULT_TIMEOUT, TracetreeConfig
@@ -93,29 +95,16 @@ def _read_rounds(path: str) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _field(read, text: str, what: str):
-    try:
-        return read(text)
-    except ValueError:  # "bad ttl '1x'", worded as the round log words it
-        raise ValueError(f"bad {what} {text!r}") from None
-
-
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
-    root = PLACEHOLDER_MONITOR if monitor is None else Ip(_field(parse_address, monitor, "--monitor address"))
-    rounds = []
-    for meta, raw in _read_rounds(path):
-        tree, _ = filter_tree(raw, root)
-        rounds.append(
-            RoundRecord(
-                index=meta.index,
-                start_time=meta.start_time,
-                end_time=meta.end_time,
-                probes_sent=len(raw.keys),
-                tree=tree,
-                raw=raw,
-            )
-        )
-    return RadarDataset(monitor_id=str(root), rounds=rounds)
+    try:
+        root = PLACEHOLDER_MONITOR if monitor is None else Ip(parse_address(monitor))
+    except ValueError:
+        raise ValueError(f"bad --monitor address {monitor!r}") from None
+    rounds = [
+        RoundRecord(meta.index, meta.start_time, meta.end_time, len(raw.keys), filter_tree(raw, root)[0], raw)
+        for meta, raw in _read_rounds(path)
+    ]
+    return RadarDataset(rounds)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -139,24 +128,26 @@ def _radar_config(args, inter_round_delay: float, rounds: int | None) -> RadarCo
 
 def cmd_radar_run(args) -> int:
     config = _radar_config(args, args.inter_round, args.rounds)
+    rounds = probes = 0
     with (
         closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport,
-        DatasetWriter(args.out) as sink,
+        DatasetWriter(args.out) as writer,
     ):
-        dataset = run_radar(config, transport, sink)
-    total_probes = sum(rec.probes_sent for rec in dataset.rounds)
-    print(
-        f"{len(dataset.rounds)} rounds written to {args.out} "
-        f"({total_probes} probes, monitor {dataset.monitor_id})"
-    )
+        try:
+            for record in radar_rounds(config, transport):  # each round written, then dropped
+                writer.write(record)
+                rounds += 1
+                probes += record.probes_sent
+        except KeyboardInterrupt:  # an interrupted run ends with the rounds it wrote
+            pass
+    print(f"{rounds} rounds written to {args.out} ({probes} probes, monitor {transport.monitor_hop})")
     return EXIT_OK
 
 
 def cmd_tracetree_once(args) -> int:
     config = _radar_config(args, 0.0, 1)
     with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
-        dataset = run_radar(config, transport)
-    record = dataset.rounds[0]
+        [record] = radar_rounds(config, transport)
     block = serialize_round(record.raw, record.index, record.start_time, record.end_time)
     _emit(block, args.out)
     print(
@@ -183,6 +174,14 @@ def cmd_traceroute_once(args) -> int:
     return EXIT_OK
 
 
+def _scenario_time(text: str) -> float:
+    """A plain ASCII decimal, digits with at most one `.`, finite; the
+    error is worded as the round log words a bad ttl."""
+    if text.isascii() and text.replace(".", "", 1).isdigit() and isfinite(float(text)):
+        return float(text)
+    raise ValueError(f"bad time {text!r}")
+
+
 def cmd_simulate(args) -> int:
     topology = load_topology(args.topology)
     state = SimState(topology)
@@ -192,8 +191,8 @@ def cmd_simulate(args) -> int:
         if len(parts) != 3:
             raise ValueError(f"{args.scenario}:{line_no}: expected 'time destination ttl'")
         try:
-            at_time, destination = _field(float, parts[0], "time"), parse_address(parts[1])
-            ttl = _field(int, parts[2], "ttl")
+            at_time, destination = _scenario_time(parts[0]), parse_address(parts[1])
+            ttl = read_ttl(parts[2], None)
             state.apply_events(at_time)
             reply = state.route_probe(destination, ttl, at_time)
         except (ScenarioError, ValueError) as exc:

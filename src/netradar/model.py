@@ -80,6 +80,21 @@ def finite(name: str, value: float, positive: bool = False, error: type[ValueErr
     return value
 
 
+def read_ttl(text: str, line_no: int | None) -> int:
+    """A ttl as a round log writes it: the `str(int)` text of an integer in
+    [1, TTL_LIMIT].  Any other text raises RoundLogParseError, and another
+    integer TtlRangeError, at `line_no` (None: no line)."""
+    try:
+        ttl = int(text)
+    except ValueError:
+        raise RoundLogParseError(f"bad ttl {text!r}", line_no) from None
+    if str(ttl) != text:  # int() also reads "+2", "1_0" and " 3", which str() never writes
+        raise RoundLogParseError(f"bad ttl {text!r}", line_no)
+    if not 1 <= ttl <= TTL_LIMIT:
+        raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
+    return ttl
+
+
 def numbered_lines(path):
     """Yield (1-based line number, text) for each line of a UTF-8 file that
     holds more than a `#` comment and blanks, the comment and the blanks
@@ -383,8 +398,8 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
 
     Inverse of serialize_round.  Lines end at `"\n"` only, the line end
     serialize_round writes; the last line may lack it.  The header token
-    is exactly `#round`, the index and each ttl must read back as
-    `str(int)`, and both times as `repr(float)`, finite.  Malformed
+    is exactly `#round`, the index must read back as `str(int)`, each ttl
+    as `read_ttl` reads it, and both times as `repr(float)`, finite.  Malformed
     content raises RoundLogParseError with the offending line number (for
     an unterminated final round, its `#round` line); a ttl outside
     [1, TTL_LIMIT] raises TtlRangeError.
@@ -449,14 +464,7 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
             if len(parts) != 3:
                 raise RoundLogParseError("expected 'source ttl destination'", line_no)
             src_txt, ttl_txt, dest_txt = parts
-            try:
-                ttl = int(ttl_txt)
-            except ValueError:
-                raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
-            if str(ttl) != ttl_txt:
-                raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no)
-            if not 1 <= ttl <= TTL_LIMIT:
-                raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
+            ttl = read_ttl(ttl_txt, line_no)
             destination = destinations.get(dest_txt)
             if destination is None:
                 try:
@@ -562,5 +570,4 @@ class RoundRecord:
 class RadarDataset:
     """An ordered sequence of measurement rounds from one monitor."""
 
-    monitor_id: str
     rounds: list[RoundRecord] = field(default_factory=list)

@@ -1,21 +1,24 @@
 """Periodic measurement rounds with per-destination distance caching.
 
-Each round runs one tree measurement, filters it and persists it.  The
-distance cache is the last round's distances as `tracetree` returns
-them: destinations probe next round from the distance they answered at
-this round; destinations that were not seen (None) fall back to the
-maximal distance, `tracetree.max_ttl`.
-
-Next to the distance cache the scheduler carries the address table that
-`tracetree` returns (address int -> `Ip`, the addresses that answered)
+`radar_rounds` yields each round as it completes: one tree measurement,
+filtered.  It keeps no round it has yielded; between rounds it holds
+the distance cache and the address table, nothing more.  The cache is
+the last round's distances as `tracetree` returns them: destinations
+probe next round from the distance they answered at this round;
+destinations that were not seen (None) fall back to the maximal
+distance, `tracetree.max_ttl`.  The table is the one `tracetree`
+returns (address int -> `Ip`, the addresses that answered), carried
 into the next round, so consecutive rounds share one `Ip` per address
-and a steady round builds none.  The table holds one round's addresses,
-never more.
+and a steady round builds none; it holds one round's addresses.
+
+`run_radar` keeps every round in a `RadarDataset`.  No command calls it;
+it stays because the benchmark and the tests read a run's rounds there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
+from itertools import count
 
 from .filtering import filter_tree
 from .model import Ip, RadarDataset, RoundRecord, finite, numbered_lines, parse_address, serialize_round
@@ -89,14 +92,15 @@ class DatasetWriter:
         return False
 
 
-def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
-    """Run measurement rounds until `config.rounds` complete or the caller
-    interrupts; partial datasets are valid.
+def radar_rounds(config: RadarConfig, transport):
+    """Yield each round, a `RoundRecord`, as it completes, until
+    `config.rounds` have run, or without end when it is None.
 
     Round pacing is start-to-start: the next round begins
     inter_round_delay after the previous one began, or immediately when a
     round overruns the delay.  A transport fault marks the round
-    incomplete and the scheduler moves on.
+    incomplete and the radar moves on.  An interrupt propagates out of
+    the generator and ends it; the rounds yielded before it are whole.
     """
     if not config.destinations:
         raise ValueError("no destinations configured")
@@ -106,35 +110,38 @@ def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     max_ttl = config.tracetree.max_ttl
     cache: dict[IPv4Address, int | None] = {}  # the last round's distances
     hops: dict[int, Ip] = {}  # the last round's table: one Ip per address
-    dataset = RadarDataset(monitor_id=str(root))
-    index = 0
     next_start = clock.now()
+    for index in count() if config.rounds is None else range(config.rounds):
+        clock.sleep(next_start - clock.now())  # both clocks sleep no time for a negative wait
+        tasks = next_round_tasks(cache, config.destinations, max_ttl)
+        started = clock.now()
+        result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl, hops=hops)
+        finished = clock.now()
+        tree, _ = filter_tree(result.raw, root)
+        cache, hops = result.distances, result.hops
+        yield RoundRecord(
+            index=index,
+            start_time=started,
+            end_time=finished,
+            probes_sent=result.stats.probes_sent,
+            tree=tree,
+            raw=result.raw,
+            complete=result.stats.complete,
+        )
+        del result, tree  # the caller holds what it keeps of the round
+        next_start = started + config.inter_round_delay
+
+
+def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
+    """Every round of `radar_rounds`, written to `sink` first when one is
+    given, kept in the dataset returned.  An interrupt ends the run; the
+    dataset holds the rounds completed before it."""
+    dataset = RadarDataset()
     try:
-        while config.rounds is None or index < config.rounds:
-            wait = next_start - clock.now()
-            if wait > 0:
-                clock.sleep(wait)
-            tasks = next_round_tasks(cache, config.destinations, max_ttl)
-            started = clock.now()
-            result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl, hops=hops)
-            finished = clock.now()
-            tree, _ = filter_tree(result.raw, root)
-            record = RoundRecord(
-                index=index,
-                start_time=started,
-                end_time=finished,
-                probes_sent=result.stats.probes_sent,
-                tree=tree,
-                raw=result.raw,
-                complete=result.stats.complete,
-            )
+        for record in radar_rounds(config, transport):
             if sink is not None:
                 sink.write(record)
             dataset.rounds.append(record)
-            cache = result.distances
-            hops = result.hops
-            next_start = started + config.inter_round_delay
-            index += 1
     except KeyboardInterrupt:
         pass
     return dataset

@@ -79,7 +79,7 @@ def make_tree(root: str, edges, terminals) -> FilteredTree:
     return FilteredTree(root=root_hop, parents=parents, terminals=terms)
 
 
-def dataset_from_trees(trees, monitor_id="0.0.0.0", first_index=0) -> RadarDataset:
+def dataset_from_trees(trees, first_index=0) -> RadarDataset:
     rounds = [
         RoundRecord(
             index=first_index + i,
@@ -90,7 +90,7 @@ def dataset_from_trees(trees, monitor_id="0.0.0.0", first_index=0) -> RadarDatas
         )
         for i, tree in enumerate(trees)
     ]
-    return RadarDataset(monitor_id=monitor_id, rounds=rounds)
+    return RadarDataset(rounds)
 
 
 CHAIN_DOC = {

@@ -226,9 +226,7 @@ def test_c6_rate_limit_overload_signature():
         doc, destinations = overload_doc(40, rate_limited)
         small = destinations[-10:]
         large_tree = measure(doc, destinations)
-        dataset = RadarDataset(
-            monitor_id="10.9.0.1", rounds=[RoundRecord(0, 0.0, 1.0, 0, large_tree)]
-        )
+        dataset = RadarDataset([RoundRecord(0, 0.0, 1.0, 0, large_tree)])
         simulated = simulate_destination_subset(dataset, small).rounds[0].tree
         direct = measure(doc, small)
         if rate_limited:

@@ -46,7 +46,7 @@ class TestSeries:
         assert per_round_ip_count(dataset) == [(0, 3), (1, 3), (2, 0), (3, 3)]
 
     def test_empty_dataset(self):
-        assert per_round_ip_count(RadarDataset(monitor_id="m")) == []
+        assert per_round_ip_count(RadarDataset()) == []
 
     def test_window_one_equals_per_round(self):
         trees = [STABLE, chain_tree("10.0.0.2", "10.0.0.9"), STABLE]

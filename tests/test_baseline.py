@@ -315,10 +315,7 @@ class TestDestinationSubset:
         from netradar.model import RoundRecord, RadarDataset
 
         large_tree = one_round(dests)
-        large_dataset = RadarDataset(
-            monitor_id="10.9.0.1",
-            rounds=[RoundRecord(0, 0.0, 1.0, 0, large_tree)],
-        )
+        large_dataset = RadarDataset([RoundRecord(0, 0.0, 1.0, 0, large_tree)])
         simulated = simulate_destination_subset(large_dataset, small)
         direct_tree = one_round(small)
         simulated_ips = simulated.rounds[0].tree.observed_ips()

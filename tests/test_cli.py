@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
+import tracemalloc
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from netradar.cli import main
 from netradar.model import parse_round_log, serialize_round
 from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
+
+from test_acceptance import fan_doc
 
 
 @pytest.fixture
@@ -137,6 +141,44 @@ class TestRadarRun:
         assert trees[0].nodes == trees[1].nodes
         assert trees[0].edges == trees[1].edges
         assert trees[0].terminals == trees[1].terminals
+
+    def test_memory_stays_flat_over_rounds(self, tmp_path, monkeypatch):
+        # `radar run` keeps no round it has written: after a collection,
+        # what it holds at round 40's write is what it held at round 10's
+        doc, destinations = fan_doc(chains=50, depth=5)
+        held = []
+        write = cli.DatasetWriter.write
+
+        def measured(writer, record):
+            write(writer, record)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(cli.DatasetWriter, "write", measured)
+        tracemalloc.start()
+        try:
+            _radar_log(tmp_path, doc, destinations, 40)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 40
+        assert held[39] - held[9] < 64 * 1024, f"{(held[39] - held[9]) / 1024:.0f} KB more at round 40 than at 10"
+
+    def test_interrupt_keeps_the_rounds_written(self, chain_files, tmp_path, capsys, monkeypatch):
+        class Interrupting(SimTransport):
+            def send(self, destination, ttl):
+                if self.stats.sent == 10:  # inside round 1's probing
+                    raise KeyboardInterrupt
+                return super().send(destination, ttl)
+
+        monkeypatch.setattr(cli, "SimTransport", Interrupting)
+        topo, dests = chain_files
+        out = tmp_path / "data.rounds"
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--rounds", "5", "--max-ttl", "8"]
+        assert main(["radar", "run", *args, "--out", str(out)]) == 0
+        parsed = parse_round_log(out.read_text(encoding="utf-8"))  # whole blocks only
+        assert [meta.index for meta, _ in parsed] == [0]
+        probes = len(parsed[0][1].keys)
+        assert capsys.readouterr().out == f"1 rounds written to {out} ({probes} probes, monitor 10.0.0.1)\n"
 
     def test_missing_destinations_is_usage_error(self, chain_files):
         topo, _ = chain_files
@@ -443,7 +485,8 @@ class TestSimulate:
         scenario.write_text("nan 10.0.0.4 1\n-5 10.0.0.4 3\n", encoding="utf-8")
         args = ["--topology", str(topo), "--scenario", str(scenario), "--out", str(tmp_path / "out")]
         assert main(["simulate", *args]) == 3
-        assert "event clock" in capsys.readouterr().err
+        # refused as it is read, before the event clock sees it
+        assert capsys.readouterr().err == f"netradar: {scenario}:1: bad time 'nan'\n"
 
     @pytest.mark.parametrize(
         "line, message",
@@ -451,6 +494,17 @@ class TestSimulate:
             ("x 10.0.0.4 2", "bad time 'x'"),
             ("0.5 10.0.0.999 2", "10.0.0.999"),
             ("0.5 10.0.0.4 1x", "bad ttl '1x'"),
+            # what float() and int() read but the round log never writes
+            ("1_1 10.0.0.4 2", "bad time '1_1'"),
+            ("-5 10.0.0.4 2", "bad time '-5'"),
+            ("1e3 10.0.0.4 2", "bad time '1e3'"),
+            ("inf 10.0.0.4 2", "bad time 'inf'"),
+            pytest.param("1" * 400 + " 10.0.0.4 2", "bad time '111", id="time-beyond-float"),
+            ("0.5 10.0.0.4 1_0", "bad ttl '1_0'"),
+            ("0.5 10.0.0.4 +2", "bad ttl '+2'"),
+            ("0.5 10.0.0.4 02", "bad ttl '02'"),
+            ("0.5 10.0.0.4 99", "ttl 99 outside [1, 64]"),
+            ("0.5 10.0.0.4 0", "ttl 0 outside [1, 64]"),
         ],
     )
     def test_bad_field_names_file_and_line(self, chain_files, tmp_path, capsys, line, message):
@@ -461,6 +515,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"netradar: {scenario}:2: ")
         assert message in err
+
+    def test_plain_decimal_times_read(self, chain_files, tmp_path):
+        topo, _ = chain_files
+        scenario = tmp_path / "probes.txt"
+        scenario.write_text("0 10.0.0.4 1\n0.5 10.0.0.4 2\n10 10.0.0.4 64\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--topology", str(topo), "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert [line.split()[:3] for line in out.read_text(encoding="utf-8").splitlines()] == [
+            ["0.0", "10.0.0.4", "1"],
+            ["0.5", "10.0.0.4", "2"],
+            ["10.0", "10.0.0.4", "64"],
+        ]
 
     def test_nan_event_time_is_validation_error(self, tmp_path, capsys):
         topo = tmp_path / "topo.json"

@@ -130,6 +130,68 @@ def echo_reply_to(packet: bytes) -> bytes:
     return struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, ident, seq)
 
 
+class WireDouble(StubSocket):
+    """A socket double `poll` can select on: one end of a datagram
+    socketpair, its peer fed with raw packets by `deliver`.  `recvfrom`
+    returns each packet with its source, as a raw socket does.  It needs
+    no privileges and reaches no network."""
+
+    def __init__(self):
+        super().__init__()
+        self._end, self._peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+        self._sources = []
+
+    def fileno(self):
+        return self._end.fileno()
+
+    def deliver(self, packet: bytes, source: str) -> None:
+        self._sources.append(source)
+        self._peer.send(packet)
+
+    def recvfrom(self, size):
+        return self._end.recv(size), (self._sources.pop(0), 0)
+
+    def close(self):
+        super().close()
+        self._end.close()
+        self._peer.close()
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: WireDouble())
+    transport = IcmpTransport(rate_cap=0.0, nonce=0x1234)
+    yield transport
+    transport.close()
+
+
+class TestPoll:
+    def test_matched_replies_in_arrival_order(self, wire):
+        destination = IPv4Address("10.0.0.4")
+        near, far = wire.send(destination, 1), wire.send(destination, 3)
+        near_request, far_request = (packet for packet, _ in wire._sock.sent)
+        # a time-exceeded quotes the request's IP header and first 8 bytes
+        quoted = ip_header("10.9.0.1", "10.0.0.4") + near_request
+        quoting = struct.pack("!BBHHH", ICMP_TIME_EXCEEDED, 0, 0, 0, 0) + quoted
+        foreign = struct.pack("!BBHHH", ICMP_ECHO_REPLY, 0, 0, 0x9999, 1)
+        wire._sock.deliver(ip_header("10.0.0.4") + echo_reply_to(far_request), "10.0.0.4")
+        wire._sock.deliver(ip_header("10.0.0.2") + quoting, "10.0.0.2")
+        wire._sock.deliver(ip_header("10.0.0.4") + foreign, "10.0.0.4")
+        wire._sock.deliver(b"\x45" * 10, "10.0.0.3")  # a runt: no header to read
+        replies = wire.poll(wire.clock.now() + 1.0)
+        assert [(r.token, r.kind, str(r.source)) for r in replies] == [
+            (far, "echo_reply", "10.0.0.4"),
+            (near, "time_exceeded", "10.0.0.2"),
+        ]
+        assert wire.stats.dropped_unmatched == 1
+        assert wire.stats.delivered == 2 and wire._tokens == {}
+
+    def test_nothing_queued_returns_empty_at_the_deadline(self, wire):
+        deadline = wire.clock.now() + 0.05
+        assert wire.poll(deadline) == []
+        assert wire.clock.now() >= deadline
+
+
 class TestExpiredBookkeeping:
     def test_reused_wire_seq_drops_the_old_expired_seq(self, monkeypatch):
         transport = stub_transport(monkeypatch)

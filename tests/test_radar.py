@@ -169,6 +169,16 @@ class TestRunRadar:
         assert count == record.probes_sent == 2000
         assert kept <= 20 * count, f"{kept / count:.1f} bytes kept per record"
 
+    def test_rounds_run_as_they_are_taken(self):
+        # no round runs ahead of the caller, and None runs without end
+        transport = SimTransport(load_topology(dict(CHAIN_DOC)))
+        rounds = radar.radar_rounds(small_config([D], rounds=None), transport)
+        first = next(rounds)
+        assert transport.stats.sent == first.probes_sent
+        second = next(rounds)
+        assert (first.index, second.index) == (0, 1)
+        assert transport.stats.sent == first.probes_sent + second.probes_sent
+
     def test_interrupt_preserves_partial_dataset(self):
         class Interrupting(SimTransport):
             def __init__(self, topology, after):
