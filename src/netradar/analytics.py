@@ -35,7 +35,7 @@ def per_round_ip_count(dataset: RadarDataset) -> list[tuple[int, int]]:
     return [(rec.index, len(_addresses(rec.tree))) for rec in dataset.rounds]
 
 
-def windowed_ip_count(dataset: RadarDataset, window: int = 10, mode: str = SLIDING) -> list[tuple[int, int]]:
+def windowed_ip_count(dataset: RadarDataset, window: int, mode: str = SLIDING) -> list[tuple[int, int]]:
     """Distinct addresses over `window` consecutive rounds.
 
     sliding: one value per round from the window-th onward, indexed by the
@@ -78,11 +78,7 @@ class PeakDetection:
     threshold: float
 
 
-def detect_peaks(
-    series,
-    direction: str = "up",
-    k: float = 5.0,
-) -> PeakDetection:
+def detect_peaks(series, direction: str, k: float = 5.0) -> PeakDetection:
     """Flag points deviating from the series median by more than k times
     the median absolute deviation, in one direction.
 
@@ -240,7 +236,7 @@ class EventGraph:
         return "\n".join(lines) + "\n"
 
 
-def event_graph(dataset: RadarDataset, event_round: int, before_window: int = 100) -> EventGraph:
+def event_graph(dataset: RadarDataset, event_round: int, before_window: int) -> EventGraph:
     """Merge `before_window` rounds before the event with the single round
     at `event_round`, flagging edges absent from the whole before-window."""
     start = event_round - before_window

@@ -14,17 +14,7 @@ from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv4Address
 
-from .model import (
-    FilteredTree,
-    Hop,
-    Ip,
-    ProbeRecord,
-    RadarDataset,
-    RawTraceTree,
-    Star,
-    TtlNode,
-    ttl_links,
-)
+from .model import FilteredTree, Hop, Ip, ProbeRecord, RadarDataset, RawTraceTree, Star, TtlNode, ttl_links
 from .tracetree import TracetreeConfig
 
 
@@ -47,11 +37,10 @@ def _await_reply(transport, token, timeout):
             return None
 
 
-def traceroute_round(destinations, transport, config: TracetreeConfig | None = None) -> RawTraceTree:
+def traceroute_round(destinations, transport, config: TracetreeConfig) -> RawTraceTree:
     """Probe each destination independently, ttl 1 up to max_ttl, stopping
     at the first echo from the destination.  One probe per (destination,
     ttl), destination by destination, ttl upward; stars mark timeouts."""
-    config = config if config is not None else TracetreeConfig()
     transport.prepare(list(destinations))
     records: list[ProbeRecord] = []
     for destination in destinations:
@@ -88,15 +77,15 @@ def simulate_tracetree_from_traceroute(raw: RawTraceTree) -> RawTraceTree:
     return RawTraceTree(sources, keys, raw.destinations[:])
 
 
-def link_load_distribution(raw: RawTraceTree, first_hops: bool = False) -> dict[int, int]:
+def link_load_distribution(raw: RawTraceTree, first_hops: bool) -> dict[int, int]:
     """Histogram of link discovery counts: for each directed (hop, ttl)
     link in round `raw`, how many destinations discovered it, bucketed as
     {times_discovered: number_of_links}.
 
     `first_hops` counts the monitor's link to each ttl-1 hop too
     (traceroute routes start at the monitor); tree-measurement chains
-    leave it False, as partial chains do not re-traverse the link into
-    their junction.
+    pass False, as partial chains do not re-traverse the link into their
+    junction.
     """
     nodes = [TtlNode(hop, key & 127) for hop, key in zip(raw.sources, raw.keys)]
     # a (destination, ttl) holds distinct nodes, so each link counts once

@@ -7,8 +7,9 @@ flags it reads: counts none; window --window --mode; peaks --window
 --obs --dot; event-graph --round --before; correlate --ref --obs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or transport fault,
-3 validation error: a bad or missing input file, or a bad parameter,
-such as an --out inside a missing directory.
+3 validation error: a bad, missing or unreadable input file, or a bad
+parameter, such as an --out inside a missing directory.  A log's torn
+final round, what a crash while writing leaves, is skipped with a note.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .model import (
     MAX_TTL_DEFAULT,
     Ip,
     RadarDataset,
+    RoundLogParseError,
     RoundRecord,
     numbered_lines,
     parse_address,
@@ -86,13 +88,37 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_rounds(path: str) -> list:
     """The rounds of the log at `path`, read as written: no newline
-    translation, so the parser sees every line end.  An error names the
-    file."""
+    translation, so the parser sees every line end.  A torn final round
+    is skipped with a note.  An error names the file."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse_round_log(fh.read())
+            text = fh.read()
+        cut = _torn_tail(text)
+        rounds = parse_round_log(text[:cut])
     except ValueError as exc:  # bytes that are not UTF-8, or not a round log
         raise ValueError(f"{path}: {exc}") from None
+    if cut < len(text):
+        line_no = text.count("\n", 0, cut) + 1
+        print(f"netradar: {path}: line {line_no}: torn final round ignored", file=sys.stderr)
+    return rounds
+
+
+def _torn_tail(text: str) -> int:
+    """Where the torn final round of `text` starts, or `len(text)` when it
+    has none.  What follows the last `#end` line is torn when it holds no
+    `#end` and is a `#round` header and record lines, the last perhaps
+    cut short, or a single partial line."""
+    end = text.rfind("\n#end\n")  # the line end before the last `#end` line
+    cut = end + len("\n#end\n") if end >= 0 else 0
+    *lines, partial = text[cut:].split("\n")
+    if partial == "#end" or not (lines or partial):
+        return len(text)
+    try:
+        if lines:
+            parse_round_log("\n".join([*lines, "#end"]))
+    except RoundLogParseError:
+        return len(text)
+    return cut
 
 
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
@@ -101,7 +127,7 @@ def _load_dataset(path: str, monitor: str | None) -> RadarDataset:
     except ValueError:
         raise ValueError(f"bad --monitor address {monitor!r}") from None
     rounds = [
-        RoundRecord(meta.index, meta.start_time, meta.end_time, len(raw.keys), filter_tree(raw, root)[0], raw)
+        RoundRecord(meta.index, meta.start_time, meta.end_time, len(raw.keys), filter_tree(raw, root)[0])
         for meta, raw in _read_rounds(path)
     ]
     return RadarDataset(rounds)
@@ -263,7 +289,7 @@ def cmd_compare(args) -> int:
     packet_rows += [("tracetree", x, y) for x, y in tt_packets]
     # the link loads of the last round
     load_tr = baseline.link_load_distribution(raw, first_hops=True)
-    load_tt = baseline.link_load_distribution(simulated)
+    load_tt = baseline.link_load_distribution(simulated, first_hops=False)
     outputs = {
         "curves_rounds": analytics.rows_to_csv(["round", "traceroute_ips", "tracetree_ips"], rounds_rows),
         "curves_packets": analytics.rows_to_csv(["tool", "cum_packets", "distinct_ips"], packet_rows),
@@ -362,7 +388,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError) as exc:  # TopologyError and RoundLogParseError are ValueErrors
         print(f"netradar: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"netradar: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
     except TransportError as exc:

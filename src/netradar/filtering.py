@@ -6,18 +6,18 @@ tree, prune leaves no destination terminated at.  The output is a
 possible routing tree from the monitor to the destinations.
 
 The filter reads a round's two record columns, its hops and its packed
-(destination index, ttl) keys, and never derives the raw (hop, ttl)
-graph or a record tuple.  It works on integer node ids: an address is
-its own integer, and a star is numbered per (key, ttl) in first-record
-order.  Its edges come from `model.ttl_links`, the one edge rule, over
-the stored keys.  A node keeps its one successor inline and gets a set
-only for a second, and only a node with several successors sorts them.
-A round without stars skips stages 3 and 4.  Stage 4 merges a star with
-no sibling without building sets, renames raw stars instead of
-rewriting their neighbours' edges, and builds the key string of a star
-named after one parent once per parent.  Hop objects are made only for
-the returned parent map.  Nothing depends on set iteration order, so
-the output is the same under every hash seed.
+(destination index, ttl) keys, and builds no record tuple.  It works on
+integer node ids: an address is its own integer, and a star is numbered
+per (key, ttl) in first-record order.  Its edges come from
+`model.ttl_links`, the one edge rule, over the stored keys.  A node
+keeps its one successor inline and gets a set only for a second, and
+only a node with several successors sorts them.  A round without stars
+skips stages 3 and 4.  Stage 4 merges a star with no sibling without
+building sets, renames raw stars instead of rewriting their neighbours'
+edges, and builds the key string of a star named after one parent once
+per parent.  Hop objects are made only for the returned parent map.
+Nothing depends on set iteration order, so the output is the same under
+every hash seed.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
-from .model import FilteredTree, Hop, Ip, ProbeRecord, RawTraceTree, Star, ttl_links
+from .model import FilteredTree, Hop, Ip, RawTraceTree, Star, ttl_links
 
 
 @dataclass
@@ -301,21 +301,3 @@ def _join(succs: set[int], more) -> None:
         succs.add(more)
     elif more:
         succs.update(more)
-
-
-def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
-    """Re-encode a filtered tree as probe records: for each destination,
-    one record per node on its terminal's root path, at the node's depth
-    in the tree.  The result is a valid round; filter_tree on it gives
-    back the same tree (idempotence)."""
-    records = []
-    for destination, node in tree.terminals.items():
-        path = []
-        while node != tree.root:
-            path.append(node)
-            node = tree.parents[node]
-        # terminal first, walking backward the way tree probing emits them
-        for ttl, hop in zip(range(len(path), 0, -1), path):
-            records.append(ProbeRecord(hop, ttl, destination))
-    return RawTraceTree.from_records(records)
-

@@ -16,7 +16,8 @@ one.  Every send is paced, so a sequence is reused no sooner than 65,536 /
 rate cap seconds after its first use (327 s at the default 200 probes/s),
 and this is safe while the probe timeout is below that.
 
-Needs CAP_NET_RAW (or root).  Excluded from the default test suite.
+Needs CAP_NET_RAW (or root).  The test suite runs it over socket doubles
+instead, whole radar rounds included.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import struct
 from ipaddress import IPv4Address
 
 from .model import Ip, parse_address
-from .transport import DEFAULT_RATE_CAP, ProbeToken, Transport, TransportError, TransportReply, WallClock
+from .transport import ProbeToken, Transport, TransportError, TransportReply, WallClock
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
@@ -51,7 +52,7 @@ class IcmpTransport(Transport):
     """Probe transport over raw ICMP sockets, same contract as the
     simulator backend but on the wall clock."""
 
-    def __init__(self, *, rate_cap: float = DEFAULT_RATE_CAP, nonce: int | None = None):
+    def __init__(self, *, rate_cap: float, nonce: int | None = None):
         super().__init__(WallClock(), rate_cap)  # checks the cap before the socket opens
         self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token

@@ -9,15 +9,13 @@ one line each, kept as two columns in step: `sources`, each record's
 hop, and `keys`, an `array('I')` of `index << 7 | ttl`, where `index`
 points into `destinations`, the round's distinct destinations in
 first-record order.  A record costs one list slot and one 4-byte key,
-and no tuple; `records` builds the `ProbeRecord` view on demand.  Its
-(hop, ttl) graph of nodes, edges and terminals is a reader's view too,
-derived on demand and never stored; the filter works on the columns
-directly.  Both, and the traceroute baseline's link loads, read one
-function, `ttl_links`, the one edge rule: it groups the records' nodes
-by their keys, holding a key's first node inline and a list only where
-a key sees a second distinct node, then joins consecutive ttls of a
-destination, links the monitor to ttl 1 and finds each destination's
-terminal.
+and no tuple; `records` builds the `ProbeRecord` view on demand.  The
+filter and the traceroute baseline's link loads read the records'
+(hop, ttl) graph through one function, `ttl_links`, the one edge rule:
+it groups the records' nodes by their keys, holding a key's first node
+inline and a list only where a key sees a second distinct node, then
+joins consecutive ttls of a destination, links the monitor to ttl 1 and
+finds each destination's terminal.
 Likewise a filtered tree is its parent map, child to parent; its node
 and edge sets are derived from the map.  A retained round therefore
 costs its two columns, its destinations and one parent map and nothing
@@ -186,7 +184,7 @@ class Star(_Frozen):
 
     __slots__ = ("key",)
 
-    def __init__(self, key: str = ""):
+    def __init__(self, key: str):
         object.__setattr__(self, "key", key)
 
     def __eq__(self, other):
@@ -244,14 +242,13 @@ def ttl_links(keys, nodes) -> TtlLinks:
     ttl t+1, and the monitor links to every node at ttl 1; a
     destination's probing ended at the first node of its highest ttl.
 
-    This is the one edge rule: the raw (hop, ttl) graph, the filter and
-    the traceroute baseline's link loads all read it.  A key is
-    `index << 7 | ttl` (a ttl is at most TTL_LIMIT = 64), as
-    `RawTraceTree.keys` stores it, and the indexes of n destinations are
-    0 to n-1, each with at least one record.  `first` holds each key's
-    first node, in first-record order; only a key that sees a second
-    distinct node gets a list, in `more`, of the nodes after the first in
-    first-sighting order.
+    This is the one edge rule: the filter and the traceroute baseline's
+    link loads both read it.  A key is `index << 7 | ttl` (a ttl is at
+    most TTL_LIMIT = 64), as `RawTraceTree.keys` stores it, and the
+    indexes of n destinations are 0 to n-1, each with at least one
+    record.  `first` holds each key's first node, in first-record order;
+    only a key that sees a second distinct node gets a list, in `more`,
+    of the nodes after the first in first-sighting order.
     """
     first = dict(zip(keys, nodes))
     more: dict[int, list] = {}
@@ -306,15 +303,11 @@ class RawTraceTree:
     builder (`from_records`, `tracetree`, `parse_round_log`) makes the
     same container types, exact in size, so equal rounds compare equal.
 
-    `records` and `graph()` are derived views, built on every call and
+    `records` and `nodes` are derived views, built on every call and
     never cached.  The records are what the round log serializes line
-    for line.  The (hop, ttl) graph's edges join ttl t to t+1 and are
-    reconstructed per destination from consecutive-ttl records, which is
-    what makes the text log a lossless serialization.  Chains that
-    stopped early (their bottom record hit an already-seen node) are
-    reattached through the records of whichever destination kept
-    probing, because the shared (hop, ttl) node appears in that chain
-    too.
+    for line; the (hop, ttl) graph's edges follow from them by
+    `ttl_links`, which is what makes the text log a lossless
+    serialization.
     """
 
     sources: list  # Hop per record
@@ -347,27 +340,10 @@ class RawTraceTree:
             ProbeRecord(source, key & 127, destinations[key >> 7]) for source, key in zip(self.sources, self.keys)
         ]
 
-    def graph(self) -> tuple[set[TtlNode], set[tuple[TtlNode, TtlNode]], dict[IPv4Address, TtlNode]]:
-        """Derive `(nodes, edges, terminals)` from the records: a reader's
-        view for tests and tools; the filter works on the columns itself."""
-        # one TtlNode object per (hop, ttl), shared by the node set and the edges
-        interned: dict[TtlNode, TtlNode] = {}
-        ttls = [key & 127 for key in self.keys]
-        nodes = [interned.setdefault(node, node) for node in map(TtlNode, self.sources, ttls)]
-        graph = ttl_links(self.keys, nodes)
-        return set(interned), set(zip(graph.lows, graph.highs)), dict(zip(self.destinations, graph.terminals))
-
     @property
     def nodes(self) -> set[TtlNode]:
-        return self.graph()[0]
-
-    @property
-    def edges(self) -> set[tuple[TtlNode, TtlNode]]:
-        return self.graph()[1]
-
-    @property
-    def terminals(self) -> dict[IPv4Address, TtlNode]:
-        return self.graph()[2]
+        """The records' distinct (hop, ttl) pairs."""
+        return set(map(TtlNode, self.sources, [key & 127 for key in self.keys]))
 
 
 @dataclass(frozen=True, slots=True)

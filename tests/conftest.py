@@ -1,5 +1,5 @@
-"""Shared fixtures: canonical topologies, small tree builders, and the
-hop and curve helpers the tests share."""
+"""Shared fixtures: canonical topologies, small tree builders, the raw
+graph reader, and the hop and curve helpers the tests share."""
 from __future__ import annotations
 
 import importlib.util
@@ -7,10 +7,22 @@ import json
 import sys
 from ipaddress import IPv4Address
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from netradar.model import FilteredTree, Hop, Ip, RadarDataset, RawTraceTree, RoundRecord, Star
+from netradar.model import (
+    FilteredTree,
+    Hop,
+    Ip,
+    ProbeRecord,
+    RadarDataset,
+    RawTraceTree,
+    RoundRecord,
+    Star,
+    TtlNode,
+    ttl_links,
+)
 from netradar.simnet import Topology, load_topology
 
 
@@ -45,6 +57,38 @@ def assert_same_columns(a: RawTraceTree, b: RawTraceTree) -> None:
     assert type(a.sources) is type(b.sources) is list
     assert type(a.destinations) is type(b.destinations) is list
     assert a.keys.typecode == b.keys.typecode == "I"
+
+
+class RawGraph(NamedTuple):
+    """The (hop, ttl) graph a round's records imply."""
+
+    nodes: set[TtlNode]
+    edges: set[tuple[TtlNode, TtlNode]]  # (ttl t, ttl t+1)
+    terminals: dict[IPv4Address, TtlNode]  # the first node at a destination's highest ttl
+
+
+def raw_graph(raw: RawTraceTree) -> RawGraph:
+    """The graph of round `raw` by `ttl_links`, the one edge rule."""
+    nodes = list(map(TtlNode, raw.sources, [key & 127 for key in raw.keys]))
+    graph = ttl_links(raw.keys, nodes)
+    return RawGraph(set(nodes), set(zip(graph.lows, graph.highs)), dict(zip(raw.destinations, graph.terminals)))
+
+
+def reencode_as_raw(tree: FilteredTree) -> RawTraceTree:
+    """Re-encode a filtered tree as probe records: for each destination,
+    one record per node on its terminal's root path, at the node's depth
+    in the tree.  The result is a valid round; filter_tree on it gives
+    back the same tree (idempotence)."""
+    records = []
+    for destination, node in tree.terminals.items():
+        path = []
+        while node != tree.root:
+            path.append(node)
+            node = tree.parents[node]
+        # terminal first, walking backward the way tree probing emits them
+        for ttl, hop in zip(range(len(path), 0, -1), path):
+            records.append(ProbeRecord(hop, ttl, destination))
+    return RawTraceTree.from_records(records)
 
 
 def dataset_observations(dataset: RadarDataset):

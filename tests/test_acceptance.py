@@ -13,7 +13,15 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from conftest import dataset_observations, ip, star_destinations, star_topology_doc, step_value
+from conftest import (
+    dataset_observations,
+    ip,
+    raw_graph,
+    reencode_as_raw,
+    star_destinations,
+    star_topology_doc,
+    step_value,
+)
 from netradar.analytics import (
     detect_peaks,
     discovery_time,
@@ -30,7 +38,7 @@ from netradar.baseline import (
     simulate_tracetree_from_traceroute,
     traceroute_round,
 )
-from netradar.filtering import filter_tree, reencode_as_raw
+from netradar.filtering import filter_tree
 from netradar.model import Ip, RadarDataset, RoundRecord, parse_round_log, serialize_round
 from netradar.radar import RadarConfig, run_radar
 from netradar.simnet import load_topology
@@ -72,6 +80,7 @@ def test_c1_algorithm_fidelity():
 
     probes = result.stats.probes_sent
     assert probes == len(result.raw.records) == len(result.raw.nodes) == 10_000
+    assert result.raw.nodes == raw_graph(result.raw).nodes
     rerun = tracetree(tasks, SimTransport(load_topology(doc)))
     assert serialize_round(result.raw, 0, 0.0, 1.0) == serialize_round(rerun.raw, 0, 0.0, 1.0)
     assert elapsed < 1.0, f"measurement took {elapsed:.3f}s"
@@ -100,7 +109,7 @@ def test_c2_optimality_ordering():
     tt_transport = SimTransport(load_topology(doc))
     tr_obs, tt_obs = [], []
     for _ in range(5):
-        tr = traceroute_round(destinations, tr_transport)
+        tr = traceroute_round(destinations, tr_transport, TracetreeConfig())
         tt = tracetree(tasks, tt_transport)
         shared_pairs = len(tt.raw.records) - len(tt.raw.nodes)
         assert shared_pairs > 0  # >= 2 destinations share (hop, ttl) nodes
@@ -122,12 +131,12 @@ def test_c3_load_balancing():
     doc = star_topology_doc(k)
     destinations = star_destinations(k)
     tr_transport = SimTransport(load_topology(doc))
-    tr = traceroute_round(destinations, tr_transport)
+    tr = traceroute_round(destinations, tr_transport, TracetreeConfig())
     tr_loads = link_load_distribution(tr, first_hops=True)
     assert tr_loads == {1: k, k: 1}  # first-hop link probed exactly k times
     tt_transport = SimTransport(load_topology(doc))
     tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport)
-    tt_loads = link_load_distribution(tt.raw)
+    tt_loads = link_load_distribution(tt.raw, first_hops=False)
     assert set(tt_loads) == {1}  # every link discovered exactly once
     print(f"[acceptance] C3 PASS: load balancing (traceroute first hop {k}x, tracetree all 1)")
 
@@ -397,8 +406,6 @@ def test_c9_format_round_trip():
         block = serialize_round(raw, index, 1700000000.0 + index, 1700000300.0 + index)
         [(meta, parsed)] = parse_round_log(block)
         assert parsed.records == raw.records
-        assert parsed.nodes == raw.nodes
-        assert parsed.edges == raw.edges
-        assert parsed.terminals == raw.terminals
+        assert raw_graph(parsed) == raw_graph(raw)
         assert serialize_round(parsed, meta.index, meta.start_time, meta.end_time) == block
     print("[acceptance] C9 PASS: 1000 rounds serialize/parse byte-exact")

@@ -129,11 +129,11 @@ class TestPeaks:
     def test_k_must_be_finite_and_positive(self, k):
         # k=-1 flagged most of a flat series, and k=nan flagged nothing
         with pytest.raises(ValueError, match="k must be"):
-            detect_peaks([(i, 100) for i in range(20)], k=k)
+            detect_peaks([(i, 100) for i in range(20)], direction="up", k=k)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            detect_peaks([(0, 1)] * 9)
+            detect_peaks([(0, 1)] * 9, direction="up")
 
     @settings(max_examples=40, deadline=None)
     @given(

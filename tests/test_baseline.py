@@ -41,7 +41,7 @@ D2 = IPv4Address("10.2.0.7")
 class TestTracerouteRound:
     def test_textbook_chain(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
-        round_ = traceroute_round([D], transport)
+        round_ = traceroute_round([D], transport, TracetreeConfig())
         assert [(r.source, r.ttl, r.destination) for r in round_.records] == [
             (ip("10.0.0.2"), 1, D),
             (ip("10.0.0.3"), 2, D),
@@ -51,7 +51,7 @@ class TestTracerouteRound:
     def test_shared_first_hop_traversed_per_destination(self):
         doc = star_topology_doc(3)
         transport = SimTransport(load_topology(doc))
-        round_ = traceroute_round(star_destinations(3), transport)
+        round_ = traceroute_round(star_destinations(3), transport, TracetreeConfig())
         hub = ip("10.1.0.2")
         first_hops = [r.source for r in round_.records if r.ttl == 1]
         assert first_hops == [hub, hub, hub]
@@ -63,21 +63,21 @@ class TestTracerouteRound:
         doc["nodes"] = dict(doc["nodes"])
         doc["nodes"]["r2"] = {"address": "10.0.0.3", "policy": "silent"}
         transport = SimTransport(load_topology(doc))
-        round_ = traceroute_round([D], transport)
+        round_ = traceroute_round([D], transport, TracetreeConfig())
         hops = round_.records
         assert isinstance(hops[1].source, Star) and hops[1].ttl == 2
         assert hops[2].source == Ip(D)
 
     def test_packet_count_sums_route_lengths(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        round_ = traceroute_round([D1, D2], transport)
+        round_ = traceroute_round([D1, D2], transport, TracetreeConfig())
         assert Counter(r.destination for r in round_.records) == {D1: 4, D2: 4}
 
 
 class TestSimulatedTracetree:
     def test_single_destination_reversed_route(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
-        round_ = traceroute_round([D], transport)
+        round_ = traceroute_round([D], transport, TracetreeConfig())
         simulated = simulate_tracetree_from_traceroute(round_)
         assert [(r.source, r.ttl) for r in simulated.records] == [
             (ip("10.0.0.4"), 3),
@@ -87,7 +87,7 @@ class TestSimulatedTracetree:
 
     def test_shared_prefix_probed_once(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        round_ = traceroute_round([D1, D2], transport)
+        round_ = traceroute_round([D1, D2], transport, TracetreeConfig())
         simulated = simulate_tracetree_from_traceroute(round_)
         # 8 traceroute packets; the second chain stops at the junction
         assert len(simulated.records) == 7
@@ -109,14 +109,14 @@ class TestSimulatedTracetree:
         }
         transport = SimTransport(load_topology(doc))
         dests = [IPv4Address("10.8.0.3"), IPv4Address("10.8.0.5")]
-        round_ = traceroute_round(dests, transport)
+        round_ = traceroute_round(dests, transport, TracetreeConfig())
         simulated = simulate_tracetree_from_traceroute(round_)
         assert len(simulated.records) == len(round_.records)
 
     def test_matches_live_tracetree_on_stable_sim(self):
         # same record multiset as an actual tree measurement with exact distances
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        round_ = traceroute_round([D1, D2], transport)
+        round_ = traceroute_round([D1, D2], transport, TracetreeConfig())
         simulated = simulate_tracetree_from_traceroute(round_)
         live_transport = SimTransport(load_topology(shared_prefix_doc()))
         live = tracetree(
@@ -130,20 +130,20 @@ class TestLinkLoads:
     def test_star_topology_histogram(self):
         k = 5
         transport = SimTransport(load_topology(star_topology_doc(k)))
-        round_ = traceroute_round(star_destinations(k), transport)
+        round_ = traceroute_round(star_destinations(k), transport, TracetreeConfig())
         loads = link_load_distribution(round_, first_hops=True)
         assert loads == {1: k, k: 1}
 
     def test_single_destination_all_ones(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
-        round_ = traceroute_round([D], transport)
+        round_ = traceroute_round([D], transport, TracetreeConfig())
         loads = link_load_distribution(round_, first_hops=True)
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
-        loads = link_load_distribution(result.raw)
+        loads = link_load_distribution(result.raw, first_hops=False)
         assert set(loads) == {1}
 
     def test_tracetree_loads_all_one_on_star_topology(self):
@@ -151,7 +151,7 @@ class TestLinkLoads:
         transport = SimTransport(load_topology(star_topology_doc(k)))
         tasks = [DestinationTask(d, 2) for d in star_destinations(k)]
         result = tracetree(tasks, transport)
-        loads = link_load_distribution(result.raw)
+        loads = link_load_distribution(result.raw, first_hops=False)
         assert set(loads) == {1}
 
 
@@ -372,7 +372,7 @@ class TestDiscoveryCurves:
             tr_transport = SimTransport(load_topology(shared_prefix_doc()))
             tt_transport = SimTransport(load_topology(shared_prefix_doc()))
             for _ in range(n):
-                round_ = traceroute_round([D1, D2], tr_transport)
+                round_ = traceroute_round([D1, D2], tr_transport, TracetreeConfig())
                 tr_obs.append((record_ips(round_), len(round_.records)))
                 result = tracetree(
                     [DestinationTask(D1, 4), DestinationTask(D2, 4)], tt_transport
@@ -397,7 +397,7 @@ class TestDiscoveryCurves:
 
 def test_traceroute_round_survives_the_log():
     transport = SimTransport(load_topology(shared_prefix_doc()))
-    round_ = traceroute_round([D1, D2], transport)
+    round_ = traceroute_round([D1, D2], transport, TracetreeConfig())
     # `compare` reads the round back from the stored log
     [(_, stored)] = parse_round_log(serialize_round(round_, 0, 0.0, 1.0))
     assert stored == round_

@@ -3,13 +3,18 @@ from __future__ import annotations
 
 import errno
 import gc
+import io
 import json
 import os
+import re
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CHAIN_DOC,
@@ -25,6 +30,7 @@ from netradar.baseline import traceroute_round
 from netradar.cli import main
 from netradar.model import parse_round_log, serialize_round
 from netradar.simnet import load_topology
+from netradar.tracetree import TracetreeConfig
 from netradar.transport import SimTransport, TransportError
 
 from test_acceptance import fan_doc
@@ -406,6 +412,40 @@ def test_missing_file_is_validation_error(chain_files, tmp_path, capsys, args, r
     assert capsys.readouterr().err == f"netradar: {reported.format(**paths)}: {os.strerror(error)}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "tracetree once --destinations {dests} --transport sim:{bad}",
+        "tracetree once --destinations {bad} --transport sim:{topo}",
+        "analyze counts --in {bad}",
+        "compare --in {bad} --out-prefix {prefix}",
+        "simulate --topology {bad} --scenario {dests}",
+        "simulate --topology {topo} --scenario {bad}",
+    ],
+    ids=["sim-topology", "destinations", "analyze-in", "compare-in", "simulate-topology", "simulate-scenario"],
+)
+@pytest.mark.parametrize("error", [errno.ENOTDIR, errno.EACCES], ids=["not-a-directory", "permission"])
+def test_unreadable_path_is_validation_error(chain_files, tmp_path, capsys, monkeypatch, args, error):
+    topo, dests = chain_files
+    if error == errno.ENOTDIR:
+        bad = dests / "input"  # a path under a regular file
+    else:
+        # chmod does not stop root, so the refusal is made by `open`
+        bad = tmp_path / "input"
+        bad.write_bytes(dests.read_bytes())
+        real_open = open
+
+        def refusing_open(file, *rest, **kwargs):
+            if str(file) == str(bad):
+                raise PermissionError(error, os.strerror(error), str(file))
+            return real_open(file, *rest, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing_open)
+    paths = {"topo": topo, "dests": dests, "bad": bad, "prefix": tmp_path / "cmp"}
+    assert main([word.format(**paths) for word in args.split()]) == 3
+    assert capsys.readouterr().err == f"netradar: {bad}: {os.strerror(error)}\n"
+
+
 BAD_LOG = b"#round 0 0.0 1.0\nfoo 1 5.6.7.8\n#end\n"
 NOT_UTF8_LOG = b"#round 0 0.0 1.0\n\xff 1 5.6.7.8\n#end\n"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
@@ -430,6 +470,103 @@ def test_unreadable_input_names_its_file(chain_files, tmp_path, capsys, args, co
     paths = {"topo": topo, "bad": bad, "prefix": tmp_path / "cmp"}
     assert main([word.format(**paths) for word in args.split()]) == 3
     assert capsys.readouterr().err.startswith(f"netradar: {bad}: {reason}")
+
+
+# -- a torn final round: what a crash while writing a round leaves ----------
+
+
+@pytest.fixture(scope="module")
+def four_rounds(tmp_path_factory):
+    """The bytes of a 4-round log of the fig1 analog (stars and both
+    balancer kinds), and a directory to write cut copies into."""
+    directory = tmp_path_factory.mktemp("torn")
+    log = _radar_log(directory, _fig1_events_doc(), ["10.0.1.14", "10.0.1.15", "10.0.1.16"], 4)
+    return log.read_bytes(), directory
+
+
+def _counts(path) -> tuple[int, str, str]:
+    """`analyze counts --in path`: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", "counts", "--in", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_log_cut_anywhere_reads_its_whole_rounds(four_rounds, data):
+    text, directory = four_rounds
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    # the whole rounds end at the last block boundary at or before the cut; a
+    # block missing only its final line end is whole, as the parser reads a
+    # last line without one
+    whole = max((m.end() for m in re.finditer(rb"#end\n", text) if m.end() - 1 <= cut), default=0)
+    cut_log, whole_log = directory / "cut.rounds", directory / "whole.rounds"
+    cut_log.write_bytes(text[:cut])
+    whole_log.write_bytes(text[:whole])
+    code, out, err = _counts(cut_log)
+    assert (code, out, "") == _counts(whole_log)
+    line_no = text[:whole].count(b"\n") + 1
+    torn = cut not in (whole, whole - 1)
+    assert err == (f"netradar: {cut_log}: line {line_no}: torn final round ignored\n" if torn else "")
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        "#round 4 2400.0 2400.5\n10.0.1.2 1 10.0.1.14\n10.0.1",
+        "#round 4 2400.0 2400.5\n10.0.1.2 1 10.0.1.14\n",
+        "#round 4 2400.0 2400.5\n",
+        "#rou",
+    ],
+    ids=["cut-record", "cut-at-a-line-end", "header-only", "cut-header"],
+)
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_torn_final_round_is_skipped_with_a_note(four_rounds, tmp_path, capsys, command, tail):
+    text, _ = four_rounds
+    whole, torn = tmp_path / "whole.rounds", tmp_path / "torn.rounds"
+    whole.write_bytes(text)
+    torn.write_bytes(text + tail.encode())
+    outputs = []
+    for log in (whole, torn):
+        if command == "analyze":
+            argv = ["analyze", "counts", "--in", str(log), "--out", str(tmp_path / f"{log.stem}.csv")]
+        else:
+            argv = ["compare", "--in", str(log), "--out-prefix", str(tmp_path / log.stem)]
+        assert main(argv) == 0
+        outputs.append(sorted(p.read_bytes() for p in tmp_path.glob(f"{log.stem}.*csv")))
+    assert outputs[0] == outputs[1] and outputs[0]
+    line_no = text.count(b"\n") + 1
+    assert f"netradar: {torn}: line {line_no}: torn final round ignored\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tail, line, reason",
+    [
+        ("#round 4 2400.0 2400.5\nfoo 1 10.0.1.14\n10.0", 1, "bad source address 'foo'"),
+        ("#round 4 2400.0 2400.5\n10.0.1.2 99 10.0.1.14\n", 1, "ttl 99 outside [1, 64]"),
+        ("#round 4 2400.0 2400.5\n#round 5 3000.0 3000.5\n10.0", 1, "new round before #end"),
+        ("10.0.1.2 1 10.0.1.14\n10.0", 0, "content outside a round block"),
+        ("#round 4 nan 2400.5\n10.0", 0, "malformed round header"),
+    ],
+    ids=["bad-record", "bad-ttl", "two-headers", "no-header", "bad-header"],
+)
+def test_only_a_torn_final_round_is_forgiven(four_rounds, tmp_path, capsys, tail, line, reason):
+    # a tail whose whole lines are not a round header and records is an
+    # error like any other, reported where the parser stops
+    text, _ = four_rounds
+    bad = tmp_path / "bad.rounds"
+    bad.write_bytes(text + tail.encode())
+    assert main(["analyze", "counts", "--in", str(bad)]) == 3
+    line_no = text.count(b"\n") + 1 + line
+    assert capsys.readouterr().err == f"netradar: {bad}: line {line_no}: {reason}\n"
+
+
+def test_a_torn_tail_does_not_excuse_an_earlier_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rounds"
+    bad.write_bytes(BAD_LOG + b"#round 1 1.0 2.0\n1.2")
+    assert main(["analyze", "counts", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err == f"netradar: {bad}: line 2: bad source address 'foo'\n"
 
 
 @pytest.mark.parametrize("brk", ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda c: f"U+{ord(c):04X}")
@@ -1051,7 +1188,7 @@ class TestCompare:
         for index in range(4):
             transport.clock.advance_to(index * 2000.0)
             started = transport.clock.now()
-            raw = traceroute_round(destinations, transport)
+            raw = traceroute_round(destinations, transport, TracetreeConfig())
             blocks.append(serialize_round(raw, index, started, transport.clock.now()))
         log = tmp_path / "tr.rounds"
         log.write_text("".join(blocks), encoding="utf-8")

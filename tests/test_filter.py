@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netradar
-from conftest import hop_sort_key, ip, perfbench_inet
+from conftest import hop_sort_key, ip, perfbench_inet, raw_graph, reencode_as_raw
 from netradar.baseline import simulate_tracetree_from_traceroute
-from netradar.filtering import FilterReport, filter_tree, reencode_as_raw
+from netradar.filtering import FilterReport, filter_tree
 from netradar.model import (
     FilteredTree,
     Hop,
@@ -227,7 +227,7 @@ class TestFilterInvariants:
             input_ips = {n.hop.address for n in raw.nodes if isinstance(n.hop, Ip)}
             assert tree.observed_ips() <= input_ips
             # destinations with records keep a terminal unless unreachable
-            for dest, terminal in raw.terminals.items():
+            for dest in raw_graph(raw).terminals:
                 if dest in tree.terminals:
                     assert tree.terminals[dest] in tree.nodes
 
@@ -263,7 +263,8 @@ class TestFilterInvariants:
 
 
 def oracle_graph(raw: RawTraceTree):
-    """`RawTraceTree.graph()` as it was before the filter worked on ints."""
+    """The raw (hop, ttl) graph as the filter derived it before it worked
+    on ints: nodes, edges and terminals."""
     # one TtlNode object per (hop, ttl), shared by the node set, the
     # per-destination buckets and the edges
     nodes: dict[TtlNode, TtlNode] = {}
@@ -546,6 +547,13 @@ class TestAgainstOracle:
             assert _shape(new[0]) == _shape(old[0])
         else:
             assert new == old
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_rounds())
+    def test_raw_graph_and_nodes_match_the_oracle(self, raw):
+        graph = raw_graph(raw)
+        assert raw.nodes == graph.nodes
+        assert tuple(graph) == oracle_graph(raw)
 
     def test_group_order_follows_the_records(self):
         [(_, raw)] = parse_round_log(ORDER_SENSITIVE_BLOCK.format(index=0))

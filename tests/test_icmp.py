@@ -1,5 +1,6 @@
-"""ICMP backend: wire parsing without sockets; live test only with raw
-socket privileges (excluded from the default run)."""
+"""ICMP backend: wire parsing and whole radar rounds over socket doubles
+that need no privileges; a live test only with raw socket privileges
+(excluded from the default run)."""
 from __future__ import annotations
 
 import math
@@ -10,13 +11,20 @@ from ipaddress import IPv4Address
 
 import pytest
 
+from conftest import CHAIN_DOC, fig1_analog_doc
 from netradar.icmp import (
     ICMP_ECHO_REPLY,
     ICMP_TIME_EXCEEDED,
     IcmpTransport,
     _checksum,
 )
-from netradar.transport import ProbeToken, TransportError, WallClock
+from netradar.model import Ip
+from netradar.radar import RadarConfig, run_radar
+from netradar.simnet import ECHO_REPLY, TIME_EXCEEDED, SimState, load_topology
+from netradar.tracetree import TracetreeConfig
+from netradar.transport import DEFAULT_RATE_CAP, ProbeToken, SimTransport, TransportError, WallClock
+
+from test_acceptance import fan_doc
 
 
 def test_checksum_matches_reference():
@@ -192,6 +200,70 @@ class TestPoll:
         assert wire.clock.now() >= deadline
 
 
+class SimulatedWire(WireDouble):
+    """A wire double that answers from a simulated topology: `sendto`
+    routes the request through a `SimState` at the last `IP_TTL` set and
+    queues what a raw socket would receive.  An echo reply is a 20-byte
+    IPv4 header and the reply; a time-exceeded is a header, the ICMP
+    header and the quoted request (its IPv4 header and first 8 bytes).
+    Silence and unreachable queue nothing."""
+
+    def __init__(self, state: SimState):
+        super().__init__()
+        self._peer.setblocking(False)  # a full queue fails the test, not hangs it
+        self.state = state
+        self.ttl = None
+
+    def setsockopt(self, level, option, value):
+        if (level, option) == (socket.IPPROTO_IP, socket.IP_TTL):
+            self.ttl = value
+
+    def sendto(self, packet, address):
+        super().sendto(packet, address)
+        destination = address[0]
+        # the topologies here have no events or rate limits: time is moot
+        reply = self.state.route_probe(IPv4Address(destination), self.ttl, 0.0)
+        source = str(reply.source)
+        if reply.kind == ECHO_REPLY:
+            self.deliver(ip_header(source) + echo_reply_to(packet), source)
+        elif reply.kind == TIME_EXCEEDED:
+            quoted = ip_header(dst=destination) + packet[:8]
+            self.deliver(ip_header(source) + struct.pack("!BBHHH", ICMP_TIME_EXCEEDED, 0, 0, 0, 0) + quoted, source)
+
+
+FIG1_DESTINATIONS = [IPv4Address(d) for d in ("10.0.1.14", "10.0.1.15", "10.0.1.16")]
+
+
+@pytest.mark.parametrize(
+    "doc, destinations",
+    [fan_doc(chains=50, depth=5), (CHAIN_DOC, [IPv4Address("10.0.0.4")]), (fig1_analog_doc(), FIG1_DESTINATIONS)],
+    ids=["fan", "chain", "fig1"],
+)
+def test_radar_rounds_over_the_wire_match_the_simulator(monkeypatch, doc, destinations):
+    # fig1 adds a silent router, whose probes time out on the wall clock,
+    # and both balancer kinds; the simulator's replies take 20 ms a hop,
+    # well inside the timeout
+    topology = load_topology(doc)
+    monitor = Ip(topology.addresses[topology.monitor])
+    # the real monitor_hop connects a UDP socket, which needs a route
+    monkeypatch.setattr(IcmpTransport, "monitor_hop", property(lambda self: monitor))
+    monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: SimulatedWire(SimState(topology)))
+    config = RadarConfig(destinations, inter_round_delay=0.0, rounds=3, tracetree=TracetreeConfig(timeout=0.2))
+    wire = IcmpTransport(rate_cap=0.0, nonce=0x1234)
+    try:
+        over_wire = run_radar(config, wire).rounds
+    finally:
+        wire.close()
+    simulated = run_radar(config, SimTransport(topology)).rounds
+    assert len(over_wire) == len(simulated) == 3
+    for got, want in zip(over_wire, simulated):
+        assert got.complete and set(destinations) < got.tree.observed_ips() == want.tree.observed_ips()
+        assert got.tree.edges == want.tree.edges
+    # round 1 probes from the distances round 0 cached, over the wire too
+    assert over_wire[1].probes_sent == simulated[1].probes_sent < simulated[0].probes_sent
+    assert wire.stats.dropped_unmatched == wire.stats.late == 0
+
+
 class TestExpiredBookkeeping:
     def test_reused_wire_seq_drops_the_old_expired_seq(self, monkeypatch):
         transport = stub_transport(monkeypatch)
@@ -316,7 +388,7 @@ def _can_open_raw_socket() -> bool:
     reason="live ICMP needs NETRADAR_LIVE_ICMP=1 and raw socket privileges",
 )
 def test_live_loopback_probe():
-    transport = IcmpTransport()
+    transport = IcmpTransport(rate_cap=DEFAULT_RATE_CAP)
     try:
         token = transport.send(IPv4Address("127.0.0.1"), 1)
         replies = transport.poll(transport.clock.now() + 2.0)

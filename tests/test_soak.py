@@ -19,7 +19,9 @@ def test_soak_prints_every_number():
         rf"rss after gc at round 1: {NUMBER} MB",
         rf"rss after gc at round 12: {NUMBER} MB",
         rf"rss growth per round: {NUMBER} KB",
+        rf"tracemalloc growth per round: {NUMBER} KB",
         rf"log bytes per round: {NUMBER}",
         rf"analyze counts: {NUMBER} s, max rss {NUMBER} MB",
+        rf"analyze components: {NUMBER} s, max rss {NUMBER} MB",
     ):
         assert re.search(rf"^{line}$", out, re.M), line

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_DOC, assert_same_columns, shared_prefix_doc
+from conftest import CHAIN_DOC, assert_same_columns, raw_graph, shared_prefix_doc
 from netradar.model import Ip, ProbeRecord, RawTraceTree, Star, dotted_quad, serialize_round
 from netradar.simnet import load_topology
 from netradar.transport import SimTransport, TransportError
@@ -165,7 +165,7 @@ class TestInvariants:
             ("10.2.0.4", "10.2.0.6"),
             ("10.2.0.5", "10.2.0.7"),
         }
-        got = {(str(a.hop), str(b.hop)) for a, b in result.raw.edges}
+        got = {(str(a.hop), str(b.hop)) for a, b in raw_graph(result.raw).edges}
         assert got == expected_links
 
 

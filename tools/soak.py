@@ -8,12 +8,17 @@ clock, through the loop `netradar radar run` uses: `radar_rounds`, each
 round written by `DatasetWriter` and then dropped.  The round log goes
 to a temporary directory, removed at the end.  It prints:
 
-- wall seconds per round;
+- wall seconds per round, over the first N/10 rounds;
 - resident memory after a collection at round N/10 and at round N, and
   the growth per round between the two;
+- the growth per round of the memory `tracemalloc` traces, after a
+  collection at round N/10 + 1 and at round N; it starts at round N/10,
+  so the first rounds run at full speed, and both readings hold one
+  traced round in hand;
 - log bytes per round;
 - the wall time and peak resident memory of `netradar analyze counts`
-  on the log, run in a child process.
+  and of `netradar analyze components --ref 0:N/2 --obs N/2:N` on the
+  log, each run in a child process.
 
 Resident memory is read from /proc (Linux).  The tool sets no bounds;
 it measures.  Run it from anywhere; it reads the checkout it lives in.
@@ -24,11 +29,10 @@ import argparse
 import gc
 import importlib.util
 import os
-import resource
-import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,14 +53,27 @@ def rss_mb() -> float:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
+def run_child(argv: list[str]) -> tuple[float, float]:
+    """Run `python argv` with `src/` on its path; its wall seconds and
+    peak resident memory in MB."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    started = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env)
+    _, status, usage = os.wait4(pid, 0)
+    elapsed = time.perf_counter() - started
+    if os.waitstatus_to_exitcode(status):
+        raise SystemExit(f"soak: {' '.join(argv)} failed")
+    return elapsed, usage.ru_maxrss / 1024  # KB on Linux
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--rounds", type=int, required=True, help="rounds to run, at least 2")
+    parser.add_argument("--rounds", type=int, required=True, help="rounds to run, at least 3")
     parser.add_argument("--destinations", type=int, required=True, help="destinations in the topology")
     parser.add_argument("--seed", type=int, required=True, help="topology seed")
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
+    if args.rounds < 3:
+        parser.error("--rounds must be at least 3")
     sys.path.insert(0, str(SRC))
     from netradar.model import parse_address
     from netradar.radar import DatasetWriter, RadarConfig, radar_rounds
@@ -73,36 +90,43 @@ def main(argv=None) -> int:
     transport = SimTransport(load_topology(net.doc))
     early = args.rounds // 10 or 1
     rss: dict[int, float] = {}
+    traced: dict[int, int] = {}
     with tempfile.TemporaryDirectory(prefix="netradar-soak-") as tmp:
         log = Path(tmp) / "soak.rounds"
-        measuring = 0.0
         started = time.perf_counter()
         with DatasetWriter(log) as writer:
             for record in radar_rounds(config, transport):
                 writer.write(record)
                 done = record.index + 1
-                if done in (early, args.rounds):
-                    mark = time.perf_counter()
+                if done == early:
+                    radar_s = time.perf_counter() - started
+                if done in (early, early + 1, args.rounds):
                     gc.collect()
                     rss[done] = rss_mb()
-                    measuring += time.perf_counter() - mark
-        radar_s = time.perf_counter() - started - measuring
+                    traced[done] = tracemalloc.get_traced_memory()[0]  # 0 until it starts
+                if done == early:
+                    tracemalloc.start()
+        tracemalloc.stop()
         log_bytes = log.stat().st_size
+        half = args.rounds // 2
+        ranges = ["--ref", f"0:{half}", "--obs", f"{half}:{args.rounds}"]
+        out = str(Path(tmp) / "analyze.out")
+        analyze = {
+            name: run_child(["-m", "netradar.cli", "analyze", name, *flags, "--in", str(log), "--out", out])
+            for name, flags in (("counts", []), ("components", ranges))
+        }
 
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        command = [sys.executable, "-m", "netradar.cli", "analyze", "counts", "--in", str(log), "--out", str(Path(tmp) / "counts.csv")]
-        started = time.perf_counter()
-        subprocess.run(command, env=env, check=True)
-        analyze_s = time.perf_counter() - started
-    analyze_rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
-
+    span = args.rounds - early
     print(f"rounds: {args.rounds}, destinations: {args.destinations}, seed: {args.seed}")
-    print(f"seconds per round: {radar_s / args.rounds:.4f}")
+    print(f"seconds per round: {radar_s / early:.4f}")
     print(f"rss after gc at round {early}: {rss[early]:.1f} MB")
     print(f"rss after gc at round {args.rounds}: {rss[args.rounds]:.1f} MB")
-    print(f"rss growth per round: {(rss[args.rounds] - rss[early]) * 1024 / (args.rounds - early):.2f} KB")
+    print(f"rss growth per round: {(rss[args.rounds] - rss[early]) * 1024 / span:.2f} KB")
+    traced_growth = (traced[args.rounds] - traced[early + 1]) / 1024 / (span - 1)
+    print(f"tracemalloc growth per round: {traced_growth:.2f} KB")
     print(f"log bytes per round: {log_bytes / args.rounds:.0f}")
-    print(f"analyze counts: {analyze_s:.2f} s, max rss {analyze_rss_mb:.1f} MB")
+    for name, (seconds, max_rss) in analyze.items():
+        print(f"analyze {name}: {seconds:.2f} s, max rss {max_rss:.1f} MB")
     return 0
 
 
