@@ -40,7 +40,8 @@ def windowed_ip_count(dataset: RadarDataset, window: int, mode: str = SLIDING) -
 
     sliding: one value per round from the window-th onward, indexed by the
     window's last round.  blocked: one value per complete disjoint block,
-    indexed likewise.
+    indexed likewise; a block is the sliding window ending at its last
+    round, so blocked is every window-th sliding value.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -48,12 +49,7 @@ def windowed_ip_count(dataset: RadarDataset, window: int, mode: str = SLIDING) -
         raise ValueError(f"mode must be {SLIDING!r} or {BLOCKED!r}")
     rounds = dataset.rounds
     per_round = [_addresses(rec.tree) for rec in rounds]
-    if mode == BLOCKED:
-        return [
-            (rounds[last].index, len(set().union(*per_round[last - window + 1 : last + 1])))
-            for last in range(window - 1, len(per_round), window)
-        ]
-    # sliding: how many rounds of the window saw each address; the round
+    # how many rounds of the window saw each address; the round
     # that enters adds its addresses, the round that leaves drops its own
     seen: Counter[int] = Counter()
     series = []
@@ -67,7 +63,7 @@ def windowed_ip_count(dataset: RadarDataset, window: int, mode: str = SLIDING) -
                     seen[address] -= 1
         if last >= window - 1:
             series.append((rounds[last].index, len(seen)))
-    return series
+    return series[::window] if mode == BLOCKED else series
 
 
 @dataclass

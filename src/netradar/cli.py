@@ -9,7 +9,8 @@ flags it reads: counts none; window --window --mode; peaks --window
 Exit codes: 0 success, 1 usage error, 2 runtime or transport fault,
 3 validation error: a bad, missing or unreadable input file, or a bad
 parameter, such as an --out inside a missing directory.  A log's torn
-final round, what a crash while writing leaves, is skipped with a note.
+final round, what a crash while writing leaves, is skipped with a note;
+`model.parse_round_log` decides what is torn.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from .model import (
     MAX_TTL_DEFAULT,
     Ip,
     RadarDataset,
-    RoundLogParseError,
     RoundRecord,
+    TornRoundError,
     numbered_lines,
     parse_address,
     parse_round_log,
@@ -93,32 +94,12 @@ def _read_rounds(path: str) -> list:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-        cut = _torn_tail(text)
-        rounds = parse_round_log(text[:cut])
+        return parse_round_log(text)
+    except TornRoundError as exc:
+        print(f"netradar: {path}: line {exc.line_no}: torn final round ignored", file=sys.stderr)
+        return exc.rounds
     except ValueError as exc:  # bytes that are not UTF-8, or not a round log
         raise ValueError(f"{path}: {exc}") from None
-    if cut < len(text):
-        line_no = text.count("\n", 0, cut) + 1
-        print(f"netradar: {path}: line {line_no}: torn final round ignored", file=sys.stderr)
-    return rounds
-
-
-def _torn_tail(text: str) -> int:
-    """Where the torn final round of `text` starts, or `len(text)` when it
-    has none.  What follows the last `#end` line is torn when it holds no
-    `#end` and is a `#round` header and record lines, the last perhaps
-    cut short, or a single partial line."""
-    end = text.rfind("\n#end\n")  # the line end before the last `#end` line
-    cut = end + len("\n#end\n") if end >= 0 else 0
-    *lines, partial = text[cut:].split("\n")
-    if partial == "#end" or not (lines or partial):
-        return len(text)
-    try:
-        if lines:
-            parse_round_log("\n".join([*lines, "#end"]))
-    except RoundLogParseError:
-        return len(text)
-    return cut
 
 
 def _load_dataset(path: str, monitor: str | None) -> RadarDataset:

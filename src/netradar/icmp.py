@@ -8,7 +8,9 @@ probe.
 Echo requests carry the measurement identity: the ICMP identifier holds a
 per-measurement nonce and the sequence field a rolling 16-bit counter of
 sends, so replies match back to their probe.  Time-exceeded answers quote
-the original header, from which the same fields are recovered.
+the original header, from which the same fields are recovered.  A 2-byte
+payload holds the checksum constant, so a per-flow load balancer sends
+every probe one way, as Paris traceroute does.
 
 A sequence is reused after 65,536 sends, and the probe it replaces is
 forgotten: a reply to that probe arriving later still would match the newer
@@ -52,9 +54,9 @@ class IcmpTransport(Transport):
     """Probe transport over raw ICMP sockets, same contract as the
     simulator backend but on the wall clock."""
 
-    def __init__(self, *, rate_cap: float, nonce: int | None = None):
+    def __init__(self, *, rate_cap: float):
         super().__init__(WallClock(), rate_cap)  # checks the cap before the socket opens
-        self._nonce = (nonce if nonce is not None else os.getpid()) & 0xFFFF
+        self._nonce = os.getpid() & 0xFFFF
         self._tokens: dict[int, ProbeToken] = {}  # wire seq -> token
         self._sock = self._open_socket()
 
@@ -77,8 +79,10 @@ class IcmpTransport(Transport):
         return Ip(parse_address(local))
 
     def _build_packet(self, seq: int) -> bytes:
-        checksum = _checksum(struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce, seq))
-        return struct.pack("!BBHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq)
+        # seq + ~seq is 0xFFFF, a one's-complement zero, so with ~seq as the
+        # payload every request's checksum is that of its bare header
+        checksum = _checksum(struct.pack("!BBHH", ICMP_ECHO_REQUEST, 0, 0, self._nonce))
+        return struct.pack("!BBHHHH", ICMP_ECHO_REQUEST, 0, checksum, self._nonce, seq, ~seq & 0xFFFF)
 
     def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
         self._check_open()

@@ -2,7 +2,8 @@
 
 Hops, (hop, ttl) observations, probe records, raw and filtered routing
 trees, measurement rounds, and the plain-text round-log format that ties
-them together on disk.
+them together on disk; `parse_round_log` alone rules what a malformed or
+torn log is, by its error classes.
 
 A raw tree is its probe records, the same records the round log holds,
 one line each, kept as two columns in step: `sources`, each record's
@@ -56,17 +57,22 @@ _OCTETS = {str(i): i for i in range(256)}  # the canonical text of each octet
 
 
 class RoundLogParseError(ValueError):
-    """A round-log document could not be parsed."""
+    """A round-log document could not be parsed, at `line_no` (None: no line)."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
 
 
-class TtlRangeError(RoundLogParseError):
-    """A record's ttl lies outside [1, TTL_LIMIT]."""
+class TornRoundError(RoundLogParseError):
+    """The document ends inside a round block or in a partial line, as a crash
+    while writing leaves it; `rounds` holds every whole round before the tail."""
+
+    def __init__(self, message: str, line_no: int, rounds: list):
+        super().__init__(message, line_no)
+        self.rounds = rounds
 
 
 def finite(name: str, value: float, positive: bool = False, error: type[ValueError] = ValueError) -> float:
@@ -80,8 +86,7 @@ def finite(name: str, value: float, positive: bool = False, error: type[ValueErr
 
 def read_ttl(text: str, line_no: int | None) -> int:
     """A ttl as a round log writes it: the `str(int)` text of an integer in
-    [1, TTL_LIMIT].  Any other text raises RoundLogParseError, and another
-    integer TtlRangeError, at `line_no` (None: no line)."""
+    [1, TTL_LIMIT].  Any other text raises RoundLogParseError at `line_no`."""
     try:
         ttl = int(text)
     except ValueError:
@@ -89,7 +94,7 @@ def read_ttl(text: str, line_no: int | None) -> int:
     if str(ttl) != text:  # int() also reads "+2", "1_0" and " 3", which str() never writes
         raise RoundLogParseError(f"bad ttl {text!r}", line_no)
     if not 1 <= ttl <= TTL_LIMIT:
-        raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
+        raise RoundLogParseError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
     return ttl
 
 
@@ -373,12 +378,16 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
     Inverse of serialize_round.  Lines end at `"\n"` only, the line end
-    serialize_round writes; the last line may lack it.  The header token
-    is exactly `#round`, the index must read back as `str(int)`, each ttl
-    as `read_ttl` reads it, and both times as `repr(float)`, finite.  Malformed
-    content raises RoundLogParseError with the offending line number (for
-    an unterminated final round, its `#round` line); a ttl outside
-    [1, TTL_LIMIT] raises TtlRangeError.
+    serialize_round writes.  The header token is exactly `#round`, the
+    index must read back as `str(int)`, each ttl as `read_ttl` reads it,
+    and both times as `repr(float)`, finite.  Malformed content raises
+    RoundLogParseError with the offending line number.
+
+    A torn tail, what a crash while writing leaves, raises TornRoundError
+    holding the whole rounds before it, at the open block's `#round` line
+    or else at a final line without its line end; such a line may be cut
+    short, so it is never read unless it is exactly `#end`.  Any error on a
+    whole line comes first.
 
     A document's rounds share one hop per distinct source text and one
     IPv4Address per distinct destination text.  A record line read
@@ -398,8 +407,7 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     hops: dict[str, Ip] = {}
     stars: dict[str, Star] = {}
     lines = text.split("\n")
-    if not lines[-1]:  # the final line end, or an empty document
-        lines.pop()
+    partial = "" if lines[-1] == "#end" else lines.pop()  # what follows the final line end
     for line_no, line in enumerate(lines, start=1):
         seen = known.get(line)
         # a line read before was valid then; outside a block it is checked
@@ -467,7 +475,9 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
         sources.append(source)
         keys.append(index << 7 | ttl)
     if meta is not None:
-        raise RoundLogParseError("missing #end for final round", header_no)
+        raise TornRoundError("missing #end for final round", header_no, rounds)
+    if partial:
+        raise TornRoundError("unterminated final line", len(lines) + 1, rounds)
     return rounds
 
 

@@ -55,25 +55,25 @@ class TracetreeResult:
 def tracetree(
     tasks,
     transport,
-    config: TracetreeConfig | None = None,
-    restart_from: int | None = None,
-    hops: dict[int, Ip] | None = None,
+    config: TracetreeConfig,
+    *,
+    restart_from: int | None,
+    hops: dict[int, Ip] | None,
 ) -> TracetreeResult:
     """Run one backward tree measurement round.
 
-    `restart_from` enables the distance-recovery rule the radar scheduler
-    relies on: when the probe at a destination's assumed distance comes
-    back without an echo from that destination (the distance was
-    under-estimated), a fresh backward chain starts at `restart_from`
-    within the same round.  Records from both chains are kept; the filter
-    merges them.
+    `restart_from`, unless None, enables the distance-recovery rule the
+    radar scheduler relies on: when the probe at a destination's assumed
+    distance comes back without an echo from that destination (the
+    distance was under-estimated), a fresh backward chain starts at
+    `restart_from` within the same round.  Records from both chains are
+    kept; the filter merges them.
 
-    `hops` is the previous round's address table (`TracetreeResult.hops`):
-    a reply from an address in it is recorded with that table's `Ip`, so
-    the rounds of a run share one `Ip` per address.  The returned table
-    holds only the addresses that answered this round.
+    `hops` is the previous round's address table (`TracetreeResult.hops`,
+    or None): a reply from an address in it is recorded with that table's
+    `Ip`, so the rounds of a run share one `Ip` per address.  The returned
+    table holds only the addresses that answered this round.
     """
-    config = config if config is not None else TracetreeConfig()
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no destination tasks")

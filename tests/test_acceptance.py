@@ -75,13 +75,13 @@ def test_c1_algorithm_fidelity():
 
     started = time.perf_counter()
     transport = SimTransport(topology)
-    result = tracetree(tasks, transport)
+    result = tracetree(tasks, transport, TracetreeConfig(), restart_from=None, hops=None)
     elapsed = time.perf_counter() - started
 
     probes = result.stats.probes_sent
     assert probes == len(result.raw.records) == len(result.raw.nodes) == 10_000
     assert result.raw.nodes == raw_graph(result.raw).nodes
-    rerun = tracetree(tasks, SimTransport(load_topology(doc)))
+    rerun = tracetree(tasks, SimTransport(load_topology(doc)), TracetreeConfig(), restart_from=None, hops=None)
     assert serialize_round(result.raw, 0, 0.0, 1.0) == serialize_round(rerun.raw, 0, 0.0, 1.0)
     assert elapsed < 1.0, f"measurement took {elapsed:.3f}s"
     print(f"[acceptance] C1 PASS: fidelity ({probes} probes == records == nodes, {elapsed:.3f}s)")
@@ -110,7 +110,7 @@ def test_c2_optimality_ordering():
     tr_obs, tt_obs = [], []
     for _ in range(5):
         tr = traceroute_round(destinations, tr_transport, TracetreeConfig())
-        tt = tracetree(tasks, tt_transport)
+        tt = tracetree(tasks, tt_transport, TracetreeConfig(), restart_from=None, hops=None)
         shared_pairs = len(tt.raw.records) - len(tt.raw.nodes)
         assert shared_pairs > 0  # >= 2 destinations share (hop, ttl) nodes
         assert tt.stats.probes_sent < len(tr.records)  # strict under sharing
@@ -135,7 +135,7 @@ def test_c3_load_balancing():
     tr_loads = link_load_distribution(tr, first_hops=True)
     assert tr_loads == {1: k, k: 1}  # first-hop link probed exactly k times
     tt_transport = SimTransport(load_topology(doc))
-    tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport)
+    tt = tracetree([DestinationTask(d, 2) for d in destinations], tt_transport, TracetreeConfig(), restart_from=None, hops=None)
     tt_loads = link_load_distribution(tt.raw, first_hops=False)
     assert set(tt_loads) == {1}  # every link discovered exactly once
     print(f"[acceptance] C3 PASS: load balancing (traceroute first hop {k}x, tracetree all 1)")
@@ -227,7 +227,7 @@ def overload_doc(n: int, rate_limited: bool):
 def test_c6_rate_limit_overload_signature():
     def measure(doc, destinations):
         transport = SimTransport(load_topology(doc))
-        result = tracetree([DestinationTask(d, 4) for d in destinations], transport)
+        result = tracetree([DestinationTask(d, 4) for d in destinations], transport, TracetreeConfig(), restart_from=None, hops=None)
         tree, _ = filter_tree(result.raw, transport.monitor_hop)
         return tree
 

@@ -120,7 +120,11 @@ class TestSimulatedTracetree:
         simulated = simulate_tracetree_from_traceroute(round_)
         live_transport = SimTransport(load_topology(shared_prefix_doc()))
         live = tracetree(
-            [DestinationTask(D1, 4), DestinationTask(D2, 4)], live_transport
+            [DestinationTask(D1, 4), DestinationTask(D2, 4)],
+            live_transport,
+            TracetreeConfig(),
+            restart_from=None,
+            hops=None,
         )
         as_set = lambda raw: {(r.source, r.ttl, r.destination) for r in raw.records}
         assert as_set(simulated) == as_set(live.raw)
@@ -142,7 +146,7 @@ class TestLinkLoads:
 
     def test_tracetree_loads_all_one(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
         loads = link_load_distribution(result.raw, first_hops=False)
         assert set(loads) == {1}
 
@@ -150,7 +154,7 @@ class TestLinkLoads:
         k = 5
         transport = SimTransport(load_topology(star_topology_doc(k)))
         tasks = [DestinationTask(d, 2) for d in star_destinations(k)]
-        result = tracetree(tasks, transport)
+        result = tracetree(tasks, transport, TracetreeConfig(), restart_from=None, hops=None)
         loads = link_load_distribution(result.raw, first_hops=False)
         assert set(loads) == {1}
 
@@ -305,7 +309,11 @@ class TestDestinationSubset:
         def one_round(destinations):
             transport = SimTransport(load_topology(doc))
             result = tracetree(
-                [DestinationTask(d, 4) for d in destinations], transport
+                [DestinationTask(d, 4) for d in destinations],
+                transport,
+                TracetreeConfig(),
+                restart_from=None,
+                hops=None,
             )
             from netradar.filtering import filter_tree
 
@@ -375,7 +383,11 @@ class TestDiscoveryCurves:
                 round_ = traceroute_round([D1, D2], tr_transport, TracetreeConfig())
                 tr_obs.append((record_ips(round_), len(round_.records)))
                 result = tracetree(
-                    [DestinationTask(D1, 4), DestinationTask(D2, 4)], tt_transport
+                    [DestinationTask(D1, 4), DestinationTask(D2, 4)],
+                    tt_transport,
+                    TracetreeConfig(),
+                    restart_from=None,
+                    hops=None,
                 )
                 ips = {
                     n_.hop.address for n_ in result.raw.nodes if isinstance(n_.hop, Ip)

@@ -129,7 +129,9 @@ class StubSocket:
 
 def stub_transport(monkeypatch, rate_cap: float = 0.0) -> IcmpTransport:
     monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: StubSocket())
-    return IcmpTransport(rate_cap=rate_cap, nonce=0x1234)
+    transport = IcmpTransport(rate_cap=rate_cap)
+    transport._nonce = 0x1234
+    return transport
 
 
 def echo_reply_to(packet: bytes) -> bytes:
@@ -168,7 +170,8 @@ class WireDouble(StubSocket):
 @pytest.fixture
 def wire(monkeypatch):
     monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: WireDouble())
-    transport = IcmpTransport(rate_cap=0.0, nonce=0x1234)
+    transport = IcmpTransport(rate_cap=0.0)
+    transport._nonce = 0x1234
     yield transport
     transport.close()
 
@@ -249,7 +252,8 @@ def test_radar_rounds_over_the_wire_match_the_simulator(monkeypatch, doc, destin
     monkeypatch.setattr(IcmpTransport, "monitor_hop", property(lambda self: monitor))
     monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: SimulatedWire(SimState(topology)))
     config = RadarConfig(destinations, inter_round_delay=0.0, rounds=3, tracetree=TracetreeConfig(timeout=0.2))
-    wire = IcmpTransport(rate_cap=0.0, nonce=0x1234)
+    wire = IcmpTransport(rate_cap=0.0)
+    wire._nonce = 0x1234
     try:
         over_wire = run_radar(config, wire).rounds
     finally:
@@ -314,11 +318,43 @@ def test_five_thousand_destinations_round_trip(monkeypatch):
     destinations = [IPv4Address("10.0.0.0") + i for i in range(1, 5001)]
     tokens = [transport.send(d, 3) for d in destinations]
     for token, (packet, (address, _)) in zip(tokens, transport._sock.sent):
-        assert len(packet) == 8 and _checksum(packet) == 0
+        assert len(packet) == 10 and _checksum(packet) == 0
         reply = transport._decode(ip_header() + echo_reply_to(packet), address)
         assert reply is not None and reply.token == token and not reply.late
     assert transport.stats.delivered == 5000
     assert transport._tokens == {}
+
+
+@pytest.mark.parametrize("nonce", [0x1234, 0x0000, 0xF7FF, 0xFFFF])
+def test_every_request_carries_one_checksum(monkeypatch, nonce):
+    # a per-flow balancer that hashes the first ICMP words sees one flow,
+    # across the wrap of the sequence too (Paris traceroute)
+    transport = stub_transport(monkeypatch)
+    transport._nonce = nonce
+    for _ in range(70_000):
+        transport.send(IPv4Address("10.0.0.4"), 3)
+    packets = [packet for packet, _ in transport._sock.sent]
+    assert all(_checksum(packet) == 0 for packet in packets)
+    assert len({packet[2:4] for packet in packets}) == 1
+    # the identifier and sequence still come first, where replies quote them
+    assert struct.unpack("!HH", packets[-1][4:8]) == (nonce, 70_000 & 0xFFFF)
+
+
+def test_radar_rounds_over_the_wire_keep_one_flow(monkeypatch):
+    doc, destinations = fan_doc(chains=50, depth=5)
+    topology = load_topology(doc)
+    monitor = Ip(topology.addresses[topology.monitor])
+    monkeypatch.setattr(IcmpTransport, "monitor_hop", property(lambda self: monitor))
+    monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: SimulatedWire(SimState(topology)))
+    config = RadarConfig(destinations, inter_round_delay=0.0, rounds=3, tracetree=TracetreeConfig(timeout=0.2))
+    wire = IcmpTransport(rate_cap=0.0)
+    try:
+        rounds = run_radar(config, wire).rounds
+    finally:
+        wire.close()
+    sent = [packet for packet, _ in wire._sock.sent]
+    assert len(sent) == sum(r.probes_sent for r in rounds) > 0
+    assert {packet[2:4] for packet in sent} == {sent[0][2:4]}
 
 
 def test_second_close_leaves_the_socket_alone(monkeypatch):
@@ -371,7 +407,7 @@ def test_bad_rate_cap_rejected_before_the_socket_opens(monkeypatch, cap):
 
     monkeypatch.setattr(IcmpTransport, "_open_socket", no_socket)
     with pytest.raises(ValueError, match="rate_cap"):
-        IcmpTransport(rate_cap=cap, nonce=0x1234)
+        IcmpTransport(rate_cap=cap)
 
 
 def _can_open_raw_socket() -> bool:

@@ -22,9 +22,9 @@ from netradar.model import (
     RawTraceTree,
     RoundLogParseError,
     RoundMeta,
+    TornRoundError,
     Star,
     TtlNode,
-    TtlRangeError,
     dotted_quad,
     numbered_lines,
     parse_address,
@@ -32,7 +32,7 @@ from netradar.model import (
     serialize_round,
 )
 from netradar.simnet import load_topology
-from netradar.tracetree import DestinationTask, tracetree
+from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
 from netradar.transport import SimTransport
 
 
@@ -136,7 +136,7 @@ class TestParseRoundLog:
 
         assert parse_round_log(block(64))
         for ttl in (0, 65):
-            with pytest.raises(TtlRangeError):
+            with pytest.raises(RoundLogParseError, match=rf"^line 2: ttl {ttl} outside \[1, 64\]$"):
                 parse_round_log(block(ttl))
 
     def test_missing_end(self):
@@ -144,6 +144,39 @@ class TestParseRoundLog:
         with pytest.raises(RoundLogParseError) as err:
             parse_round_log("#round 0 0.0 1.0\n#end\n#round 1 2.0 3.0\n1.2.3.4 3 5.6.7.8\n")
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "tail, line_no",
+        [
+            ("#round 1 2.0 3.0\n1.2.3.4 3 5.6.7.8\n1.2.3", 4),
+            ("#round 1 2.0 3.0\n1.2.3.4 3 5.6.7.8\n", 4),
+            ("#round 1 2.0 3.0\n1.2.3.4 3 5.6.7.8", 4),  # a whole record, but no line end: not read
+            ("#round 1 2.0 3.0\n", 4),
+            ("#rou", 4),
+            ("1.2.3.4 3 5.6.7.8", 4),
+        ],
+        ids=["cut-record", "cut-at-a-line-end", "record-without-line-end", "header-only", "cut-header", "record-outside"],
+    )
+    def test_a_torn_tail_holds_the_whole_rounds(self, tail, line_no):
+        whole = "#round 0 0.0 1.0\n1.2.3.4 3 5.6.7.8\n#end\n"
+        with pytest.raises(TornRoundError) as err:
+            parse_round_log(whole + tail)
+        assert err.value.line_no == line_no
+        want = [(meta, raw.records) for meta, raw in parse_round_log(whole)]
+        assert [(meta, raw.records) for meta, raw in err.value.rounds] == want
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("#round 0 0.0 1.0\nfoo 3 5.6.7.8\n1.2.3", "line 2: bad source address 'foo'"),
+            ("#round 0 0.0 1.0\n#end\n#end\n#end", "line 3: #end without a round header"),
+        ],
+        ids=["bad-record", "second-end"],
+    )
+    def test_a_whole_line_error_comes_before_the_tear(self, text, message):
+        with pytest.raises(RoundLogParseError) as err:
+            parse_round_log(text)
+        assert (err.value.__class__, str(err.value)) == (RoundLogParseError, message)
 
     def test_content_outside_block(self):
         with pytest.raises(RoundLogParseError) as err:
@@ -383,7 +416,7 @@ def probed_hop(address: IPv4Address, ttl: int):
     nodes = {name: str(IPv4Address((int(address) + 1 + i) % 2**32)) for i, name in enumerate(names[:-1])}
     nodes["dest"] = str(address)
     doc = {"monitor": "mon", "nodes": nodes, "links": [list(pair) for pair in zip(names, names[1:])]}
-    result = tracetree([DestinationTask(address, ttl)], SimTransport(load_topology(doc)))
+    result = tracetree([DestinationTask(address, ttl)], SimTransport(load_topology(doc)), TracetreeConfig(), restart_from=None, hops=None)
     first = result.raw.records[0]
     assert (first.ttl, first.destination) == (ttl, address)
     assert first.destination is address  # the caller's object, not a copy
@@ -467,8 +500,7 @@ def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
     Inverse of serialize_round on well-formed input.  Malformed content
-    raises RoundLogParseError with the offending line number; a ttl
-    outside [1, TTL_LIMIT] raises TtlRangeError.
+    raises RoundLogParseError with the offending line number.
     """
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
@@ -507,7 +539,7 @@ def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
             except ValueError:
                 raise RoundLogParseError(f"bad ttl {ttl_txt!r}", line_no) from None
             if not 1 <= ttl <= TTL_LIMIT:
-                raise TtlRangeError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
+                raise RoundLogParseError(f"ttl {ttl} outside [1, {TTL_LIMIT}]", line_no)
             destination = destinations.get(dest_txt)
             if destination is None:
                 try:
@@ -527,7 +559,7 @@ def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
                         raise RoundLogParseError(f"bad source address {src_txt!r}", line_no) from None
             records.append(ProbeRecord(source, ttl, destination))
     if meta is not None:
-        raise RoundLogParseError("missing #end for final round")
+        raise RoundLogParseError("missing #end for final round", None)
     return rounds
 
 

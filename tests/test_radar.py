@@ -54,7 +54,7 @@ class TestCacheOps:
     def test_seen_updates(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         config = TracetreeConfig(max_ttl=8)
-        result = tracetree(next_round_tasks({}, [D], 8), transport, config, restart_from=8)
+        result = tracetree(next_round_tasks({}, [D], 8), transport, config, restart_from=8, hops=None)
         assert result.distances == {D: 3}
         [task] = next_round_tasks(result.distances, [D], default_distance=8)
         assert task.assumed_distance == 3
@@ -66,7 +66,7 @@ class TestCacheOps:
         for _ in range(2):
             tasks = next_round_tasks(cache, [D], default_distance=8)
             assert [task.assumed_distance for task in tasks] == [3]
-            cache = tracetree(tasks, transport, config, restart_from=8).distances
+            cache = tracetree(tasks, transport, config, restart_from=8, hops=None).distances
         assert cache == {D: 3}
 
 

@@ -27,10 +27,11 @@ D1 = IPv4Address("10.2.0.6")
 D2 = IPv4Address("10.2.0.7")
 
 
-def run_chain(doc=None, tasks=None, config=None, **kwargs):
+def run_chain(doc=None, tasks=None, config=None, restart_from=None):
     transport = SimTransport(load_topology(doc or dict(CHAIN_DOC)))
     tasks = tasks or [DestinationTask(D, 3)]
-    return tracetree(tasks, transport, config, **kwargs), transport
+    config = config or TracetreeConfig()
+    return tracetree(tasks, transport, config, restart_from=restart_from, hops=None), transport
 
 
 class TestAlgorithm:
@@ -50,7 +51,11 @@ class TestAlgorithm:
         # the record (r2, 2, d2) is emitted but no (d2, 1) probe goes out
         transport = SimTransport(load_topology(shared_prefix_doc()))
         result = tracetree(
-            [DestinationTask(D1, 4), DestinationTask(D2, 4)], transport
+            [DestinationTask(D1, 4), DestinationTask(D2, 4)],
+            transport,
+            TracetreeConfig(),
+            restart_from=None,
+            hops=None,
         )
         records = result.raw.records
         assert result.stats.probes_sent == 7 == len(records)
@@ -101,7 +106,7 @@ class TestAlgorithm:
         send = transport.send
         transport.send = lambda destination, ttl: sent.append((destination, ttl)) or send(destination, ttl)
         unknown = [IPv4Address(f"192.0.2.{i}") for i in range(1, 6)]
-        result = tracetree([DestinationTask(d, 3) for d in unknown], transport)
+        result = tracetree([DestinationTask(d, 3) for d in unknown], transport, TracetreeConfig(), restart_from=None, hops=None)
         assert all(isinstance(r.source, Star) for r in result.raw.records)
         assert [(r.destination, r.ttl) for r in result.raw.records] == sent
         assert [r.ttl for r in result.raw.records[:5]] == [3] * 5
@@ -112,20 +117,20 @@ class TestInvariants:
         doc = shared_prefix_doc()
         doc["nodes"]["t2"] = {"address": "10.2.0.5", "policy": "silent"}
         transport = SimTransport(load_topology(doc))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
         assert result.stats.probes_sent == len(result.raw.records)
         assert transport.stats.sent == result.stats.probes_sent
 
     def test_no_duplicate_probe_pairs(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
         pairs = [(r.destination, r.ttl) for r in result.raw.records]
         assert len(pairs) == len(set(pairs))
 
     def test_seen_node_never_triggers_twice(self):
         # repeat sightings of a non-star (hop, ttl) push no further probing
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
         first_for: dict = {}
         ttls_per_dest: dict = {}
         for rec in result.raw.records:
@@ -142,14 +147,14 @@ class TestInvariants:
     def test_termination_bound(self):
         transport = SimTransport(load_topology(shared_prefix_doc()))
         tasks = [DestinationTask(D1, 4), DestinationTask(D2, 4)]
-        result = tracetree(tasks, transport)
+        result = tracetree(tasks, transport, TracetreeConfig(), restart_from=None, hops=None)
         assert result.stats.probes_sent <= sum(t.assumed_distance for t in tasks)
 
     def test_stable_topology_reruns_identical(self):
         blocks = []
         for _ in range(2):
             transport = SimTransport(load_topology(shared_prefix_doc()))
-            result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+            result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
             blocks.append(serialize_round(result.raw, 0, 0.0, 1.0))
         assert blocks[0] == blocks[1]
 
@@ -157,7 +162,7 @@ class TestInvariants:
         # exact distances, stable paths: every link on the routing paths
         # appears exactly once in the (hop, ttl) view
         transport = SimTransport(load_topology(shared_prefix_doc()))
-        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport)
+        result = tracetree([DestinationTask(D1, 4), DestinationTask(D2, 4)], transport, TracetreeConfig(), restart_from=None, hops=None)
         expected_links = {
             ("10.2.0.2", "10.2.0.3"),
             ("10.2.0.3", "10.2.0.4"),
@@ -214,18 +219,18 @@ class Flaky(SimTransport):
 class TestFaults:
     def test_transport_fault_marks_partial(self):
         transport = Flaky(load_topology(dict(CHAIN_DOC)), fail_after=2)
-        result = tracetree([DestinationTask(D, 3)], transport)
+        result = tracetree([DestinationTask(D, 3)], transport, TracetreeConfig(), restart_from=None, hops=None)
         assert not result.stats.complete
         assert len(result.raw.records) < 3
 
     def test_bad_inputs_rejected(self):
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         with pytest.raises(ValueError):
-            tracetree([], transport)
+            tracetree([], transport, TracetreeConfig(), restart_from=None, hops=None)
         with pytest.raises(ValueError):
-            tracetree([DestinationTask(D, 3), DestinationTask(D, 2)], transport)
+            tracetree([DestinationTask(D, 3), DestinationTask(D, 2)], transport, TracetreeConfig(), restart_from=None, hops=None)
         with pytest.raises(ValueError):
-            tracetree([DestinationTask(D, 99)], transport)
+            tracetree([DestinationTask(D, 99)], transport, TracetreeConfig(), restart_from=None, hops=None)
 
 
 @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
@@ -255,7 +260,7 @@ class TestTimeoutInfluence:
         def run(timeout):
             transport = SimTransport(load_topology(doc), per_hop_delay=0.3)
             config = TracetreeConfig(timeout=timeout)
-            result = tracetree([DestinationTask(dest, 4)], transport, config)
+            result = tracetree([DestinationTask(dest, 4)], transport, config, restart_from=None, hops=None)
             return result, transport
 
         short, short_transport = run(timeout=2.0)   # rtt at depth 4 is 2.4s

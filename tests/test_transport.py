@@ -134,7 +134,7 @@ def test_wall_clock_intervals_ignore_clock_steps(monkeypatch):
 @pytest.mark.parametrize("cap", [50.0, 1000.0, 0.0])
 def test_engine_pacing_spaces_sends(cap):
     # probes queued together go out 1/cap apart, or back to back uncapped
-    from netradar.tracetree import DestinationTask, tracetree
+    from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
 
     sent_times = []
 
@@ -146,7 +146,7 @@ def test_engine_pacing_spaces_sends(cap):
 
     transport = Spy(load_topology(dict(CHAIN_DOC)), rate_cap=cap)
     unknown = [IPv4Address(f"192.0.2.{i}") for i in range(1, 5)]
-    tracetree([DestinationTask(d, 2) for d in [D, *unknown]], transport)
+    tracetree([DestinationTask(d, 2) for d in [D, *unknown]], transport, TracetreeConfig(), restart_from=None, hops=None)
     gaps = [b - a for a, b in zip(sent_times, sent_times[1:])]
     gap = 1.0 / cap if cap else 0.0
     assert min(gaps) == pytest.approx(gap)
@@ -186,11 +186,11 @@ class TestExpiredBookkeeping:
     def test_late_replies_still_flagged(self):
         # three hops at 0.5 s each way: the ttl-3 reply lands 3 s after its
         # send, past the engine's 2 s timeout
-        from netradar.tracetree import DestinationTask, tracetree
+        from netradar.tracetree import DestinationTask, TracetreeConfig, tracetree
 
         transport = chain_transport(per_hop_delay=0.5)
         for _ in range(3):
-            result = tracetree([DestinationTask(D, 3)], transport)
+            result = tracetree([DestinationTask(D, 3)], transport, TracetreeConfig(), restart_from=None, hops=None)
             assert result.stats.late_replies == 1
             assert transport._expired <= transport._replies.keys()
         assert transport.stats.late == 3

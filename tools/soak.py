@@ -12,9 +12,9 @@ to a temporary directory, removed at the end.  It prints:
 - resident memory after a collection at round N/10 and at round N, and
   the growth per round between the two;
 - the growth per round of the memory `tracemalloc` traces, after a
-  collection at round N/10 + 1 and at round N; it starts at round N/10,
-  so the first rounds run at full speed, and both readings hold one
-  traced round in hand;
+  collection at round T + 1 and at round N, where T = max(N/10, N - 200);
+  it starts at round T, so at most the last 200 rounds run traced (about
+  12 times slower), and both readings hold one traced round in hand;
 - log bytes per round;
 - the wall time and peak resident memory of `netradar analyze counts`
   and of `netradar analyze components --ref 0:N/2 --obs N/2:N` on the
@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TRACED_ROUNDS = 200  # tracemalloc counts bytes exactly, so 200 rounds show a 1 KB-a-round leak
 
 
 def load_inet():
@@ -89,6 +90,7 @@ def main(argv=None) -> int:
     )
     transport = SimTransport(load_topology(net.doc))
     early = args.rounds // 10 or 1
+    traced_from = max(early, args.rounds - TRACED_ROUNDS)
     rss: dict[int, float] = {}
     traced: dict[int, int] = {}
     with tempfile.TemporaryDirectory(prefix="netradar-soak-") as tmp:
@@ -100,11 +102,11 @@ def main(argv=None) -> int:
                 done = record.index + 1
                 if done == early:
                     radar_s = time.perf_counter() - started
-                if done in (early, early + 1, args.rounds):
+                if done in (early, traced_from + 1, args.rounds):
                     gc.collect()
                     rss[done] = rss_mb()
                     traced[done] = tracemalloc.get_traced_memory()[0]  # 0 until it starts
-                if done == early:
+                if done == traced_from:
                     tracemalloc.start()
         tracemalloc.stop()
         log_bytes = log.stat().st_size
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
     print(f"rss after gc at round {early}: {rss[early]:.1f} MB")
     print(f"rss after gc at round {args.rounds}: {rss[args.rounds]:.1f} MB")
     print(f"rss growth per round: {(rss[args.rounds] - rss[early]) * 1024 / span:.2f} KB")
-    traced_growth = (traced[args.rounds] - traced[early + 1]) / 1024 / (span - 1)
+    traced_growth = (traced[args.rounds] - traced[traced_from + 1]) / 1024 / (args.rounds - traced_from - 1)
     print(f"tracemalloc growth per round: {traced_growth:.2f} KB")
     print(f"log bytes per round: {log_bytes / args.rounds:.0f}")
     for name, (seconds, max_rss) in analyze.items():
