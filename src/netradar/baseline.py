@@ -40,8 +40,12 @@ def _await_reply(transport, token, timeout):
 def traceroute_round(destinations, transport, config: TracetreeConfig) -> RawTraceTree:
     """Probe each destination independently, ttl 1 up to max_ttl, stopping
     at the first echo from the destination.  One probe per (destination,
-    ttl), destination by destination, ttl upward; stars mark timeouts."""
-    transport.prepare(list(destinations))
+    ttl), destination by destination, ttl upward; stars mark timeouts.
+    A destination listed twice raises ValueError before any probe."""
+    destinations = list(destinations)
+    if len(set(destinations)) < len(destinations):
+        raise ValueError("duplicate destinations")
+    transport.prepare(destinations)
     records: list[ProbeRecord] = []
     for destination in destinations:
         for ttl in range(1, config.max_ttl + 1):
@@ -88,8 +92,8 @@ def link_load_distribution(raw: RawTraceTree, first_hops: bool) -> dict[int, int
     junction.
     """
     nodes = [TtlNode(hop, key & 127) for hop, key in zip(raw.sources, raw.keys)]
-    # a (destination, ttl) holds distinct nodes, so each link counts once
-    # per destination
+    # a (destination, ttl) holds one node, so each link counts once per
+    # destination
     graph = ttl_links(raw.keys, nodes)
     loads = Counter(zip(graph.lows, graph.highs))
     if first_hops:

@@ -10,13 +10,14 @@ one line each, kept as two columns in step: `sources`, each record's
 hop, and `keys`, an `array('I')` of `index << 7 | ttl`, where `index`
 points into `destinations`, the round's distinct destinations in
 first-record order.  A record costs one list slot and one 4-byte key,
-and no tuple; `records` builds the `ProbeRecord` view on demand.  The
+and no tuple; `records` builds the `ProbeRecord` view on demand.  A
+round holds at most one record per (destination, ttl), as both probers
+send at most one probe there; the round log refuses a second.  The
 filter and the traceroute baseline's link loads read the records'
 (hop, ttl) graph through one function, `ttl_links`, the one edge rule:
-it groups the records' nodes by their keys, holding a key's first node
-inline and a list only where a key sees a second distinct node, then
-joins consecutive ttls of a destination, links the monitor to ttl 1 and
-finds each destination's terminal.
+it maps each key to its one node, then joins consecutive ttls of a
+destination, links the monitor to ttl 1 and finds each destination's
+terminal.
 Likewise a filtered tree is its parent map, child to parent; its node
 and edge sets are derived from the map.  A retained round therefore
 costs its two columns, its destinations and one parent map and nothing
@@ -233,66 +234,47 @@ class ProbeRecord(NamedTuple):
 class TtlLinks(NamedTuple):
     """The graph a round's records imply (`ttl_links`)."""
 
-    # link i joins lows[i], a destination's node at ttl t, to highs[i], one
-    # of its nodes at ttl t+1; two lists in step, so a link costs no tuple
+    # link i joins lows[i], a destination's node at ttl t, to highs[i], its
+    # node at ttl t+1; two lists in step, so a link costs no tuple
     lows: list
     highs: list
-    heads: list  # per destination, its nodes at ttl 1: what the monitor links to
-    terminals: list  # per destination index: the first node at its highest ttl
+    heads: list  # per destination with a ttl-1 record, its node there: what the monitor links to
+    terminals: list  # per destination index: its node at its highest ttl
 
 
 def ttl_links(keys, nodes) -> TtlLinks:
     """The graph of records given as their keys and nodes, two sequences
-    in step: per destination, every node at ttl t links to every node at
-    ttl t+1, and the monitor links to every node at ttl 1; a
-    destination's probing ended at the first node of its highest ttl.
+    in step: per destination, its node at ttl t links to its node at ttl
+    t+1, and the monitor links to its node at ttl 1; a destination's
+    probing ended at its node of the highest ttl.
 
     This is the one edge rule: the filter and the traceroute baseline's
     link loads both read it.  A key is `index << 7 | ttl` (a ttl is at
     most TTL_LIMIT = 64), as `RawTraceTree.keys` stores it, and the
     indexes of n destinations are 0 to n-1, each with at least one
-    record.  `first` holds each key's first node, in first-record order;
-    only a key that sees a second distinct node gets a list, in `more`,
-    of the nodes after the first in first-sighting order.
+    record.  A round holds at most one record per key; a second raises
+    ValueError.
     """
-    first = dict(zip(keys, nodes))
-    more: dict[int, list] = {}
-    if len(first) < len(keys):  # a (destination, ttl) holds two records
-        first = {}
-        for key, node in zip(keys, nodes):
-            seen = first.setdefault(key, node)
-            if seen != node:
-                others = more.setdefault(key, [])
-                if node not in others:
-                    others.append(node)
-    get = first.get
+    at = dict(zip(keys, nodes))
+    if len(at) < len(keys):
+        raise ValueError("second record for one destination and ttl")
+    get = at.get
     lows: list = []
     highs: list = []
     add_low, add_high = lows.append, highs.append
     top: dict[int, int] = {}  # destination index -> its highest key
     highest = top.get
-    for key, low in first.items():
+    for key, low in at.items():
         high = get(key + 1)
         if high is None:  # the top of a run of ttls, maybe the highest
             d = key >> 7
             if highest(d, 0) < key:
                 top[d] = key
-        elif more and (key in more or key + 1 in more):
-            for u in (low, *more.get(key, ())):
-                for v in (high, *more.get(key + 1, ())):
-                    add_low(u)
-                    add_high(v)
         else:
             add_low(low)
             add_high(high)
-    heads = []
-    for d in range(len(top)):
-        node = get(d << 7 | 1)
-        if node is not None:
-            heads.append(node)
-            if more:
-                heads += more.get(d << 7 | 1, ())
-    terminals = [first[top[d]] for d in range(len(top))]
+    heads = [at[d << 7 | 1] for d in range(len(top)) if d << 7 | 1 in at]
+    terminals = [at[top[d]] for d in range(len(top))]
     return TtlLinks(lows, highs, heads, terminals)
 
 
@@ -304,7 +286,9 @@ class RawTraceTree:
     `sources[i]` is record i's hop and `keys[i]` is `index << 7 | ttl`,
     where `destinations[index]` is its destination.  `destinations`
     holds the round's distinct destinations in first-record order, so a
-    round holds fewer than 2^25 of them (a key is 32 bits).  Every
+    round holds fewer than 2^25 of them (a key is 32 bits).  A key occurs
+    at most once: `ttl_links`, and so every reader of the graph, raises
+    ValueError on a second record at one (destination, ttl).  Every
     builder (`from_records`, `tracetree`, `parse_round_log`) makes the
     same container types, exact in size, so equal rounds compare equal.
 
@@ -389,6 +373,11 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     short, so it is never read unless it is exactly `#end`.  Any error on a
     whole line comes first.
 
+    A round holds at most one record per (destination, ttl).  A block
+    with a second raises RoundLogParseError at the first repeat's line,
+    checked when its `#end` is read: an error on a whole line inside the
+    same block is reported first, and a torn final block is only torn.
+
     A document's rounds share one hop per distinct source text and one
     IPv4Address per distinct destination text.  A record line read
     before was valid then, so a repeat costs two dict lookups and two
@@ -437,6 +426,11 @@ def parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
             if line == "#end":
                 if meta is None:
                     raise RoundLogParseError("#end without a round header", line_no)
+                if len(set(keys)) < len(keys):
+                    first_at: dict[int, int] = {}
+                    for record_line, key in enumerate(keys, start=header_no + 1):  # records follow the header
+                        if first_at.setdefault(key, record_line) != record_line:
+                            raise RoundLogParseError("second record for one destination and ttl", record_line)
                 # exact-size copies: a kept round holds no growth slack
                 raw = RawTraceTree(sources[:], keys[:], [destinations[dest_txt] for dest_txt in index_of])
                 rounds.append((meta, raw))

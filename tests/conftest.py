@@ -64,7 +64,7 @@ class RawGraph(NamedTuple):
 
     nodes: set[TtlNode]
     edges: set[tuple[TtlNode, TtlNode]]  # (ttl t, ttl t+1)
-    terminals: dict[IPv4Address, TtlNode]  # the first node at a destination's highest ttl
+    terminals: dict[IPv4Address, TtlNode]  # a destination's node at its highest ttl
 
 
 def raw_graph(raw: RawTraceTree) -> RawGraph:

@@ -73,6 +73,13 @@ class TestTracerouteRound:
         round_ = traceroute_round([D1, D2], transport, TracetreeConfig())
         assert Counter(r.destination for r in round_.records) == {D1: 4, D2: 4}
 
+    def test_destination_listed_twice_is_refused_before_any_probe(self):
+        # its round would hold two records per (destination, ttl)
+        transport = SimTransport(load_topology(shared_prefix_doc()))
+        with pytest.raises(ValueError, match="duplicate destinations"):
+            traceroute_round([D1, D2, D1], transport, TracetreeConfig())
+        assert transport.stats.sent == 0
+
 
 class TestSimulatedTracetree:
     def test_single_destination_reversed_route(self):
@@ -191,18 +198,20 @@ def oracle_link_load_distribution(routes, root: Hop | None = None) -> dict[int, 
 
 @st.composite
 def messy_routes(draw):
-    """The routes of a `random_routes` round with hops listed twice, extra
-    hops at a ttl already taken (a balancer), and every route in shuffled
-    order."""
+    """The routes of a `random_routes` round, one hop per (destination,
+    ttl), with hops swapped for a hop seen anywhere in the round (a
+    balancer), ttls left out, and every route in shuffled order."""
     rng = draw(st.randoms(use_true_random=False))
     routes: dict[IPv4Address, list[TtlNode]] = {}
     for rec in random_routes(rng, loops=draw(st.booleans()), stars=draw(st.booleans())).records:
         routes.setdefault(rec.destination, []).append(TtlNode(rec.source, rec.ttl))
     hops_anywhere = [node.hop for hops in routes.values() for node in hops]
     for hops in routes.values():
-        hops.extend(rng.choices(hops, k=rng.randint(0, 3)))
-        for _ in range(rng.randint(0, 2)):
-            hops.append(TtlNode(rng.choice(hops_anywhere), rng.choice(hops).ttl))
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(hops))
+            hops[at] = TtlNode(rng.choice(hops_anywhere), hops[at].ttl)
+        for _ in range(min(rng.randint(0, 2), len(hops) - 1)):
+            del hops[rng.randrange(len(hops))]
         rng.shuffle(hops)
     return routes
 

@@ -569,6 +569,31 @@ def test_a_torn_tail_does_not_excuse_an_earlier_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"netradar: {bad}: line 2: bad source address 'foo'\n"
 
 
+# a block with a second record at (10.0.1.14, 1), on its fourth line
+SECOND_RECORD_BLOCK = "#round 4 2400.0 2400.5\n10.0.1.2 1 10.0.1.14\n10.0.1.3 2 10.0.1.14\n10.0.1.9 1 10.0.1.14\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_a_second_record_at_one_slot_is_refused(four_rounds, tmp_path, capsys, command):
+    text, _ = four_rounds
+    header_no = text.count(b"\n") + 1
+
+    def run(log):
+        if command == "analyze":
+            return main(["analyze", "counts", "--in", str(log), "--out", str(tmp_path / "counts.csv")])
+        return main(["compare", "--in", str(log), "--out-prefix", str(tmp_path / "cmp")])
+
+    bad = tmp_path / "bad.rounds"
+    bad.write_bytes(text + SECOND_RECORD_BLOCK.encode() + b"#end\n")
+    assert run(bad) == 3
+    assert capsys.readouterr().err == f"netradar: {bad}: line {header_no + 3}: second record for one destination and ttl\n"
+    # a torn final block is only torn: its records are never checked
+    torn = tmp_path / "torn.rounds"
+    torn.write_bytes(text + SECOND_RECORD_BLOCK.encode())
+    assert run(torn) == 0
+    assert capsys.readouterr().err == f"netradar: {torn}: line {header_no}: torn final round ignored\n"
+
+
 @pytest.mark.parametrize("brk", ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=lambda c: f"U+{ord(c):04X}")
 @pytest.mark.parametrize(
     "args, text, reported",

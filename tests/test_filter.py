@@ -23,6 +23,7 @@ from netradar.model import (
     Ip,
     ProbeRecord,
     RawTraceTree,
+    RoundLogParseError,
     Star,
     TtlNode,
     parse_round_log,
@@ -464,24 +465,24 @@ ADDRESSES = [ip(f"10.40.0.{i}") for i in range(1, 9)]
 
 @st.composite
 def raw_rounds(draw):
-    """Random rounds of records: balancers (several sources at one ttl),
-    stars and all-star chains, repeated addresses (routing loops), the
-    monitor's own address as a source, chains that start above ttl 1,
-    the shape of a cut (destinations that share an address prefix, then
-    time out up to a high ttl), shuffled record order, and the empty
-    round."""
+    """Random rounds of one record per (destination, ttl), as netradar
+    writes them: balancers (destinations that see different sources at
+    one ttl), stars and all-star chains, repeated addresses (routing
+    loops), the monitor's own address as a source, chains that start
+    above ttl 1, the shape of a cut (destinations that share an address
+    prefix, then time out up to a high ttl), shuffled record order, and
+    the empty round."""
     records = []
     for d in range(draw(st.integers(0, 5))):
         destination = IPv4Address(f"10.50.0.{d}")
         star_share = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
         low = draw(st.integers(1, 3))
         for ttl in range(low, low + draw(st.integers(0, 7))):
-            for _ in range(draw(st.integers(1, 3))):
-                if draw(st.floats(0, 1)) < star_share:
-                    source = Star(str(destination))
-                else:
-                    source = draw(st.sampled_from(ADDRESSES + [MONITOR]))
-                records.append(ProbeRecord(source, ttl, destination))
+            if draw(st.floats(0, 1)) < star_share:
+                source = Star(str(destination))
+            else:
+                source = draw(st.sampled_from(ADDRESSES + [MONITOR]))
+            records.append(ProbeRecord(source, ttl, destination))
     if draw(st.booleans()):
         prefix = draw(st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=3))
         top = draw(st.integers(len(prefix) + 1, 30))
@@ -493,34 +494,9 @@ def raw_rounds(draw):
     return RawTraceTree.from_records(records)
 
 
-def _names_an_unmerged_star(tree: FilteredTree) -> bool:
-    # a merged star is named after its parents; a "key/ttl" label means one
-    # parent was a star whose own group had not been merged yet
-    return any("/" in n.key for n in tree.nodes if isinstance(n, Star))
-
-
-def _shape(tree: FilteredTree):
-    """The tree with each node named by its path from the root, stars
-    drawn as `*`: what is left when star keys are ignored."""
-
-    def path(node):
-        names = []
-        while node != tree.root:
-            names.append(str(node))
-            node = tree.parents[node]
-        return tuple(reversed(names))
-
-    return (
-        sorted((path(child), path(parent)) for child, parent in tree.parents.items()),
-        sorted((destination, path(node)) for destination, node in tree.terminals.items()),
-    )
-
-
-# Two groups at the same least ttl, one holding a parent of the other:
-# whichever merges first decides the other's name.  The old filter took
-# them in set iteration order (so the name moved with PYTHONHASHSEED); the
-# current one takes them in first-record order.
-ORDER_SENSITIVE_BLOCK = """#round {index} 0.0 1.0
+# A second record at (10.70.0.2, 3), on line 9: a round netradar never
+# writes, which the round log refuses.
+REPEAT_BLOCK = """#round {index} 0.0 1.0
 10.60.0.1 1 10.70.0.1
 10.60.0.9 2 10.70.0.1
 * 3 10.70.0.1
@@ -534,19 +510,27 @@ ORDER_SENSITIVE_BLOCK = """#round {index} 0.0 1.0
 #end
 """
 
+# Two ttl-3 stars under 10.60.0.9 merge, and the ttl-4 star below one of
+# them is named after the merged star.
+STAR_BLOCK = """#round {index} 0.0 1.0
+10.60.0.1 1 10.70.0.1
+10.60.0.9 2 10.70.0.1
+* 3 10.70.0.1
+10.60.0.2 4 10.70.0.1
+10.60.0.3 1 10.70.0.2
+10.60.0.9 2 10.70.0.2
+* 3 10.70.0.2
+* 4 10.70.0.2
+10.60.0.5 5 10.70.0.2
+#end
+"""
+
 
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(raw_rounds())
     def test_same_tree_and_report(self, raw):
-        new = filter_tree(raw, MONITOR)
-        old = oracle_filter_tree(raw, MONITOR)
-        if _names_an_unmerged_star(new[0]) or _names_an_unmerged_star(old[0]):
-            # the oracle's star names followed set iteration order here
-            assert new[1] == old[1]
-            assert _shape(new[0]) == _shape(old[0])
-        else:
-            assert new == old
+        assert filter_tree(raw, MONITOR) == oracle_filter_tree(raw, MONITOR)
 
     @settings(max_examples=200, deadline=None)
     @given(raw_rounds())
@@ -555,17 +539,18 @@ class TestAgainstOracle:
         assert raw.nodes == graph.nodes
         assert tuple(graph) == oracle_graph(raw)
 
-    def test_group_order_follows_the_records(self):
-        [(_, raw)] = parse_round_log(ORDER_SENSITIVE_BLOCK.format(index=0))
+    def test_a_second_record_at_one_slot_is_refused(self):
+        # a star with two parents, the one shape whose merged name
+        # depended on record order, needs such a round
+        with pytest.raises(RoundLogParseError, match="second record for one destination and ttl") as err:
+            parse_round_log(REPEAT_BLOCK.format(index=0))
+        assert err.value.line_no == 9
+        [(_, raw)] = parse_round_log(STAR_BLOCK.format(index=0))
         tree, report = filter_tree(raw, MONITOR)
         tree.validate()
-        stars = sorted(n.key for n in tree.parents if isinstance(n, Star))
-        # the ttl-3 star of 10.70.0.1 comes first in the records, so its group
-        # (with the ttl-4 star of 10.70.0.2) merges before the ttl-3 star of
-        # 10.70.0.2 that is one of its parents
-        assert stars == ["@10.60.0.9+10.70.0.2/3"]
+        assert sorted(n.key for n in tree.parents if isinstance(n, Star)) == ["@10.60.0.9", "@@10.60.0.9"]
         assert report.stars_merged == 1
-        assert _shape(tree) == _shape(oracle_filter_tree(raw, MONITOR)[0])
+        assert (tree, report) == oracle_filter_tree(raw, MONITOR)
 
 
 def test_radar_run_with_a_cut_matches_the_oracle():
@@ -609,11 +594,9 @@ def test_output_independent_of_hash_seed(tmp_path):
 
     log = _radar_log(tmp_path, _fig1_events_doc(), ["10.0.1.14", "10.0.1.15", "10.0.1.16"], 12)
     with log.open("a", encoding="utf-8") as fh:
-        fh.write(ORDER_SENSITIVE_BLOCK.format(index=12))
+        fh.write(STAR_BLOCK.format(index=12))
     src = Path(netradar.__file__).resolve().parents[1]
     outputs = []
-    # under these two seeds the previous filter named the pinned block's
-    # merged star differently
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
         proc = subprocess.run(

@@ -274,14 +274,13 @@ class TestRawTraceTree:
         raw = RawTraceTree.from_records(records)
         assert raw_graph(raw).edges == set()  # ttl gap: no direct link
 
-    def test_terminal_is_highest_ttl_first_emitted(self):
-        records = [
-            rec("10.0.0.9", 5, "9.9.9.1"),
-            rec("10.0.0.8", 5, "9.9.9.1"),  # same ttl, later: not the terminal
-            rec("10.0.0.1", 4, "9.9.9.1"),
-        ]
-        raw = RawTraceTree.from_records(records)
-        assert raw_graph(raw).terminals[IPv4Address("9.9.9.1")] == TtlNode(ip("10.0.0.9"), 5)
+    def test_two_records_at_one_key_raise_in_ttl_links(self):
+        # a round holds one record per (destination, ttl): the same hop
+        # twice is refused too
+        for second in ("10.0.0.8", "10.0.0.9"):
+            records = [rec("10.0.0.9", 5, "9.9.9.1"), rec(second, 5, "9.9.9.1"), rec("10.0.0.1", 4, "9.9.9.1")]
+            with pytest.raises(ValueError, match="second record for one destination and ttl"):
+                raw_graph(RawTraceTree.from_records(records))
 
     def test_node_count_equals_first_occurrences(self):
         records = [
@@ -369,15 +368,28 @@ def test_round_trip_property(records):
 @st.composite
 def column_records(draw):
     """Records in any order towards up to 300 destinations, so indexes run
-    past the 7 ttl bits: stars, repeated (destination, ttl) pairs, and ttl
-    1 and TTL_LIMIT drawn often."""
+    past the 7 ttl bits: stars, ttl 1 and TTL_LIMIT drawn often, and now
+    and then a second record at a (destination, ttl) drawn before."""
     count = draw(st.integers(1, 300))
     first = draw(st.integers(0, 2**32 - count))
     destinations = [IPv4Address(first + i) for i in range(count)]
     ttls = st.one_of(st.sampled_from([1, TTL_LIMIT]), st.integers(1, TTL_LIMIT))
     sources = st.sampled_from(["*", *_POOL[:6]])
-    drawn = draw(st.lists(st.tuples(st.integers(0, count - 1), ttls, sources), max_size=500))
+    drawn = draw(st.lists(st.tuples(st.integers(0, count - 1), ttls, sources), max_size=500, unique_by=lambda t: t[:2]))
+    if drawn and draw(st.booleans()):
+        at = draw(st.integers(0, len(drawn) - 1))
+        drawn.insert(draw(st.integers(at + 1, len(drawn))), (*drawn[at][:2], draw(sources)))
     return [rec(source, ttl, str(destinations[d])) for d, ttl, source in drawn]
+
+
+def first_repeat(records) -> int | None:
+    """The index of the first record at a (destination, ttl) taken before."""
+    taken = set()
+    for i, record in enumerate(records):
+        if (record.destination, record.ttl) in taken:
+            return i
+        taken.add((record.destination, record.ttl))
+    return None
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,8 +405,15 @@ def test_columns_give_back_their_records(records):
 @given(column_records())
 def test_parsed_round_has_the_serialized_columns(records):
     raw = RawTraceTree.from_records(records)
-    [(_, parsed)] = parse_round_log(serialize_round(raw, 0, 0.0, 1.0))
-    assert_same_columns(parsed, raw)
+    text = serialize_round(raw, 0, 0.0, 1.0)
+    repeat = first_repeat(records)
+    if repeat is None:
+        [(_, parsed)] = parse_round_log(text)
+        assert_same_columns(parsed, raw)
+    else:
+        with pytest.raises(RoundLogParseError, match="second record for one destination and ttl") as err:
+            parse_round_log(text)
+        assert err.value.line_no == repeat + 2  # the header is line 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,11 +519,14 @@ def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
     """Parse a concatenation of round blocks back into raw trees.
 
     Inverse of serialize_round on well-formed input.  Malformed content
-    raises RoundLogParseError with the offending line number.
+    raises RoundLogParseError with the offending line number; a block
+    with a second record at one (destination, ttl), at its `#end`, with
+    the first repeat's line number.
     """
     rounds: list[tuple[RoundMeta, RawTraceTree]] = []
     meta: RoundMeta | None = None
     records: list[ProbeRecord] = []
+    header_no = 0
     # one object per distinct text across the document: a log repeats its
     # hops and destinations round after round
     destinations: dict[str, IPv4Address] = {}
@@ -522,9 +544,13 @@ def oracle_parse_round_log(text: str) -> list[tuple[RoundMeta, RawTraceTree]]:
             except ValueError:
                 raise RoundLogParseError("malformed round header", line_no) from None
             records = []
+            header_no = line_no
         elif line == "#end":
             if meta is None:
                 raise RoundLogParseError("#end without a round header", line_no)
+            repeat = first_repeat(records)
+            if repeat is not None:
+                raise RoundLogParseError("second record for one destination and ttl", header_no + 1 + repeat)
             rounds.append((meta, RawTraceTree.from_records(records)))
             meta = None
         else:
@@ -573,18 +599,19 @@ def _outcome(parse, text):
 @st.composite
 def round_log_documents(draw):
     """`(text, corruption)`: a serialize_round document of 1-4 rounds drawn
-    from a small pool of record lines (so lines repeat within and across
-    rounds, stars included), then at most one corrupted line."""
+    from a small pool of record lines (so lines repeat across rounds,
+    stars included), then at most one corrupted line, or a second record
+    at a (destination, ttl) of its block."""
     sources, dests = st.sampled_from(["*", *_POOL[:12]]), st.sampled_from(_DESTS[:4])
     pool = [rec(draw(sources), draw(st.integers(1, TTL_LIMIT)), draw(dests)) for _ in range(draw(st.integers(1, 8)))]
     first = draw(st.integers(0, 10**6))
     times = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
     text = ""
     for i in range(draw(st.integers(1, 4))):
-        raw = RawTraceTree.from_records(draw(st.lists(st.sampled_from(pool), max_size=12)))
-        text += serialize_round(raw, first + i, draw(times), draw(times))
+        records = draw(st.lists(st.sampled_from(pool), max_size=12, unique_by=lambda r: (r.destination, r.ttl)))
+        text += serialize_round(RawTraceTree.from_records(records), first + i, draw(times), draw(times))
     lines = text.splitlines()
-    corruption = draw(st.sampled_from([None, "address", "ttl", "field", "after-end"]))
+    corruption = draw(st.sampled_from([None, "address", "ttl", "field", "after-end", "repeat"]))
     record_at = [i for i, line in enumerate(lines) if not line.startswith("#")]
     if corruption in ("address", "ttl", "field") and record_at:
         at = draw(st.sampled_from(record_at))
@@ -601,6 +628,11 @@ def round_log_documents(draw):
     elif corruption == "after-end" and record_at:
         end_at = draw(st.sampled_from([i for i, line in enumerate(lines) if line == "#end"]))
         lines.insert(end_at + 1, lines[draw(st.sampled_from(record_at))])
+    elif corruption == "repeat" and record_at:
+        at = draw(st.sampled_from(record_at))
+        _, ttl, destination = lines[at].split(" ")
+        end_at = lines.index("#end", at)
+        lines.insert(draw(st.integers(at + 1, end_at)), f"{draw(sources)} {ttl} {destination}")
     else:
         corruption = None
     return "\n".join(lines) + "\n", corruption

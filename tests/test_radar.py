@@ -8,9 +8,11 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from conftest import CHAIN_DOC
+from conftest import CHAIN_DOC, assert_same_columns, perfbench_inet
 from netradar import radar
-from netradar.model import Ip, TtlNode, parse_round_log
+from netradar.baseline import traceroute_round
+from netradar.icmp import IcmpTransport
+from netradar.model import Ip, Star, TtlNode, parse_round_log, serialize_round
 from netradar.radar import (
     DatasetWriter,
     RadarConfig,
@@ -18,11 +20,12 @@ from netradar.radar import (
     next_round_tasks,
     run_radar,
 )
-from netradar.simnet import load_topology
+from netradar.simnet import SimState, load_topology
 from netradar.tracetree import TracetreeConfig, tracetree
 from netradar.transport import SimTransport, TransportError
 
 from test_acceptance import fan_doc
+from test_icmp import SimulatedWire
 
 D = IPv4Address("10.0.0.4")
 
@@ -375,3 +378,64 @@ class TestSinkAndInputs:
         transport = SimTransport(load_topology(dict(CHAIN_DOC)))
         with pytest.raises(ValueError):
             run_radar(small_config([], rounds=1), transport)
+
+
+def assert_one_record_per_slot(raw):
+    """`raw` holds at most one record per (destination, ttl), and its round
+    log block reads back as the same round."""
+    assert len(set(raw.keys)) == len(raw.keys)
+    [(_, parsed)] = parse_round_log(serialize_round(raw, 0, 0.0, 1.0))
+    assert_same_columns(parsed, raw)
+
+
+class TestOneRecordPerSlot:
+    """Every round netradar writes keeps the round log's rule."""
+
+    def test_tracetree_rounds_with_a_restart_chain(self):
+        dest = IPv4Address("10.7.0.5")
+        transport = SimTransport(load_topology(TestDistanceScenarios().lengthening_doc()))
+        dataset = run_radar(small_config([dest], rounds=3), transport)
+        # round 2 probes the stale chain from ttl 3 and restarts from 8,
+        # which reaches ttl 3 again
+        assert {key & 127 for key in dataset.rounds[2].raw.keys} == set(range(1, 9))
+        for record in dataset.rounds:
+            assert_one_record_per_slot(record.raw)
+
+    def test_a_cut_round(self):
+        inet = perfbench_inet()
+        net = inet.generate(3001, 200, inet.EventRounds(island=3, lengthen=4, cut=1, policy=5), cut_share=0.35)
+        config = RadarConfig([IPv4Address(d) for d in net.destinations], inter_round_delay=inet.ROUND_DELAY, rounds=2)
+        cut = run_radar(config, SimTransport(load_topology(net.doc))).rounds[1].raw
+        assert sum(source.__class__ is Star for source in cut.sources) > 1000
+        assert_one_record_per_slot(cut)
+
+    def test_an_incomplete_round(self):
+        class Failing(SimTransport):
+            def send(self, destination, ttl):
+                if self.stats.sent == 2:
+                    raise TransportError("link down")
+                return super().send(destination, ttl)
+
+        transport = Failing(load_topology(dict(CHAIN_DOC)))
+        [record] = run_radar(small_config([D], rounds=1), transport).rounds
+        assert not record.complete and len(record.raw.keys) == 2
+        assert_one_record_per_slot(record.raw)
+
+    def test_a_traceroute_round(self, fig1_topology):
+        destinations = [IPv4Address(a) for a in ("10.0.1.14", "10.0.1.15", "10.0.1.16")]
+        assert_one_record_per_slot(traceroute_round(destinations, SimTransport(fig1_topology), TracetreeConfig()))
+
+    def test_rounds_over_the_wire(self, monkeypatch, fig1_topology):
+        monitor = Ip(fig1_topology.addresses[fig1_topology.monitor])
+        monkeypatch.setattr(IcmpTransport, "monitor_hop", property(lambda self: monitor))
+        monkeypatch.setattr(IcmpTransport, "_open_socket", lambda self: SimulatedWire(SimState(fig1_topology)))
+        destinations = [IPv4Address(a) for a in ("10.0.1.14", "10.0.1.15", "10.0.1.16")]
+        config = RadarConfig(destinations, inter_round_delay=0.0, rounds=3, tracetree=TracetreeConfig(timeout=0.2))
+        wire = IcmpTransport(rate_cap=0.0)
+        try:
+            rounds = run_radar(config, wire).rounds
+        finally:
+            wire.close()
+        assert len(rounds) == 3
+        for record in rounds:
+            assert_one_record_per_slot(record.raw)
