@@ -27,10 +27,13 @@ Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
 callers that read it, and hashes and compares by the address integer, so
 sets and dicts of hops never pay for `IPv4Address.__hash__`; it renders
-its dotted quad once, from the integer (`dotted_quad`), and caches it
-for the round log.  The rounds of a radar run share one `Ip` per
-address, carried from round to round in tracetree's address table, so
-an address that keeps answering is rendered once per run.  Likewise the
+its dotted quad once, from the integer (`dotted_quad`), and caches it in
+`_text` for the round log.  A `Star`'s `_text` is `"*"`, a class
+attribute, so `serialize_round` reads every hop's text from `_text` and
+calls `__str__` only on an `Ip` not rendered yet.  The rounds of a radar
+run share one `Ip` per address, carried from round to round in
+tracetree's address table, so an address that keeps answering is
+rendered once per run.  Likewise the
 rounds parsed from one round-log document share one hop per distinct
 source text and one `IPv4Address` per distinct destination, and a
 record line repeated round after round is read once.  A `Star` compares
@@ -189,6 +192,7 @@ class Star(_Frozen):
     """
 
     __slots__ = ("key",)
+    _text = "*"  # what `serialize_round` writes for every star
 
     def __init__(self, key: str):
         object.__setattr__(self, "key", key)
@@ -353,7 +357,8 @@ def serialize_round(raw: RawTraceTree, index: int, start_time: float, end_time: 
     """
     lines = [f"#round {index} {float(start_time)!r} {float(end_time)!r}"]
     texts = [dotted_quad(destination._ip) for destination in raw.destinations]  # once each
-    lines += [f"{source} {key & 127} {texts[key >> 7]}" for source, key in zip(raw.sources, raw.keys)]
+    # a hop's cached text; an Ip not rendered yet renders through __str__
+    lines += [f"{source._text or source} {key & 127} {texts[key >> 7]}" for source, key in zip(raw.sources, raw.keys)]
     lines.append("#end")
     return "\n".join(lines) + "\n"
 

@@ -24,6 +24,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv4Address
+from math import inf
 from pathlib import Path
 from typing import NamedTuple
 
@@ -327,10 +328,12 @@ class SimState:
         # RemoveNode stores new balancers here; it never edits the topology's
         self.balancers = dict(topology.balancers)
         self._adj = {u: self._out_links(vs) for u, vs in topology.links.items()}
-        self._pending = sorted(
-            enumerate(topology.events), key=lambda pair: (pair[1].at_time, pair[0])
-        )
-        self._applied_time = float("-inf")
+        # the schedule in time order (ties in document order), applied from
+        # its front; next_event_time is the time of the first event not yet
+        # applied, inf once none is left
+        self._pending = deque(sorted(topology.events, key=lambda event: event.at_time))
+        self.next_event_time = self._pending[0].at_time if self._pending else inf
+        self._applied_time = -inf
         self._pp_counters: dict[str, int] = {}
         self._buckets: dict[str, list[float]] = {}
         self._invalidate_routes()
@@ -345,8 +348,10 @@ class SimState:
                 f"event clock must not go backwards or be NaN: {up_to_time} after {self._applied_time}"
             )
         self._applied_time = up_to_time
-        while self._pending and self._pending[0][1].at_time <= up_to_time:
-            _, event = self._pending.pop(0)
+        pending = self._pending
+        while self.next_event_time <= up_to_time:
+            event = pending.popleft()
+            self.next_event_time = pending[0].at_time if pending else inf
             self._apply(event.action)
 
     def _invalidate_routes(self) -> None:

@@ -120,6 +120,7 @@ def tracetree(
     echo_at: dict[int, int] = {}
     reply_buffer: deque = deque()
     stats = TracetreeStats()
+    probes = 0
     started = clock.now()
 
     try:
@@ -131,7 +132,7 @@ def tracetree(
                 # the poll deadline and the sweep read this one float, so
                 # they cannot disagree by an ulp and stall the round
                 expiry.append((token.sent_at + timeout, key))
-                stats.probes_sent += 1
+                probes += 1
             if not reply_buffer and inflight:
                 if to_probe:
                     deadline = clock.now()
@@ -149,8 +150,8 @@ def tracetree(
                 if reply is not None:
                     token = reply.token
                     key = token.destination._ip << 7 | token.ttl
-                    live = inflight.get(key)
-                    if live is None or live.seq != token.seq or reply.late:
+                    # a transport hands back the token send() returned
+                    if inflight.get(key) is not token or reply.late:
                         # answer after the timeout (or a stray): ignored, counted
                         stats.late_replies += 1
                         reply = None
@@ -164,8 +165,8 @@ def tracetree(
                         source = previous.get(s) or Ip(reply.source)
                         hops[s] = source
                     echo = s == d and reply.kind == "echo_reply"
-                    if echo:
-                        echo_at[d] = min(echo_at.get(d, ttl), ttl)
+                    if echo and ttl < echo_at.get(d, TTL_LIMIT + 1):
+                        echo_at[d] = ttl
                     sighting = s << 7 | ttl
                     fresh = sighting not in seen
                     if fresh:
@@ -202,6 +203,7 @@ def tracetree(
     except TransportError:
         stats.complete = False
 
+    stats.probes_sent = probes
     stats.duration = clock.now() - started
     # exact-size copies: a kept round holds no growth slack
     raw = RawTraceTree(sources[:], keys[:], [by_int[d] for d in index_of])

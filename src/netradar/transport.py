@@ -4,22 +4,35 @@ shares, and the simulator backend.
 A prober calls prepare(destinations) once before a round's first send,
 so a backend can warm its per-destination state.  A transport issues one
 ProbeToken per emitted probe and later surfaces matched replies through
-poll().  Replies to tokens the caller already expired are still
-delivered, flagged late.  send() paces itself: after each probe it sleeps
-1/rate_cap on its own clock (not at all with rate_cap 0: uncapped), so
-the cap holds for every caller and callers never sleep for it.
+poll(); a reply carries the very token object send() returned.  Replies
+to tokens the caller already expired are still delivered, flagged late.
+send() paces itself: after each probe it sleeps 1/rate_cap on its own
+clock (not at all with rate_cap 0: uncapped), so the cap holds for every
+caller and callers never sleep for it.  That pause is computed once, at
+construction; a cap so small that the pause overflows to inf is refused.
 
 `Transport` holds these rules once: the clock and the rate cap, the
 stats, the sequence and tokens, pacing, late-reply counting and closing.
 `SimTransport` adds the simulator and its pending replies; `IcmpTransport`
 in `netradar.icmp` adds the raw socket and the wire.
+
+The simulator's send and poll are on every probe's path, so they spend
+few Python calls.  send() applies the scheduled topology events due by
+its send time before it routes the probe, and calls
+`SimState.apply_events` only once the clock has reached
+`SimState.next_event_time`: a round between events makes no such call.
+It reads and advances its `SimClock` in place, as poll() does.  Tokens
+and the simulator's replies are built by `tuple.__new__`, which skips the
+named tuples' generated `__new__`, a Python function; they are the same
+`ProbeToken` and `TransportReply` values.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from ipaddress import IPv4Address
+from math import isfinite
 from typing import NamedTuple
 
 from .model import Ip, finite
@@ -104,13 +117,20 @@ class WallClock:
 
 class Transport:
     """The contract's shared rules.  A backend adds send(), poll(), expire()
-    and monitor_hop: send() calls _check_open() first and _emitted() once the
-    probe is out, and poll() passes each matched reply through _matched()."""
+    and monitor_hop: send() and poll() first call _check_open() (the
+    simulator only once `_closed` is set, so an open one pays no call),
+    send() calls _emitted() once the probe is out, and poll() passes each
+    matched reply through _matched()."""
 
     def __init__(self, clock, rate_cap: float):
         self.clock = clock
         # a negative, NaN or infinite cap would pace as uncapped (0)
-        self.rate_cap = finite("rate_cap", rate_cap)
+        finite("rate_cap", rate_cap)
+        # the pause after each send, computed once; a cap so small that
+        # 1/rate_cap overflows would move the clock to inf
+        self._interval = 1.0 / rate_cap if rate_cap else 0.0
+        if not isfinite(self._interval):
+            raise ValueError(f"rate_cap {rate_cap} is too small: 1/rate_cap overflows")
         self.stats = TransportStats()
         self._expired: set[int] = set()  # seqs timed out whose reply may still come
         self._seq = 0
@@ -125,11 +145,12 @@ class Transport:
 
     def _emitted(self, destination: IPv4Address, ttl: int, sent_at: float) -> ProbeToken:
         """Number and count a probe just emitted, then pace."""
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         self.stats.sent += 1
-        if self.rate_cap:
-            self.clock.sleep(1.0 / self.rate_cap)
-        return ProbeToken(destination, ttl, sent_at, self._seq)
+        if self._interval:
+            self.clock.sleep(self._interval)
+        # tuple.__new__ skips the named tuple's generated __new__, a Python call
+        return tuple.__new__(ProbeToken, (destination, ttl, sent_at, seq))
 
     def _matched(self, reply: TransportReply) -> TransportReply:
         """Count a reply matched to its token: late if the caller expired
@@ -178,16 +199,22 @@ class SimTransport(Transport):
         self.state.prepare_destinations(destinations)
 
     def send(self, destination: IPv4Address, ttl: int) -> ProbeToken:
-        """Emit one probe, then pace; returns its token."""
-        self._check_open()
-        now = self.clock.now()
-        self.state.apply_events(now)
-        outcome = self.state.route_probe(destination, ttl, now)
+        """Emit one probe, then pace; returns its token.  The events due
+        by the send time apply first."""
+        if self._closed:
+            self._check_open()
+        state = self.state
+        now = self.clock._now
+        if now >= state.next_event_time:
+            state.apply_events(now)
+        outcome = state.route_probe(destination, ttl, now)
         token = self._emitted(destination, ttl, now)
-        if outcome.kind in (TIME_EXCEEDED, ECHO_REPLY):
+        kind = outcome.kind
+        if kind == TIME_EXCEEDED or kind == ECHO_REPLY:
             arrival = now + 2.0 * self.per_hop_delay * outcome.hops
-            self._replies[token.seq] = TransportReply(token, outcome.source, outcome.kind, arrival)
-            heapq.heappush(self._pending, (arrival, token.seq))
+            seq = token.seq
+            self._replies[seq] = tuple.__new__(TransportReply, (token, outcome.source, kind, arrival, False))
+            heappush(self._pending, (arrival, seq))
         else:
             self.stats.unanswered += 1
         return token
@@ -195,13 +222,19 @@ class SimTransport(Transport):
     def poll(self, deadline: float) -> list[TransportReply]:
         """Deliver replies.  Advances the virtual clock no further than the
         earliest pending arrival, or to the deadline when nothing is due."""
-        self._check_open()
-        self.clock.advance_to(min(self._pending[0][0], deadline) if self._pending else deadline)
-        now = self.clock.now()
+        if self._closed:
+            self._check_open()
+        clock = self.clock
+        pending = self._pending
+        now = min(pending[0][0], deadline) if pending else deadline
+        if now > clock._now:
+            clock._now = now
+        else:
+            now = clock._now
         out = []
-        while self._pending and self._pending[0][0] <= now:
-            _, seq = heapq.heappop(self._pending)
-            out.append(self._matched(self._replies.pop(seq)))
+        replies, matched = self._replies, self._matched
+        while pending and pending[0][0] <= now:
+            out.append(matched(replies.pop(heappop(pending)[1])))
         return out
 
     def expire(self, token: ProbeToken) -> None:

@@ -235,6 +235,7 @@ class TestBadParameters:
             ("--inter-round", "nan", "inter_round_delay"),
             ("--rounds", "-1", "rounds"),
             ("--rate-cap", "-5", "rate_cap"),
+            ("--rate-cap", "1e-310", "rate_cap"),  # 1/rate_cap overflows to inf
             ("--per-hop-delay", "nan", "per_hop_delay"),
             ("--per-hop-delay", "inf", "per_hop_delay"),
             ("--per-hop-delay", "-1", "per_hop_delay"),

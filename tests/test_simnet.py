@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from ipaddress import IPv4Address
 
 import pytest
@@ -366,6 +367,37 @@ class TestEvents:
         state = SimState(load_topology(doc))
         state.apply_events(30.0)  # both applied, final policy responsive
         assert state.route_probe(D, 1, 30.0).kind == TIME_EXCEEDED
+
+    def test_next_event_time_follows_the_schedule(self):
+        # the transport calls apply_events only once its clock reaches it
+        doc = dict(CHAIN_DOC)
+        doc["events"] = [
+            {"at": at, "change_policy": {"node": "r1", "policy": policy}}
+            for at, policy in ((10.0, "silent"), (5.0, "silent"), (5.0, "responsive"))
+        ]
+        state = SimState(load_topology(doc))
+        assert state.next_event_time == 5.0
+        state.apply_events(4.0)
+        assert state.next_event_time == 5.0
+        state.apply_events(5.0)  # both at 5.0, in document order
+        assert state.next_event_time == 10.0
+        assert state.route_probe(D, 1, 5.0).kind == TIME_EXCEEDED
+        state.apply_events(10.0)
+        assert state.next_event_time == math.inf
+        assert SimState(load_topology(dict(CHAIN_DOC))).next_event_time == math.inf
+
+    def test_a_failing_event_leaves_the_later_ones_waiting(self):
+        doc = dict(CHAIN_DOC)
+        doc["events"] = [
+            {"at": 5.0, "remove_node": "ghost"},
+            {"at": 10.0, "change_policy": {"node": "r1", "policy": "silent"}},
+        ]
+        state = SimState(load_topology(doc))
+        with pytest.raises(ScenarioError, match="ghost"):
+            state.apply_events(6.0)
+        assert state.next_event_time == 10.0
+        state.apply_events(7.0)
+        assert state.route_probe(D, 1, 7.0).kind == TIME_EXCEEDED
 
 
 class TestMemoInvalidation:
