@@ -9,13 +9,20 @@ tie-breaks); balancer policies override it at their node.  Serves as the
 default transport backend and as the oracle in tests.
 
 A probe is answered from a route entry per destination, memoized with
-the BFS results until an event changes the topology.  The entry holds
-the monitor's planned path and one reply slot per hop of its
-balancer-free prefix, the hops before the first balancer, filled when
-first asked for.  A ttl inside that prefix, or any ttl when the whole
-path is balancer-free, is answered by one index; a rate-limited node
-still spends its bucket.  Only a probe that reaches the first balancer
-walks on, hop by hop, from there.
+the BFS results.  The entry holds the monitor's planned path and one
+reply slot per hop of its balancer-free prefix, the hops before the
+first balancer, filled when first asked for.  A ttl inside that prefix,
+or any ttl when the whole path is balancer-free, is answered by one
+index; a rate-limited node still spends its bucket.  Only a probe that
+reaches the first balancer walks on, hop by hop, from there.
+
+An event drops only what it may change.  An adjacency event (rewire,
+island, node removal) recomputes the monitor's BFS tree at once and drops
+the route entries whose path crosses a node that gained, lost or changed
+its parent, and every entry without a path; trees and paths from other
+starts, read only past a balancer, are all dropped.  A policy change
+drops the entries whose path holds its node.  Every other entry, and the
+address map, are kept: they are what a rebuild would give.
 """
 from __future__ import annotations
 
@@ -301,6 +308,9 @@ def _validate(topo: Topology) -> None:
         for v in targets:
             if v not in topo.addresses:
                 raise TopologyError(f"link endpoint {v!r} (from {u!r}) is not a declared node")
+    for event in topo.events:
+        if isinstance(event.action, RemoveNode) and event.action.node == topo.monitor:
+            raise TopologyError(f"event at {event.at_time:g} removes the monitor {topo.monitor!r}")
     for node, balancer in topo.balancers.items():
         if node not in topo.addresses:
             raise TopologyError(f"balancer node {node!r} is not a declared node")
@@ -336,7 +346,11 @@ class SimState:
         self._applied_time = -inf
         self._pp_counters: dict[str, int] = {}
         self._buckets: dict[str, list[float]] = {}
-        self._invalidate_routes()
+        # routing is keyed by the address integer, never by IPv4Address
+        self._addr_to_node = _address_map(self.addresses, ScenarioError)
+        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
+        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
+        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
 
     # -- events ------------------------------------------------------------
 
@@ -355,12 +369,25 @@ class SimState:
             self._apply(event.action)
 
     def _invalidate_routes(self) -> None:
-        """Forget every memoized route; ScenarioError if two nodes share an address."""
-        # routing is keyed by the address integer, never by IPv4Address
-        self._addr_to_node = _address_map(self.addresses, ScenarioError)
-        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
-        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
-        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
+        """Drop what an adjacency event may have moved and keep the rest.
+
+        The monitor's tree is recomputed and compared with the one it
+        replaces.  A route entry is dropped when it has no path (it may have
+        one now) or when its path holds a node whose parent changed,
+        appeared or vanished.  A kept entry's path is the new tree's, and so
+        are its prefix and reply slots: an adjacency event changes no
+        policy, no address of a kept node, and no balancer of a node that
+        stays reachable.  Its destination still maps to its target, since a
+        removed target vanishes from the tree and an added address had no
+        path.  Trees and paths from every other start are dropped."""
+        old = self._parents.get(self.monitor, {})
+        self._parents = {}
+        self._paths = {}
+        new = self._bfs(self.monitor)
+        moved = {node for node, _ in old.items() ^ new.items()}
+        routes = self._routes
+        for d in [d for d, (_, plan, _) in routes.items() if plan is None or not moved.isdisjoint(plan)]:
+            del routes[d]
 
     def _out_links(self, targets) -> list[str]:
         """Out-links: each target once (a link listed twice is one), in address order."""
@@ -371,47 +398,67 @@ class SimState:
             raise ScenarioError(f"{action} references unknown node {name!r}")
 
     def _apply(self, action) -> None:
+        """Apply one event's action, or raise ScenarioError before changing
+        anything: every node it names and every address it adds is checked
+        first."""
         if isinstance(action, RewireLink):
-            self._require_node(action.node, "rewire")
-            if action.remove is not None:
-                if action.remove not in self._adj.get(action.node, []):
-                    raise ScenarioError(
-                        f"rewire: no link {action.node!r} -> {action.remove!r} to remove"
-                    )
-                self._adj[action.node].remove(action.remove)
-            if action.add is not None:
-                self._require_node(action.add, "rewire")
-                self._adj[action.node] = self._out_links([*self._adj[action.node], action.add])
+            node, remove, add = action.node, action.remove, action.add
+            self._require_node(node, "rewire")
+            targets = self._adj.get(node, [])
+            if remove is not None and remove not in targets:
+                raise ScenarioError(f"rewire: no link {node!r} -> {remove!r} to remove")
+            if add is not None:
+                self._require_node(add, "rewire")
+            kept = [v for v in targets if v != remove]
+            self._adj[node] = kept if add is None else self._out_links([*kept, add])
         elif isinstance(action, AddIsland):
-            for name, (addr, policy) in action.nodes.items():
+            for name in action.nodes:
                 if name in self.addresses:
                     raise ScenarioError(f"island node {name!r} already exists")
+            for u, v in action.links:
+                for end in (u, v):
+                    if end not in action.nodes:
+                        self._require_node(end, "island link")
+            owners = self._addr_to_node
+            grafted: dict[int, str] = {}
+            for name, (addr, _) in action.nodes.items():
+                other = owners.get(int(addr))
+                if other is None:
+                    other = grafted.setdefault(int(addr), name)
+                if other != name:
+                    raise ScenarioError(f"duplicate address {addr}: nodes {other!r} and {name!r}")
+            for name, (addr, policy) in action.nodes.items():
                 self.addresses[name] = addr
                 self.policies[name] = policy
                 self._adj[name] = []
+            owners.update(grafted)
             for u, v in action.links:
-                self._require_node(u, "island link")
-                self._require_node(v, "island link")
-                self._adj[u] = self._out_links([*self._adj[u], v])
+                self._adj[u] = self._out_links([*self._adj.get(u, ()), v])
         elif isinstance(action, RemoveNode):
-            self._require_node(action.node, "remove_node")
-            del self.addresses[action.node]
-            del self.policies[action.node]
-            self._adj.pop(action.node, None)
-            self.balancers.pop(action.node, None)
+            node = action.node
+            self._require_node(node, "remove_node")
+            if node == self.monitor:
+                raise ScenarioError(f"remove_node: {node!r} is the monitor")
+            del self._addr_to_node[int(self.addresses.pop(node))]
+            del self.policies[node]
+            self._adj.pop(node, None)
+            self.balancers.pop(node, None)
             for targets in self._adj.values():
-                if action.node in targets:
-                    targets.remove(action.node)
+                if node in targets:
+                    targets.remove(node)
             for name, balancer in self.balancers.items():
                 if isinstance(balancer, PerDestination):
                     self.balancers[name] = PerDestination(
-                        {a: n for a, n in balancer.table.items() if n != action.node}
+                        {a: n for a, n in balancer.table.items() if n != node}
                     )
         elif isinstance(action, ChangePolicy):
-            self._require_node(action.node, "change_policy")
-            self.policies[action.node] = action.policy
-            # a policy moves no path; only the cached prefix replies name it
-            self._routes.clear()
+            node = action.node
+            self._require_node(node, "change_policy")
+            self.policies[node] = action.policy
+            # a policy moves no path; only the reply slots of a path through it name it
+            routes = self._routes
+            for d in [d for d, (_, plan, _) in routes.items() if plan is not None and node in plan]:
+                del routes[d]
             return
         else:
             raise ScenarioError(f"unknown event action {action!r}")
@@ -429,7 +476,7 @@ class SimState:
 
     def _bfs(self, start: str) -> dict[str, str]:
         """Parent map of a breadth-first search from `start`, neighbours in
-        address order; cached per start until the routes change."""
+        address order; cached per start until an adjacency event."""
         parents = self._parents.get(start)
         if parents is None:
             parents = {}
@@ -472,7 +519,12 @@ class SimState:
         whole path up to the target is balancer-free, so every ttl beyond
         it draws the target's echo.  A path of length 1 (the destination
         is the monitor) or none has an empty prefix and is never clear:
-        the walk answers it."""
+        the walk answers it.
+
+        An entry outlives an event that leaves its path alone: an adjacency
+        event drops it when its path moved or it had none
+        (`_invalidate_routes`), a policy change when its path holds the
+        node."""
         plan = self._path_from(self.monitor, d)
         last = 0 if plan is None else len(plan) - 1
         free = 0

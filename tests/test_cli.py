@@ -217,6 +217,18 @@ class TestRadarRun:
         )
         assert code == 3
 
+    def test_topology_removing_the_monitor_is_validation_error(self, tmp_path, chain_files, capsys):
+        # refused on load, before a round is written, not by a traceback
+        # once the monitor is gone
+        _, dests = chain_files
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(dict(CHAIN_DOC, events=[{"at": 5.0, "remove_node": "mon"}])), encoding="utf-8")
+        out = tmp_path / "data.rounds"
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--rounds", "3", "--out", str(out)]
+        assert main(["radar", "run", *args]) == 3
+        assert "netradar: event at 5 removes the monitor 'mon'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [b'{"nodes": [', b'{"monitor": "\xff"}'], ids=["unclosed", "not-utf8"])
     def test_malformed_topology_json_is_validation_error(self, tmp_path, chain_files, capsys, content):
         _, dests = chain_files

@@ -26,6 +26,7 @@ from netradar.simnet import (
     UNREACHABLE,
     AddIsland,
     ChangePolicy,
+    PerDestination,
     PerPacket,
     RateLimited,
     RemoveNode,
@@ -34,8 +35,12 @@ from netradar.simnet import (
     SimReply,
     SimState,
     TopologyError,
+    _address_map,
     load_topology,
 )
+from netradar.model import serialize_round
+from netradar.radar import RadarConfig, radar_rounds
+from netradar.transport import SimTransport
 
 D = IPv4Address("10.0.0.4")
 
@@ -399,6 +404,63 @@ class TestEvents:
         state.apply_events(7.0)
         assert state.route_probe(D, 1, 7.0).kind == TIME_EXCEEDED
 
+    def test_removing_the_monitor_refused(self):
+        # the radar would run its rounds, then find no monitor to report;
+        # `_apply` refuses it too (FAILING_EVENTS)
+        doc = dict(CHAIN_DOC, events=[{"at": 5.0, "remove_node": "mon"}])
+        with pytest.raises(TopologyError, match="event at 5 removes the monitor 'mon'"):
+            load_topology(doc)
+
+
+def _island(*nodes: tuple[str, str], links=(("r1", "x"),)) -> AddIsland:
+    return AddIsland({name: (IPv4Address(a), RESPONSIVE) for name, a in nodes}, list(links))
+
+
+# events that fail against CHAIN_DOC (mon -> r1 -> r2 -> d), each after
+# checks that pass: a check made after a change would leave it half done
+FAILING_EVENTS = {
+    "rewire-unknown-add": (RewireLink("r1", remove="r2", add="nosuch"), "unknown node 'nosuch'"),
+    "rewire-unknown-node": (RewireLink("ghost", add="d"), "unknown node 'ghost'"),
+    "rewire-missing-link": (RewireLink("r1", remove="d", add="mon"), "no link 'r1' -> 'd'"),
+    "island-existing-address": (
+        _island(("x", "10.0.0.9"), ("y", "10.0.0.3")),
+        "duplicate address 10.0.0.3: nodes 'r2' and 'y'",
+    ),
+    "island-twin-addresses": (
+        _island(("x", "10.0.0.9"), ("y", "10.0.0.9")),
+        "duplicate address 10.0.0.9: nodes 'x' and 'y'",
+    ),
+    "island-unknown-link": (
+        _island(("x", "10.0.0.9"), links=[("r1", "x"), ("x", "ghost")]),
+        "unknown node 'ghost'",
+    ),
+    "island-existing-name": (_island(("x", "10.0.0.9"), ("r2", "10.0.0.8")), "'r2' already exists"),
+    "remove-unknown-node": (RemoveNode("ghost"), "unknown node 'ghost'"),
+    "remove-the-monitor": (RemoveNode("mon"), "'mon' is the monitor"),
+    "policy-unknown-node": (ChangePolicy("ghost", SILENT), "unknown node 'ghost'"),
+}
+
+
+class TestAtomicEvents:
+    @pytest.mark.parametrize("name", sorted(FAILING_EVENTS))
+    def test_a_failing_event_changes_nothing(self, name):
+        action, match = FAILING_EVENTS[name]
+        doc = dict(CHAIN_DOC, nodes=dict(CHAIN_DOC["nodes"], r2={"address": "10.0.0.3", "policy": {"rate": 1.0}}))
+        topology = load_topology(doc)
+        state, untouched = SimState(topology), SimState(topology)
+        addresses = [IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3, 4, 8, 9)]
+        probes = [(a, ttl) for a in addresses for ttl in (1, 2, 3, 4)]
+        for at, (destination, ttl) in enumerate(probes):  # every route entry warm
+            assert state.route_probe(destination, ttl, at) == untouched.route_probe(destination, ttl, at)
+        with pytest.raises(ScenarioError, match=match):
+            state._apply(action)
+        assert state._adj == untouched._adj
+        assert state.addresses == untouched.addresses
+        assert state.policies == untouched.policies
+        for at, (destination, ttl) in enumerate(probes, start=len(probes)):
+            assert state.route_probe(destination, ttl, at) == untouched.route_probe(destination, ttl, at)
+        assert state._buckets == untouched._buckets
+
 
 class TestMemoInvalidation:
     """A probe before the event fills the route memo; the probe after it
@@ -458,15 +520,24 @@ class TestMemoInvalidation:
         assert tuple(state.route_probe(D, ttl, 60.0)) == after
 
     def test_policy_change_keeps_the_paths(self):
-        # a policy moves no route: only the cached replies are dropped
-        doc = dict(CHAIN_DOC)
-        doc["events"] = [{"at": 50.0, "change_policy": {"node": "r1", "policy": "silent"}}]
+        # a policy moves no route: only the entry whose path holds the node
+        # is dropped, the other branch's is kept as it was
+        doc = {
+            "monitor": "mon",
+            "nodes": {"mon": "10.0.0.1", "r1": "10.0.0.2", "r2": "10.0.0.3", "d1": "10.0.0.4", "d2": "10.0.0.5"},
+            "links": [["mon", "r1"], ["r1", "d1"], ["mon", "r2"], ["r2", "d2"]],
+            "events": [{"at": 50.0, "change_policy": {"node": "r1", "policy": "silent"}}],
+        }
+        d1, d2 = IPv4Address("10.0.0.4"), IPv4Address("10.0.0.5")
         state = SimState(load_topology(doc))
-        state.route_probe(D, 1, 10.0)
-        paths, parents = dict(state._paths), dict(state._parents)
+        for destination in (d1, d2):
+            state.route_probe(destination, 1, 10.0)
+        paths, parents, kept = dict(state._paths), dict(state._parents), state._routes[int(d2)]
         state.apply_events(60.0)
         assert state._paths == paths and state._parents == parents
-        assert state._routes == {}
+        assert state._routes == {int(d2): kept} and state._routes[int(d2)] is kept
+        assert state.route_probe(d1, 1, 60.0) == (SILENCE, None, 1)
+        assert state.route_probe(d2, 1, 60.0) == (TIME_EXCEEDED, IPv4Address("10.0.0.3"), 1)
 
 
 # -- the previous route_probe, kept verbatim as the differential test's oracle
@@ -516,6 +587,73 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
         if node == target:
             return self._respond(node, ECHO_REPLY, hop_index, at_time)
     return self._respond(node, TIME_EXCEEDED, ttl, at_time)
+
+
+# -- the previous event rule, kept verbatim as the oracle's state
+# Every event threw away the address map, every tree and path and every
+# route entry (a policy change: every route entry).  The current rule keeps
+# what an event does not move; it must give equal replies, counters and
+# buckets, and equal round logs.
+
+
+class ReferenceSimState(SimState):
+    """`SimState` with the flush-everything event rule it had before
+    events kept the routes they do not move."""
+
+    def _invalidate_routes(self) -> None:
+        """Forget every memoized route; ScenarioError if two nodes share an address."""
+        # routing is keyed by the address integer, never by IPv4Address
+        self._addr_to_node = _address_map(self.addresses, ScenarioError)
+        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
+        self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
+        self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
+
+    def _apply(self, action) -> None:
+        if isinstance(action, RewireLink):
+            self._require_node(action.node, "rewire")
+            if action.remove is not None:
+                if action.remove not in self._adj.get(action.node, []):
+                    raise ScenarioError(
+                        f"rewire: no link {action.node!r} -> {action.remove!r} to remove"
+                    )
+                self._adj[action.node].remove(action.remove)
+            if action.add is not None:
+                self._require_node(action.add, "rewire")
+                self._adj[action.node] = self._out_links([*self._adj[action.node], action.add])
+        elif isinstance(action, AddIsland):
+            for name, (addr, policy) in action.nodes.items():
+                if name in self.addresses:
+                    raise ScenarioError(f"island node {name!r} already exists")
+                self.addresses[name] = addr
+                self.policies[name] = policy
+                self._adj[name] = []
+            for u, v in action.links:
+                self._require_node(u, "island link")
+                self._require_node(v, "island link")
+                self._adj[u] = self._out_links([*self._adj[u], v])
+        elif isinstance(action, RemoveNode):
+            self._require_node(action.node, "remove_node")
+            del self.addresses[action.node]
+            del self.policies[action.node]
+            self._adj.pop(action.node, None)
+            self.balancers.pop(action.node, None)
+            for targets in self._adj.values():
+                if action.node in targets:
+                    targets.remove(action.node)
+            for name, balancer in self.balancers.items():
+                if isinstance(balancer, PerDestination):
+                    self.balancers[name] = PerDestination(
+                        {a: n for a, n in balancer.table.items() if n != action.node}
+                    )
+        elif isinstance(action, ChangePolicy):
+            self._require_node(action.node, "change_policy")
+            self.policies[action.node] = action.policy
+            # a policy moves no path; only the cached prefix replies name it
+            self._routes.clear()
+            return
+        else:
+            raise ScenarioError(f"unknown event action {action!r}")
+        self._invalidate_routes()
 
 
 # each response policy as a document writes it, and as an event carries it
@@ -589,20 +727,93 @@ class TestAgainstOracle:
     def test_same_replies_counters_and_buckets(self, generated, data):
         doc, targets = generated
         topology = load_topology(doc)
-        state, oracle = SimState(topology), SimState(topology)
+        state, oracle = SimState(topology), ReferenceSimState(topology)
         monitor = topology.addresses[topology.monitor]
         fresh: list[str] = []
         now = 0.0
         for _ in range(data.draw(st.integers(1, 40))):
-            if data.draw(st.integers(0, 5)) == 0:
+            destinations = targets + [IPv4Address(f"10.61.0.{i + 1}") for i in range(len(fresh))] + [monitor]
+            step = data.draw(st.integers(0, 5))
+            if step == 0:
                 action = _draw_event(data.draw, oracle, fresh)
                 state._apply(action)
                 oracle._apply(action)
+                assert state._adj == oracle._adj
+                assert state._addr_to_node == oracle._addr_to_node
                 continue
-            destinations = targets + [IPv4Address(f"10.61.0.{i + 1}") for i in range(len(fresh))]
-            destination = data.draw(st.sampled_from(destinations + [monitor]))
+            if step == 1:  # every entry built, so that an event has entries to keep
+                state.prepare_destinations(destinations)
+                continue
+            destination = data.draw(st.sampled_from(destinations))
             ttl = data.draw(st.integers(1, 30))
             now += data.draw(st.sampled_from([0.0, 0.1, 0.4, 1.5]))
             assert state.route_probe(destination, ttl, now) == oracle_route_probe(oracle, destination, ttl, now)
             assert state._pp_counters == oracle._pp_counters
             assert state._buckets == oracle._buckets
+
+    @pytest.mark.parametrize("seed", [3001, 3002, 3003])
+    def test_inet_round_logs_byte_identical(self, seed):
+        inet = perfbench_inet()
+        net = inet.generate(seed, 200)  # its default events, before rounds 2, 3, 5 and 6
+        topology = load_topology(net.doc)
+        config = RadarConfig([IPv4Address(d) for d in net.destinations], inter_round_delay=inet.ROUND_DELAY, rounds=8)
+
+        def round_log(state) -> str:
+            transport = SimTransport(topology)
+            transport.state = state
+            return "".join(
+                serialize_round(record.raw, record.index, record.start_time, record.end_time)
+                for record in radar_rounds(config, transport)
+            )
+
+        assert round_log(SimState(topology)) == round_log(ReferenceSimState(topology))
+
+
+class TestRebuiltRoutes:
+    """An event rebuilds the route entries it moves, and only those:
+    counted by a spy on `SimState._route`."""
+
+    @pytest.fixture
+    def inet_state(self, monkeypatch):
+        inet = perfbench_inet()
+        net = inet.generate(3001, 200)
+        state = SimState(load_topology(net.doc))
+        destinations = [IPv4Address(d) for d in net.destinations]
+        rebuilt: list[int] = []
+        route = SimState._route
+
+        def spy(self, d):
+            rebuilt.append(d)
+            return route(self, d)
+
+        monkeypatch.setattr(SimState, "_route", spy)
+
+        def rebuild_after(at_time: float) -> tuple[set[int], dict, dict]:
+            """Build every route entry, apply the events due by `at_time` and
+            build them again; returns the destinations rebuilt after the
+            events, and each destination's plan before and after them."""
+            state.prepare_destinations(destinations)
+            before = {d: state._routes[d][1] for d in state._routes}
+            rebuilt.clear()
+            state.apply_events(at_time)
+            state.prepare_destinations(destinations)
+            return set(rebuilt), before, {d: state._routes[d][1] for d in state._routes}
+
+        return inet, net, state, rebuild_after
+
+    def test_lengthening_rebuilds_the_moved_paths(self, inet_state):
+        inet, net, state, rebuild_after = inet_state
+        state.apply_events(net.truth.rounds.lengthen * inet.ROUND_DELAY - 2.0)
+        rebuilt, before, after = rebuild_after(net.truth.rounds.lengthen * inet.ROUND_DELAY)
+        moved = {d for d in after if before[d] != after[d]}
+        assert rebuilt == moved == {int(IPv4Address(a)) for a in net.truth.lengthened}
+        assert len(after) == 200 > len(rebuilt) > 0
+
+    def test_policy_change_rebuilds_the_paths_through_it(self, inet_state):
+        inet, net, state, rebuild_after = inet_state
+        policy_node = {str(a): n for n, a in state.addresses.items()}[net.truth.policy_address]
+        state.apply_events(net.truth.rounds.policy * inet.ROUND_DELAY - 2.0)
+        rebuilt, before, after = rebuild_after(net.truth.rounds.policy * inet.ROUND_DELAY)
+        assert before == after
+        assert rebuilt == {d for d, plan in before.items() if policy_node in plan}
+        assert len(after) == 200 > len(rebuilt) > 0
