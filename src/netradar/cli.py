@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import closing
+from contextlib import closing, nullcontext
 from math import isfinite
 from pathlib import Path
 
@@ -80,11 +80,16 @@ def _make_transport(spec: str, per_hop_delay: float, rate_cap: float):
     raise TopologyError(f"unknown transport {spec!r}; use sim:TOPOLOGY_FILE or icmp")
 
 
+def _output(out: str | None):
+    """The file `out` names, opened (truncated) for writing, or stdout.  A
+    measurement opens it before its first probe, as radar run opens its
+    writer, so an --out it cannot write costs no probe."""
+    return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _read_rounds(path: str) -> list:
@@ -153,10 +158,10 @@ def cmd_radar_run(args) -> int:
 
 def cmd_tracetree_once(args) -> int:
     config = _radar_config(args, 0.0, 1)
-    with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
+    transport = _make_transport(args.transport, args.per_hop_delay, args.rate_cap)
+    with closing(transport), _output(args.out) as fh:
         [record] = radar_rounds(config, transport)
-    block = serialize_round(record.raw, record.index, record.start_time, record.end_time)
-    _emit(block, args.out)
+        fh.write(serialize_round(record.raw, record.index, record.start_time, record.end_time))
     print(
         f"1 round: {record.probes_sent} probes, "
         f"{len(record.tree.observed_ips())} distinct addresses",
@@ -167,12 +172,11 @@ def cmd_tracetree_once(args) -> int:
 
 def cmd_traceroute_once(args) -> int:
     destinations = load_destinations(args.destinations)
-    with closing(_make_transport(args.transport, args.per_hop_delay, args.rate_cap)) as transport:
+    transport = _make_transport(args.transport, args.per_hop_delay, args.rate_cap)
+    with closing(transport), _output(args.out) as fh:
         started = transport.clock.now()
         raw = baseline.traceroute_round(destinations, transport, _measurement_config(args))
-        finished = transport.clock.now()
-    block = serialize_round(raw, 0, started, finished)
-    _emit(block, args.out)
+        fh.write(serialize_round(raw, 0, started, transport.clock.now()))
     print(
         f"1 round: {len(raw.keys)} probes, "
         f"{len(baseline.record_ips(raw))} distinct addresses",

@@ -5,11 +5,13 @@ address and a response policy (responsive, silent, or rate-limited),
 per-destination and per-packet load balancers, and a schedule of scripted
 topology changes, read from a JSON document (`load_topology`).  Default
 forwarding follows a deterministic shortest path (BFS with address-ordered
-tie-breaks); balancer policies override it at their node.  Serves as the
-default transport backend and as the oracle in tests.
+tie-breaks); a balancer overrides it at its node with any choice that is
+a current out-link, so a choice whose link an event cut is passed over
+until the link is back.  Serves as the default transport backend and as
+the oracle in tests.
 
 A probe is answered from a route entry per destination, memoized with
-the BFS results.  The entry holds the monitor's planned path and one
+the BFS trees.  The entry holds the monitor's planned path and one
 reply slot per hop of its balancer-free prefix, the hops before the
 first balancer, filled when first asked for.  A ttl inside that prefix,
 or any ttl when the whole path is balancer-free, is answered by one
@@ -19,10 +21,10 @@ reaches the first balancer walks on, hop by hop, from there.
 An event drops only what it may change.  An adjacency event (rewire,
 island, node removal) recomputes the monitor's BFS tree at once and drops
 the route entries whose path crosses a node that gained, lost or changed
-its parent, and every entry without a path; trees and paths from other
-starts, read only past a balancer, are all dropped.  A policy change
-drops the entries whose path holds its node.  Every other entry, and the
-address map, are kept: they are what a rebuild would give.
+its parent, and every entry without a path; trees from other starts,
+read only past a balancer, are all dropped.  A policy change drops the
+entries whose path holds its node.  Every other entry, and the address
+map, are kept: they are what a rebuild would give.
 """
 from __future__ import annotations
 
@@ -244,9 +246,10 @@ def load_topology(source) -> Topology:
     a link is a list of two node names.  A policy defaults to
     "responsive", a rate limit's burst to 1.  A per-destination balancer
     sends the destinations it lists to their next hop, the rest along the
-    shortest path; a per-packet one cycles through its next hops.  An
-    event applies one action at simulated time `at`, a number of
-    seconds.
+    shortest path; a per-packet one cycles through its next hops.  A
+    choice whose link an event cut, or whose node it removed, leaves the
+    probe on its shortest path.  An event applies one action at simulated
+    time `at`, a number of seconds.
     Raises TopologyError naming the offending element on any violation.
     """
     if isinstance(source, (str, Path)):
@@ -314,14 +317,10 @@ def _validate(topo: Topology) -> None:
     for node, balancer in topo.balancers.items():
         if node not in topo.addresses:
             raise TopologyError(f"balancer node {node!r} is not a declared node")
-        neighbours = set(topo.links.get(node, ()))
-        if isinstance(balancer, PerDestination):
-            hops = set(balancer.table.values())
-        elif not balancer.cycle:
+        if isinstance(balancer, PerPacket) and not balancer.cycle:
             raise TopologyError(f"per-packet balancer at {node!r} has an empty cycle")
-        else:
-            hops = set(balancer.cycle)
-        for hop in hops:
+        neighbours = topo.links.get(node, ())
+        for hop in balancer.cycle if isinstance(balancer, PerPacket) else balancer.table.values():
             if hop not in neighbours:
                 raise TopologyError(f"balancer next hop {hop!r} is not a neighbour of {node!r}")
 
@@ -335,7 +334,7 @@ class SimState:
         self.monitor = topology.monitor
         self.addresses = dict(topology.addresses)
         self.policies = dict(topology.policies)
-        # RemoveNode stores new balancers here; it never edits the topology's
+        # RemoveNode drops its node's balancer here, never from the topology
         self.balancers = dict(topology.balancers)
         self._adj = {u: self._out_links(vs) for u, vs in topology.links.items()}
         # the schedule in time order (ties in document order), applied from
@@ -348,7 +347,6 @@ class SimState:
         self._buckets: dict[str, list[float]] = {}
         # routing is keyed by the address integer, never by IPv4Address
         self._addr_to_node = _address_map(self.addresses, ScenarioError)
-        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
         self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
         self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
 
@@ -376,13 +374,13 @@ class SimState:
         one now) or when its path holds a node whose parent changed,
         appeared or vanished.  A kept entry's path is the new tree's, and so
         are its prefix and reply slots: an adjacency event changes no
-        policy, no address of a kept node, and no balancer of a node that
-        stays reachable.  Its destination still maps to its target, since a
-        removed target vanishes from the tree and an added address had no
-        path.  Trees and paths from every other start are dropped."""
+        policy, no address of a kept node and no balancer but a removed
+        node's, and the walk reads a balancer's links at probe time.  Its
+        destination still maps to its target, since a removed target
+        vanishes from the tree and an added address had no path.  Trees
+        from every other start are dropped."""
         old = self._parents.get(self.monitor, {})
         self._parents = {}
-        self._paths = {}
         new = self._bfs(self.monitor)
         moved = {node for node, _ in old.items() ^ new.items()}
         routes = self._routes
@@ -419,19 +417,13 @@ class SimState:
                 for end in (u, v):
                     if end not in action.nodes:
                         self._require_node(end, "island link")
-            owners = self._addr_to_node
-            grafted: dict[int, str] = {}
-            for name, (addr, _) in action.nodes.items():
-                other = owners.get(int(addr))
-                if other is None:
-                    other = grafted.setdefault(int(addr), name)
-                if other != name:
-                    raise ScenarioError(f"duplicate address {addr}: nodes {other!r} and {name!r}")
+            island = {name: addr for name, (addr, _) in action.nodes.items()}
+            owners = _address_map({**self.addresses, **island}, ScenarioError)
             for name, (addr, policy) in action.nodes.items():
                 self.addresses[name] = addr
                 self.policies[name] = policy
                 self._adj[name] = []
-            owners.update(grafted)
+            self._addr_to_node = owners
             for u, v in action.links:
                 self._adj[u] = self._out_links([*self._adj.get(u, ()), v])
         elif isinstance(action, RemoveNode):
@@ -446,11 +438,6 @@ class SimState:
             for targets in self._adj.values():
                 if node in targets:
                     targets.remove(node)
-            for name, balancer in self.balancers.items():
-                if isinstance(balancer, PerDestination):
-                    self.balancers[name] = PerDestination(
-                        {a: n for a, n in balancer.table.items() if n != node}
-                    )
         elif isinstance(action, ChangePolicy):
             node = action.node
             self._require_node(node, "change_policy")
@@ -493,20 +480,15 @@ class SimState:
         return parents
 
     def _path_from(self, start: str, dest: int) -> tuple[str, ...] | None:
-        key = (start, dest)
-        if key in self._paths:
-            return self._paths[key]
+        """The path to the node of address `dest` in `start`'s BFS tree, or None."""
         target = self._addr_to_node.get(dest)
-        path: tuple[str, ...] | None = None
-        if target is not None:
-            parents = self._bfs(start)
-            if target == start or target in parents:
-                chain = [target]
-                while chain[-1] != start:
-                    chain.append(parents[chain[-1]])
-                path = tuple(reversed(chain))
-        self._paths[key] = path
-        return path
+        parents = self._bfs(start)
+        if target != start and target not in parents:
+            return None
+        chain = [target]
+        while chain[-1] != start:
+            chain.append(parents[chain[-1]])
+        return tuple(reversed(chain))
 
     def _route(self, d: int) -> tuple:
         """Memoize and return the route entry of destination `d`:
@@ -514,12 +496,12 @@ class SimState:
 
         `plan` is the monitor's planned path (None: no path).  `replies`
         has one slot per hop of the plan's balancer-free prefix, the hops
-        before the first node in `self.balancers`; `_prefix_reply` fills a
-        slot when a probe first asks for it.  `clear` is true when the
-        whole path up to the target is balancer-free, so every ttl beyond
-        it draws the target's echo.  A path of length 1 (the destination
-        is the monitor) or none has an empty prefix and is never clear:
-        the walk answers it.
+        before the first node in `self.balancers`, whatever links its
+        choices name; `_prefix_reply` fills a slot when a probe first asks
+        for it.  `clear` is true when the whole path up to the target is
+        balancer-free, so every ttl beyond it draws the target's echo.  A
+        path of length 1 (the destination is the monitor) or none has an
+        empty prefix and is never clear: the walk answers it.
 
         An entry outlives an event that leaves its path alone: an adjacency
         event drops it when its path moved or it had none
@@ -554,10 +536,11 @@ class SimState:
         the whole path is balancer-free.  Otherwise the probe walks hop by
         hop from the first balancer on the plan (from the monitor when
         there is no plan or the destination is the monitor), exactly as a
-        walk from the monitor would after crossing the prefix.
+        walk from the monitor would after crossing the prefix, taking a
+        balancer's choice only when it is a current out-link.
         Deterministic given the current state; per-packet balancer
-        counters advance exactly once per traversal, and a rate-limited
-        node's bucket once per reply it is asked for."""
+        counters advance exactly once per traversal, choice taken or not,
+        and a rate-limited node's bucket once per reply it is asked for."""
         if ttl < 1:
             raise ValueError(f"ttl must be >= 1, got {ttl}")
         d = destination._ip
@@ -570,7 +553,7 @@ class SimState:
                 return reply
             return self._respond(*reply, at_time)
         target = self._addr_to_node.get(d)
-        addresses = self.addresses
+        adj = self._adj
         balancers = self.balancers
         node = self.monitor if plan is None else plan[free]
         plan_pos = free
@@ -578,16 +561,18 @@ class SimState:
             planned = None
             if plan is not None and plan_pos + 1 < len(plan):
                 planned = plan[plan_pos + 1]
+            nxt = planned
             balancer = balancers.get(node)
-            if balancer is None:
-                nxt = planned
-            elif isinstance(balancer, PerPacket):
-                count = self._pp_counters.get(node, 0)
-                self._pp_counters[node] = count + 1
-                nxt = balancer.cycle[count % len(balancer.cycle)]
-            else:
-                nxt = balancer.table.get(destination, planned)
-            if nxt is None or nxt not in addresses:
+            if balancer is not None:
+                if isinstance(balancer, PerPacket):
+                    count = self._pp_counters.get(node, 0)
+                    self._pp_counters[node] = count + 1
+                    choice = balancer.cycle[count % len(balancer.cycle)]
+                else:
+                    choice = balancer.table.get(destination)
+                if choice in adj[node]:
+                    nxt = choice
+            if nxt is None:
                 return SimReply(UNREACHABLE, None, hop_index)
             if nxt == planned:
                 plan_pos += 1

@@ -92,10 +92,6 @@ class SimClock:
         if seconds > 0:
             self._now += seconds
 
-    def advance_to(self, t: float) -> None:
-        if t > self._now:
-            self._now = t
-
 
 class WallClock:
     """Wall time, read once at construction and advanced by the monotonic

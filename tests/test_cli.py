@@ -381,6 +381,27 @@ def test_measurement_commands_close_their_transport(chain_files, tmp_path, monke
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["radar", "run", "--rounds", "2"], ["tracetree", "once"], ["traceroute", "once"]],
+    ids=["radar-run", "tracetree-once", "traceroute-once"],
+)
+def test_unwritable_out_fails_before_any_probe(chain_files, tmp_path, capsys, monkeypatch, command):
+    topo, dests = chain_files
+    made = []
+
+    def make(spec, per_hop_delay, rate_cap):
+        made.append(SimTransport(load_topology(str(topo))))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_make_transport", make)
+    out = tmp_path / "missing" / "data.rounds"
+    args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(out)]
+    assert main([*command, *args]) == 3
+    assert [t.stats.sent for t in made] == [0]
+    assert capsys.readouterr().err == f"netradar: {out}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize(
     "listing, message",
     [("# nothing\n\n", "no destinations"), ("10.0.0.4\n10.0.0.3\n10.0.0.4\n", ":3: duplicate destination 10.0.0.4")],
     ids=["empty", "repeated"],
@@ -1224,7 +1245,7 @@ class TestCompare:
         destinations = [IPv4Address(d) for d in ("10.0.1.14", "10.0.1.15", "10.0.1.16", "10.0.1.13", "10.0.1.7")]
         blocks = []
         for index in range(4):
-            transport.clock.advance_to(index * 2000.0)
+            transport.clock.sleep(index * 2000.0 - transport.clock.now())
             started = transport.clock.now()
             raw = traceroute_round(destinations, transport, TracetreeConfig())
             blocks.append(serialize_round(raw, index, started, transport.clock.now()))

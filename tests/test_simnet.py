@@ -311,16 +311,18 @@ class TestEvents:
 
     def test_remove_node_leaves_other_states_and_the_topology_unchanged(self):
         doc = fig1_analog_doc()
+        doc["links"] = [*doc["links"], ["f", "n"]]  # n's shortest path: a b f n
         doc["events"] = [{"at": 5.0, "remove_node": "d"}]  # n's balancer next hop
         topology = load_topology(doc)
         table = dict(topology.balancers["b"].table)
         n = IPv4Address("10.0.1.14")
         edited, untouched = SimState(topology), SimState(topology)
         edited.apply_events(6.0)
-        assert n not in edited.balancers["b"].table
+        assert edited.route_probe(n, 2, 6.0) == (TIME_EXCEEDED, IPv4Address("10.0.1.6"), 2)  # via f
+        assert edited.route_probe(n, 3, 6.0) == (ECHO_REPLY, n, 3)
         assert topology.balancers["b"].table == table
-        assert untouched.balancers["b"].table == table
         assert untouched.route_probe(n, 2, 6.0).source == IPv4Address("10.0.1.4")  # still via d
+        assert untouched.route_probe(n, 9, 6.0) == (ECHO_REPLY, n, 5)
 
     def test_event_referencing_unknown_node(self):
         doc = dict(CHAIN_DOC)
@@ -456,10 +458,57 @@ class TestAtomicEvents:
             state._apply(action)
         assert state._adj == untouched._adj
         assert state.addresses == untouched.addresses
+        assert state._addr_to_node == untouched._addr_to_node
         assert state.policies == untouched.policies
         for at, (destination, ttl) in enumerate(probes, start=len(probes)):
             assert state.route_probe(destination, ttl, at) == untouched.route_probe(destination, ttl, at)
         assert state._buckets == untouched._buckets
+
+
+class TestBalancerChoiceOnACutLink:
+    """A balancer's choice counts only while it is a current out-link: a
+    probe whose choice an event cut or removed follows its shortest path,
+    and the balancer is back once the link is."""
+
+    # mon -> a -> {b, c} -> d: the shortest path is a b d, c is the other twin
+    DOC = {
+        "monitor": "mon",
+        "nodes": {"mon": "10.0.0.1", "a": "10.0.0.2", "b": "10.0.0.3", "c": "10.0.0.4", "d": "10.0.0.5"},
+        "links": [["mon", "a"], ["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+        "events": [
+            {"at": 10.0, "rewire": {"node": "a", "remove": "c"}},
+            {"at": 20.0, "rewire": {"node": "a", "add": "c"}},
+        ],
+    }
+    B, C, D = IPv4Address("10.0.0.3"), IPv4Address("10.0.0.4"), IPv4Address("10.0.0.5")
+
+    def _hop2(self, state: SimState, at: float) -> list:
+        return [state.route_probe(self.D, 2, at).source for _ in range(4)]
+
+    def test_per_packet_turn_on_a_cut_link_follows_the_path(self):
+        state = SimState(load_topology(dict(self.DOC, balancers={"a": {"per_packet": ["b", "c"]}})))
+        assert self._hop2(state, 0.0) == [self.B, self.C] * 2
+        state.apply_events(10.0)
+        assert self._hop2(state, 10.0) == [self.B] * 4
+        assert state.route_probe(self.D, 3, 10.0) == (ECHO_REPLY, self.D, 3)
+        assert state._pp_counters == {"a": 9}  # one turn per traversal, taken or not
+        state.apply_events(20.0)
+        assert self._hop2(state, 20.0) == [self.C, self.B] * 2  # nine turns taken: c's is next
+
+    def test_per_destination_entry_on_a_cut_link_follows_the_path(self):
+        state = SimState(load_topology(dict(self.DOC, balancers={"a": {"per_destination": {"10.0.0.5": "c"}}})))
+        assert self._hop2(state, 0.0) == [self.C] * 4
+        state.apply_events(10.0)
+        assert self._hop2(state, 10.0) == [self.B] * 4
+        state.apply_events(20.0)
+        assert self._hop2(state, 20.0) == [self.C] * 4
+
+    def test_removed_per_packet_member_follows_the_path(self):
+        doc = dict(self.DOC, balancers={"a": {"per_packet": ["b", "c"]}}, events=[{"at": 10.0, "remove_node": "c"}])
+        state = SimState(load_topology(doc))
+        state.apply_events(10.0)
+        assert self._hop2(state, 10.0) == [self.B] * 4
+        assert [state.route_probe(self.D, 3, 10.0) for _ in range(2)] == [(ECHO_REPLY, self.D, 3)] * 2
 
 
 class TestMemoInvalidation:
@@ -532,18 +581,19 @@ class TestMemoInvalidation:
         state = SimState(load_topology(doc))
         for destination in (d1, d2):
             state.route_probe(destination, 1, 10.0)
-        paths, parents, kept = dict(state._paths), dict(state._parents), state._routes[int(d2)]
+        parents, kept = dict(state._parents), state._routes[int(d2)]
         state.apply_events(60.0)
-        assert state._paths == paths and state._parents == parents
+        assert state._parents == parents
         assert state._routes == {int(d2): kept} and state._routes[int(d2)] is kept
         assert state.route_probe(d1, 1, 60.0) == (SILENCE, None, 1)
         assert state.route_probe(d2, 1, 60.0) == (TIME_EXCEEDED, IPv4Address("10.0.0.3"), 1)
 
 
-# -- the previous route_probe, kept verbatim as the differential test's oracle
+# -- the previous route_probe, kept as the differential test's oracle
 # It walked every probe hop by hop from the monitor.  The current
 # route_probe must give equal replies and leave equal per-packet counters
-# and rate-limit buckets on every input.
+# and rate-limit buckets on every input.  It is verbatim but for the rule
+# both share at a balancer: a choice counts only if it is a current out-link.
 
 
 def _address(value) -> IPv4Address:
@@ -558,7 +608,6 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
     dest = _address(destination)
     d = dest._ip
     target = self._addr_to_node.get(d)
-    addresses = self.addresses
     balancers = self.balancers
     node = self.monitor
     plan = self._path_from(node, d)
@@ -576,7 +625,9 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
             nxt = balancer.cycle[count % len(balancer.cycle)]
         else:
             nxt = balancer.table.get(dest, planned)
-        if nxt is None or nxt not in addresses:
+        if nxt not in self._adj[node]:
+            nxt = planned
+        if nxt is None:
             return SimReply(UNREACHABLE, None, hop_index)
         if nxt == planned:
             plan_pos += 1
@@ -590,7 +641,7 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
 
 
 # -- the previous event rule, kept verbatim as the oracle's state
-# Every event threw away the address map, every tree and path and every
+# Every event threw away the address map, every tree and every
 # route entry (a policy change: every route entry).  The current rule keeps
 # what an event does not move; it must give equal replies, counters and
 # buckets, and equal round logs.
@@ -604,7 +655,6 @@ class ReferenceSimState(SimState):
         """Forget every memoized route; ScenarioError if two nodes share an address."""
         # routing is keyed by the address integer, never by IPv4Address
         self._addr_to_node = _address_map(self.addresses, ScenarioError)
-        self._paths: dict[tuple[str, int], tuple[str, ...] | None] = {}
         self._parents: dict[str, dict[str, str]] = {}  # BFS parent map per start node
         self._routes: dict[int, tuple] = {}  # route entry per destination (see _route)
 

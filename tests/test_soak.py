@@ -21,6 +21,7 @@ def test_soak_prints_every_number():
         rf"rss growth per round: {NUMBER} KB",
         rf"tracemalloc growth per round: {NUMBER} KB",
         rf"log bytes per round: {NUMBER}",
+        r"log sha256: [0-9a-f]{64}",
         rf"analyze counts: {NUMBER} s, max rss {NUMBER} MB",
         rf"analyze components: {NUMBER} s, max rss {NUMBER} MB",
     ):

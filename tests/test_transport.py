@@ -277,6 +277,11 @@ class TestEventGate:
 # the same and leave the same clock.
 
 
+def advance(clock, t: float) -> None:
+    """Move a simulator clock forward onto `t` exactly, never back."""
+    clock._now = max(clock._now, t)
+
+
 class ReferenceSimTransport(SimTransport):
     """`SimTransport.send/poll/expire` and the `Transport` rules they used
     before send() gated the event schedule on its next event time."""
@@ -323,7 +328,7 @@ class ReferenceSimTransport(SimTransport):
         """Deliver replies.  Advances the virtual clock no further than the
         earliest pending arrival, or to the deadline when nothing is due."""
         self._check_open()
-        self.clock.advance_to(min(self._pending[0][0], deadline) if self._pending else deadline)
+        advance(self.clock, min(self._pending[0][0], deadline) if self._pending else deadline)
         now = self.clock.now()
         out = []
         while self._pending and self._pending[0][0] <= now:
@@ -393,7 +398,7 @@ def run_op(transport, op, tokens: list):
             return transport.poll(transport.clock.now() + op[1])
         if op[0] == "expire":
             return transport.expire(tokens[op[1] % len(tokens)]) if tokens else None
-        return transport.clock.advance_to(op[1])
+        return advance(transport.clock, op[1])
     except ScenarioError as exc:
         return f"ScenarioError: {exc}"
 

@@ -15,7 +15,8 @@ to a temporary directory, removed at the end.  It prints:
   collection at round T + 1 and at round N, where T = max(N/10, N - 200);
   it starts at round T, so at most the last 200 rounds run traced (about
   12 times slower), and both readings hold one traced round in hand;
-- log bytes per round;
+- log bytes per round, and the SHA-256 of the whole log, which two
+  checkouts match round for round when they route every probe alike;
 - the wall time and peak resident memory of `netradar analyze counts`
   and of `netradar analyze components --ref 0:N/2 --obs N/2:N` on the
   log, each run in a child process.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import os
 import sys
@@ -110,6 +112,7 @@ def main(argv=None) -> int:
                     tracemalloc.start()
         tracemalloc.stop()
         log_bytes = log.stat().st_size
+        digest = hashlib.sha256(log.read_bytes()).hexdigest()
         half = args.rounds // 2
         ranges = ["--ref", f"0:{half}", "--obs", f"{half}:{args.rounds}"]
         out = str(Path(tmp) / "analyze.out")
@@ -127,6 +130,7 @@ def main(argv=None) -> int:
     traced_growth = (traced[args.rounds] - traced[traced_from + 1]) / 1024 / (args.rounds - traced_from - 1)
     print(f"tracemalloc growth per round: {traced_growth:.2f} KB")
     print(f"log bytes per round: {log_bytes / args.rounds:.0f}")
+    print(f"log sha256: {digest}")
     for name, (seconds, max_rss) in analyze.items():
         print(f"analyze {name}: {seconds:.2f} s, max rss {max_rss:.1f} MB")
     return 0
