@@ -25,12 +25,13 @@ def record_ips(raw: RawTraceTree) -> set[IPv4Address]:
 
 def _await_reply(transport, token, timeout):
     """Wait for the reply to one token; None on timeout.  Stray late
-    arrivals from earlier probes are discarded."""
+    arrivals from earlier probes are discarded: the token itself expires
+    only when the wait gives up, so its own reply is never late."""
     clock = transport.clock
     expiry = token.sent_at + timeout
     while True:
         for reply in transport.poll(expiry):
-            if reply.token.seq == token.seq and not reply.late:
+            if reply.token.seq == token.seq:
                 return reply
         if clock.now() >= expiry:
             transport.expire(token)

@@ -3,7 +3,10 @@
 Ground truth for probe routing: a directed graph whose nodes carry an
 address and a response policy (responsive, silent, or rate-limited),
 per-destination and per-packet load balancers, and a schedule of scripted
-topology changes, read from a JSON document (`load_topology`).  Default
+topology changes, read from a JSON document into plain tables
+(`load_topology`): a per-destination balancer is a dict from destination
+address integer to next hop, a per-packet one the list of next hops it
+cycles through, and an event a `(time, action)` pair.  Default
 forwarding follows a deterministic shortest path (BFS with address-ordered
 tie-breaks); a balancer overrides it at its node with any choice that is
 a current out-link, so a choice whose link an event cut is passed over
@@ -37,7 +40,7 @@ from math import inf
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import finite, parse_address
+from .model import parse_address
 
 
 class TopologyError(ValueError):
@@ -66,27 +69,10 @@ class RateLimited:
     burst: int = 1
 
     def __post_init__(self):
-        # a NaN or an infinite rate refills the bucket at once: neither limits
-        if not _number(self.rate):
-            raise TopologyError(f"rate limit rate must be a finite number > 0, got {self.rate!r}")
-        finite("rate limit rate", self.rate, positive=True, error=TopologyError)
-        burst = self.burst  # inf % 1 is NaN
-        if not (_number(burst) and burst >= 1 and burst % 1 == 0):
-            raise TopologyError(f"rate limit burst must be a whole number >= 1, got {burst!r}")
-
-
-@dataclass
-class PerDestination:
-    """Balancer choosing the next hop by destination address."""
-
-    table: dict[IPv4Address, str]
-
-
-@dataclass
-class PerPacket:
-    """Balancer cycling through next hops, one advance per forwarded packet."""
-
-    cycle: list[str]
+        # a NaN or an infinite rate refills the bucket at once: neither limits;
+        # an infinite burst is no whole number, as inf % 1 is NaN
+        _number(self.rate, lambda rate: 0 < rate < inf, "rate limit rate must be a finite number > 0")
+        _number(self.burst, lambda burst: burst >= 1 and burst % 1 == 0, "rate limit burst must be a whole number >= 1")
 
 
 @dataclass
@@ -117,15 +103,6 @@ class ChangePolicy:
 
 
 @dataclass
-class ScheduledEvent:
-    at_time: float
-    action: object
-
-    def __post_init__(self):
-        finite("event time", self.at_time, error=TopologyError)
-
-
-@dataclass
 class Topology:
     """Immutable loaded topology; run probes against a SimState built from it."""
 
@@ -133,8 +110,10 @@ class Topology:
     addresses: dict[str, IPv4Address]
     policies: dict[str, object]
     links: dict[str, list[str]]
-    balancers: dict[str, object] = field(default_factory=dict)
-    events: list[ScheduledEvent] = field(default_factory=list)
+    # per-destination: destination address integer -> next hop;
+    # per-packet: the next hops it cycles through
+    balancers: dict[str, dict[int, str] | list[str]] = field(default_factory=dict)
+    events: list[tuple[float, object]] = field(default_factory=list)  # (time, action), document order
 
 
 class SimReply(NamedTuple):
@@ -146,10 +125,14 @@ class SimReply(NamedTuple):
     hops: int
 
 
-def _number(value) -> bool:
-    """Whether a document value is a number the simulator can compute
-    with: a bool or a string is not, nor an int past the float range."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+def _number(value, ok, refusal: str) -> float:
+    """A document value as a float, when it is a number the simulator can
+    compute with and `ok` holds for it; otherwise TopologyError, `refusal`
+    and the value.  A bool or a string is no number, nor an int past the
+    float range."""
+    if (type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)) and ok(value):
+        return float(value)
+    raise TopologyError(f"{refusal}, got {value!r}")
 
 
 def _parse_policy(spec) -> object:
@@ -184,24 +167,23 @@ def _parse_node(name: str, spec) -> tuple[IPv4Address, object]:
         raise TopologyError(f"node {name!r}: {exc}") from None
 
 
-def _parse_balancer(node: str, spec) -> object:
+def _parse_balancer(node: str, spec) -> dict[int, str] | list[str]:
     if isinstance(spec, dict) and "per_destination" in spec:
         table = _object(spec["per_destination"], f"per-destination balancer at {node!r}")
         try:
-            return PerDestination({parse_address(a): str(n) for a, n in table.items()})
+            return {int(parse_address(a)): str(n) for a, n in table.items()}
         except AddressValueError as exc:
             raise TopologyError(f"per-destination balancer at {node!r}: {exc}") from None
     if isinstance(spec, dict) and isinstance(spec.get("per_packet"), list):
-        return PerPacket([str(n) for n in spec["per_packet"]])
+        return [str(n) for n in spec["per_packet"]]
     raise TopologyError(f"bad balancer spec for node {node!r}")
 
 
-def _parse_event(spec) -> ScheduledEvent:
+def _parse_event(spec) -> tuple[float, object]:
     if not isinstance(spec, dict) or "at" not in spec:
         raise TopologyError(f"event needs an 'at' time: {spec!r}")
-    if not _number(spec["at"]):
-        raise TopologyError(f"event time must be a number, got {spec['at']!r}")
-    at = float(spec["at"])
+    # an event at NaN that sorted first would block every later event
+    at = _number(spec["at"], lambda at: 0 <= at < inf, "event time must be a number, finite and >= 0")
     if "rewire" in spec:
         body = spec["rewire"]
         action = RewireLink(
@@ -222,7 +204,7 @@ def _parse_event(spec) -> ScheduledEvent:
         action = ChangePolicy(node=str(body["node"]), policy=_parse_policy(body.get("policy")))
     else:
         raise TopologyError(f"event has no recognised action: {spec!r}")
-    return ScheduledEvent(at_time=at, action=action)
+    return at, action
 
 
 def load_topology(source) -> Topology:
@@ -250,6 +232,11 @@ def load_topology(source) -> Topology:
     choice whose link an event cut, or whose node it removed, leaves the
     probe on its shortest path.  An event applies one action at simulated
     time `at`, a number of seconds.
+
+    The Topology holds plain tables: each balancer is a dict from
+    destination address integer to next hop (per-destination) or the
+    list of next hops it cycles through (per-packet), and each event a
+    `(time, action)` pair, in document order.
     Raises TopologyError naming the offending element on any violation.
     """
     if isinstance(source, (str, Path)):
@@ -311,16 +298,17 @@ def _validate(topo: Topology) -> None:
         for v in targets:
             if v not in topo.addresses:
                 raise TopologyError(f"link endpoint {v!r} (from {u!r}) is not a declared node")
-    for event in topo.events:
-        if isinstance(event.action, RemoveNode) and event.action.node == topo.monitor:
-            raise TopologyError(f"event at {event.at_time:g} removes the monitor {topo.monitor!r}")
+    for at, action in topo.events:
+        if isinstance(action, RemoveNode) and action.node == topo.monitor:
+            raise TopologyError(f"event at {at:g} removes the monitor {topo.monitor!r}")
     for node, balancer in topo.balancers.items():
         if node not in topo.addresses:
             raise TopologyError(f"balancer node {node!r} is not a declared node")
-        if isinstance(balancer, PerPacket) and not balancer.cycle:
+        per_packet = isinstance(balancer, list)
+        if per_packet and not balancer:
             raise TopologyError(f"per-packet balancer at {node!r} has an empty cycle")
         neighbours = topo.links.get(node, ())
-        for hop in balancer.cycle if isinstance(balancer, PerPacket) else balancer.table.values():
+        for hop in balancer if per_packet else balancer.values():
             if hop not in neighbours:
                 raise TopologyError(f"balancer next hop {hop!r} is not a neighbour of {node!r}")
 
@@ -340,8 +328,8 @@ class SimState:
         # the schedule in time order (ties in document order), applied from
         # its front; next_event_time is the time of the first event not yet
         # applied, inf once none is left
-        self._pending = deque(sorted(topology.events, key=lambda event: event.at_time))
-        self.next_event_time = self._pending[0].at_time if self._pending else inf
+        self._pending = deque(sorted(topology.events, key=lambda event: event[0]))
+        self.next_event_time = self._pending[0][0] if self._pending else inf
         self._applied_time = -inf
         self._pp_counters: dict[str, int] = {}
         self._buckets: dict[str, list[float]] = {}
@@ -353,7 +341,7 @@ class SimState:
     # -- events ------------------------------------------------------------
 
     def apply_events(self, up_to_time: float) -> None:
-        """Apply every scheduled event with at_time <= up_to_time, in order.
+        """Apply every scheduled event timed at or before up_to_time, in order.
         Times must be non-decreasing across calls (NaN never is)."""
         if not up_to_time >= self._applied_time:
             raise ScenarioError(
@@ -362,9 +350,9 @@ class SimState:
         self._applied_time = up_to_time
         pending = self._pending
         while self.next_event_time <= up_to_time:
-            event = pending.popleft()
-            self.next_event_time = pending[0].at_time if pending else inf
-            self._apply(event.action)
+            action = pending.popleft()[1]
+            self.next_event_time = pending[0][0] if pending else inf
+            self._apply(action)
 
     def _invalidate_routes(self) -> None:
         """Drop what an adjacency event may have moved and keep the rest.
@@ -564,12 +552,12 @@ class SimState:
             nxt = planned
             balancer = balancers.get(node)
             if balancer is not None:
-                if isinstance(balancer, PerPacket):
+                if isinstance(balancer, list):
                     count = self._pp_counters.get(node, 0)
                     self._pp_counters[node] = count + 1
-                    choice = balancer.cycle[count % len(balancer.cycle)]
+                    choice = balancer[count % len(balancer)]
                 else:
-                    choice = balancer.table.get(destination)
+                    choice = balancer.get(d)
                 if choice in adj[node]:
                     nxt = choice
             if nxt is None:

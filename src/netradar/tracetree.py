@@ -40,7 +40,6 @@ class DestinationTask:
 class TracetreeStats:
     probes_sent: int = 0
     late_replies: int = 0
-    duration: float = 0.0
     complete: bool = True
 
 
@@ -121,7 +120,6 @@ def tracetree(
     reply_buffer: deque = deque()
     stats = TracetreeStats()
     probes = 0
-    started = clock.now()
 
     try:
         while to_probe or inflight:
@@ -150,8 +148,9 @@ def tracetree(
                 if reply is not None:
                     token = reply.token
                     key = token.destination._ip << 7 | token.ttl
-                    # a transport hands back the token send() returned
-                    if inflight.get(key) is not token or reply.late:
+                    # a transport hands back the token send() returned; a token
+                    # leaves `inflight` before it expires, so a late one is not in it
+                    if inflight.get(key) is not token:
                         # answer after the timeout (or a stray): ignored, counted
                         stats.late_replies += 1
                         reply = None
@@ -204,7 +203,6 @@ def tracetree(
         stats.complete = False
 
     stats.probes_sent = probes
-    stats.duration = clock.now() - started
     # exact-size copies: a kept round holds no growth slack
     raw = RawTraceTree(sources[:], keys[:], [by_int[d] for d in index_of])
     distances = {dest: echo_at.get(d) for d, dest in by_int.items()}

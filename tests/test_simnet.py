@@ -26,8 +26,6 @@ from netradar.simnet import (
     UNREACHABLE,
     AddIsland,
     ChangePolicy,
-    PerDestination,
-    PerPacket,
     RateLimited,
     RemoveNode,
     RewireLink,
@@ -54,7 +52,7 @@ class TestLoadTopology:
     def test_fig1_analog_loads(self, fig1_topology):
         assert "l" in fig1_topology.addresses
         assert fig1_topology.policies["l"] == "silent"
-        assert isinstance(fig1_topology.balancers["e"], PerPacket)
+        assert isinstance(fig1_topology.balancers["e"], list)  # per-packet: the next hops it cycles through
 
     def test_balancer_to_non_neighbor_rejected(self):
         doc = dict(CHAIN_DOC)
@@ -241,6 +239,39 @@ class TestRouteProbe:
         replies = [state.route_probe(n, 3, t * 0.5) for t in range(4)]
         assert len({r.source for r in replies}) == 1
 
+    def test_routing_never_hashes_an_address(self, monkeypatch):
+        # routing is keyed by the address integer: with IPv4Address
+        # unhashable, both balancer kinds and applied events answer as ever
+        doc = fig1_analog_doc()
+        doc["links"] = [*doc["links"], ["f", "n"]]  # n's shortest path: a b f n; b sends n via d
+        doc["events"] = [
+            {"at": 5.0, "change_policy": {"node": "l", "policy": "responsive"}},
+            {"at": 5.0, "add_island": {"nodes": {"q": "10.0.1.17"}, "links": [["o", "q"]]}},
+        ]
+        state = SimState(load_topology(doc))
+        n, o, p, q = (IPv4Address(f"10.0.1.{i}") for i in (14, 15, 16, 17))
+        probes = [(n, 2, 0.0), (n, 4, 0.0), (n, 9, 0.0), (o, 2, 0.0), (p, 4, 0.0), (p, 4, 0.0), (n, 4, 6.0), (q, 9, 6.0)]
+
+        def unhashable(address):
+            raise TypeError(f"{address!r} hashed")
+
+        monkeypatch.setattr(IPv4Address, "__hash__", unhashable)
+        replies = []
+        for destination, ttl, at in probes:
+            state.apply_events(at)
+            replies.append(state.route_probe(destination, ttl, at))
+        monkeypatch.undo()
+        assert replies == [
+            (TIME_EXCEEDED, IPv4Address("10.0.1.4"), 2),  # per-destination: via d
+            (SILENCE, None, 4),
+            (ECHO_REPLY, n, 5),
+            (TIME_EXCEEDED, IPv4Address("10.0.1.6"), 2),
+            (TIME_EXCEEDED, IPv4Address("10.0.1.9"), 4),  # per-packet: i, then h
+            (TIME_EXCEEDED, IPv4Address("10.0.1.8"), 4),
+            (TIME_EXCEEDED, IPv4Address("10.0.1.12"), 4),  # l answers after its policy change
+            (ECHO_REPLY, q, 5),  # the island
+        ]
+
 
 class TestEvents:
     def test_no_events_keeps_state(self, chain_topology):
@@ -314,13 +345,13 @@ class TestEvents:
         doc["links"] = [*doc["links"], ["f", "n"]]  # n's shortest path: a b f n
         doc["events"] = [{"at": 5.0, "remove_node": "d"}]  # n's balancer next hop
         topology = load_topology(doc)
-        table = dict(topology.balancers["b"].table)
+        table = dict(topology.balancers["b"])
         n = IPv4Address("10.0.1.14")
         edited, untouched = SimState(topology), SimState(topology)
         edited.apply_events(6.0)
         assert edited.route_probe(n, 2, 6.0) == (TIME_EXCEEDED, IPv4Address("10.0.1.6"), 2)  # via f
         assert edited.route_probe(n, 3, 6.0) == (ECHO_REPLY, n, 3)
-        assert topology.balancers["b"].table == table
+        assert topology.balancers["b"] == table
         assert untouched.route_probe(n, 2, 6.0).source == IPv4Address("10.0.1.4")  # still via d
         assert untouched.route_probe(n, 9, 6.0) == (ECHO_REPLY, n, 5)
 
@@ -619,12 +650,12 @@ def oracle_route_probe(self: SimState, destination, ttl: int, at_time: float) ->
         balancer = balancers.get(node)
         if balancer is None:
             nxt = planned
-        elif isinstance(balancer, PerPacket):
+        elif isinstance(balancer, list):
             count = self._pp_counters.get(node, 0)
             self._pp_counters[node] = count + 1
-            nxt = balancer.cycle[count % len(balancer.cycle)]
+            nxt = balancer[count % len(balancer)]
         else:
-            nxt = balancer.table.get(dest, planned)
+            nxt = balancer.get(d, planned)
         if nxt not in self._adj[node]:
             nxt = planned
         if nxt is None:
@@ -691,10 +722,8 @@ class ReferenceSimState(SimState):
                 if action.node in targets:
                     targets.remove(action.node)
             for name, balancer in self.balancers.items():
-                if isinstance(balancer, PerDestination):
-                    self.balancers[name] = PerDestination(
-                        {a: n for a, n in balancer.table.items() if n != action.node}
-                    )
+                if isinstance(balancer, dict):
+                    self.balancers[name] = {a: n for a, n in balancer.items() if n != action.node}
         elif isinstance(action, ChangePolicy):
             self._require_node(action.node, "change_policy")
             self.policies[action.node] = action.policy
