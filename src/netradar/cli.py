@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing, nullcontext
-from functools import cache
 from math import isfinite
 from pathlib import Path
 
@@ -304,7 +303,6 @@ def _add_measurement_flags(parser, with_rounds: bool) -> None:
     parser.add_argument("--rate-cap", type=float, default=DEFAULT_RATE_CAP, dest="rate_cap", help="max probes per second (0: uncapped)")
 
 
-@cache  # built once a process: main() parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="netradar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -125,14 +125,15 @@ class SimReply(NamedTuple):
     hops: int
 
 
-def _number(value, ok, refusal: str) -> float:
+def _number(value, ok, *refusals: str) -> float:
     """A document value as a float, when it is a number the simulator can
-    compute with and `ok` holds for it; otherwise TopologyError, `refusal`
-    and the value.  A bool or a string is no number, nor an int past the
-    float range."""
-    if (type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)) and ok(value):
+    compute with and `ok` holds for it; otherwise TopologyError with the
+    value and the first of `refusals`, or its last for a value that is no
+    number: a bool, a string, an int past the float range."""
+    number = type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    if number and ok(value):
         return float(value)
-    raise TopologyError(f"{refusal}, got {value!r}")
+    raise TopologyError(f"{refusals[0 if number else -1]}, got {value!r}")
 
 
 def _parse_policy(spec) -> object:
@@ -183,7 +184,7 @@ def _parse_event(spec) -> tuple[float, object]:
     if not isinstance(spec, dict) or "at" not in spec:
         raise TopologyError(f"event needs an 'at' time: {spec!r}")
     # an event at NaN that sorted first would block every later event
-    at = _number(spec["at"], lambda at: 0 <= at < inf, "event time must be a number, finite and >= 0")
+    at = _number(spec["at"], lambda at: 0 <= at < inf, "event time must be a finite number >= 0", "event time must be a number")
     if "rewire" in spec:
         body = spec["rewire"]
         action = RewireLink(

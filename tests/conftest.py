@@ -189,15 +189,15 @@ MALFORMED_TOPOLOGIES = [
     _malformed("table-list", "must be an object", balancers={"m": {"per_destination": ["a"]}}),
     _malformed("bool-node", "node 'b' needs an address string, got True", nodes={"b": True}),
     _malformed("int-address", "node 'b' needs an address string, got 5", nodes={"b": {"address": 5}}),
-    _malformed("string-time", "event time must be a number", events=[{"at": "7", "remove_node": "b"}]),
-    _malformed("bool-time", "event time must be a number", events=[{"at": True, "remove_node": "b"}]),
+    _malformed("string-time", "event time must be a number, got '7'", events=[{"at": "7", "remove_node": "b"}]),
+    _malformed("bool-time", "event time must be a number, got True", events=[{"at": True, "remove_node": "b"}]),
     _malformed(
         "island-node-list",
         "island nodes must be an object",
         events=[{"at": 1.0, "add_island": {"nodes": ["x"], "links": []}}],
     ),
     # integers past the float range: no float() or isfinite() may overflow
-    _malformed("huge-time", "event time must be a number", events=[{"at": 10**400, "remove_node": "b"}]),
+    _malformed("huge-time", "event time must be a number, got 1000", events=[{"at": 10**400, "remove_node": "b"}]),
     _malformed(
         "huge-rate",
         "rate limit rate must be a finite number > 0",

@@ -393,7 +393,7 @@ class TestEvents:
             {"at": at, "change_policy": {"node": "r1", "policy": "silent"}},
             {"at": 5.0, "change_policy": {"node": "r2", "policy": "silent"}},
         ]
-        with pytest.raises(TopologyError, match="event time"):
+        with pytest.raises(TopologyError, match=f"event time must be a finite number >= 0, got {at!r}$"):
             load_topology(doc)
 
     def test_events_apply_once_in_order(self):
