@@ -19,9 +19,10 @@ it maps each key to its one node, then joins consecutive ttls of a
 destination, links the monitor to ttl 1 and finds each destination's
 terminal.
 Likewise a filtered tree is its parent map, child to parent; its node
-and edge sets are derived from the map.  A retained round therefore
-costs its two columns, its destinations and one parent map and nothing
-more.
+and edge sets are derived from the map.  A retained radar round
+therefore costs its two columns and its destinations, and one parent
+map more once its tree has been read: the radar filters a round's tree
+when it is first read (`radar.RadarRound`), not while the round runs.
 
 Hop representation.  A hop is an `Ip` or a `Star`, both small immutable
 slotted classes.  An `Ip` keeps its `IPv4Address` in `.address` for the
@@ -540,7 +541,8 @@ class FilteredTree:
 
 @dataclass
 class RoundRecord:
-    """One completed measurement round."""
+    """One completed measurement round: its filtered `tree`, and its `raw`
+    tree while kept; a `radar.RadarRound` holds only `raw` until `tree` is read."""
 
     index: int
     start_time: float

@@ -1,18 +1,21 @@
 """Periodic measurement rounds with per-destination distance caching.
 
 `radar_rounds` yields each round as it completes: one tree measurement,
-filtered.  It keeps no round it has yielded; between rounds it holds
-the distance cache and the address table, nothing more.  The cache is
-the last round's distances as `tracetree` returns them: destinations
-probe next round from the distance they answered at this round;
-destinations that were not seen (None) fall back to the maximal
-distance, `tracetree.max_ttl`.  The table is the one `tracetree`
-returns (address int -> `Ip`, the addresses that answered), carried
-into the next round, so consecutive rounds share one `Ip` per address
-and a steady round builds none; it holds one round's addresses.
+unfiltered: a `RadarRound` filters its routing tree when `tree` is first
+read, so `radar run`, which writes only the raw tree, filters nothing.
+It keeps no round it has yielded; between rounds it holds the distance
+cache and the address table, nothing more.  The cache is the last
+round's distances as `tracetree` returns them: destinations probe next
+round from the distance they answered at this round; destinations that
+were not seen (None) fall back to the maximal distance,
+`tracetree.max_ttl`.  The table is the one `tracetree` returns (address
+int -> `Ip`, the addresses that answered), carried into the next round,
+so consecutive rounds share one `Ip` per address and a steady round
+builds none; it holds one round's addresses.
 
-`run_radar` keeps every round in a `RadarDataset`.  No command calls it;
-it stays because the benchmark and the tests read a run's rounds there.
+`run_radar` keeps every round in a `RadarDataset`: its raw tree, and its
+filtered tree once that was read.  No command calls it; it stays because
+the benchmark and the tests read a run's rounds there.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from ipaddress import IPv4Address
 from itertools import count
 
 from .filtering import filter_tree
-from .model import Ip, RadarDataset, RoundRecord, finite, numbered_lines, parse_address, serialize_round
+from .model import FilteredTree, Ip, RadarDataset, RoundRecord, finite, numbered_lines, parse_address, serialize_round
 from .tracetree import DestinationTask, TracetreeConfig, tracetree
 
 DEFAULT_INTER_ROUND_DELAY = 600.0  # ten minutes
@@ -56,6 +59,25 @@ def load_destinations(path) -> list[IPv4Address]:
     if not destinations:
         raise ValueError(f"{path}: no destinations")
     return list(destinations)
+
+
+@dataclass
+class RadarRound(RoundRecord):
+    """A round as `radar_rounds` yields it, `tree` None: the first read of
+    `tree` filters `raw` at `monitor` through this module's `filter_tree`
+    and keeps it.  A round given a tree, as `replace` gives one, never filters."""
+
+    monitor: Ip = field(kw_only=True)
+
+    @property
+    def tree(self) -> FilteredTree:
+        if self._tree is None:
+            self._tree = filter_tree(self.raw, self.monitor)[0]
+        return self._tree
+
+    @tree.setter
+    def tree(self, tree: FilteredTree | None) -> None:
+        self._tree = tree
 
 
 def next_round_tasks(cache: dict, destinations, default_distance: int) -> list[DestinationTask]:
@@ -93,8 +115,9 @@ class DatasetWriter:
 
 
 def radar_rounds(config: RadarConfig, transport):
-    """Yield each round, a `RoundRecord`, as it completes, until
-    `config.rounds` have run, or without end when it is None.
+    """Yield each round, a `RadarRound`, as it completes, until
+    `config.rounds` have run, or without end when it is None; a round's
+    tree is filtered when first read, not while the round runs.
 
     Round pacing is start-to-start: the next round begins
     inter_round_delay after the previous one began, or immediately when a
@@ -117,25 +140,19 @@ def radar_rounds(config: RadarConfig, transport):
         started = clock.now()
         result = tracetree(tasks, transport, config.tracetree, restart_from=max_ttl, hops=hops)
         finished = clock.now()
-        tree, _ = filter_tree(result.raw, root)
         cache, hops = result.distances, result.hops
-        yield RoundRecord(
-            index=index,
-            start_time=started,
-            end_time=finished,
-            probes_sent=result.stats.probes_sent,
-            tree=tree,
-            raw=result.raw,
-            complete=result.stats.complete,
+        yield RadarRound(  # tree None: filtered when first read
+            index, started, finished, result.stats.probes_sent, None, result.raw, result.stats.complete, monitor=root
         )
-        del result, tree  # the caller holds what it keeps of the round
+        del result  # the caller holds what it keeps of the round
         next_start = started + config.inter_round_delay
 
 
 def run_radar(config: RadarConfig, transport, sink=None) -> RadarDataset:
     """Every round of `radar_rounds`, written to `sink` first when one is
-    given, kept in the dataset returned.  An interrupt ends the run; the
-    dataset holds the rounds completed before it."""
+    given, kept in the dataset returned.  A kept round holds its raw tree,
+    and its filtered tree from the first read of `tree` on.  An interrupt
+    ends the run; the dataset holds the rounds completed before it."""
     dataset = RadarDataset()
     try:
         for record in radar_rounds(config, transport):

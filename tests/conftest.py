@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import pytest
 
+from netradar import cli, radar
 from netradar.model import (
     FilteredTree,
     Hop,
@@ -234,6 +235,22 @@ def rate_limited_chain_json(policy: str) -> str:
 def chain_topology() -> Topology:
     """monitor -> r1 -> r2 -> d, all responsive."""
     return load_topology(dict(CHAIN_DOC))
+
+
+@pytest.fixture
+def filter_calls(monkeypatch) -> list:
+    """The raw trees filtered through the names the radar and the CLI
+    call `filter_tree` by, in call order."""
+    calls = []
+    real = radar.filter_tree
+
+    def spy(raw, root):
+        calls.append(raw)
+        return real(raw, root)
+
+    monkeypatch.setattr(radar, "filter_tree", spy)
+    monkeypatch.setattr(cli, "filter_tree", spy)
+    return calls
 
 
 def fig1_analog_doc() -> dict:

@@ -337,6 +337,24 @@ class TestOnceCommands:
         assert [r.ttl for r in raw.records] == [1, 2, 3]
 
 
+class TestWhenTheFilterRuns:
+    def test_radar_run_filters_nothing(self, chain_files, tmp_path, filter_calls, capsys):
+        topo, dests = chain_files
+        out = tmp_path / "data.rounds"
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--rounds", "3", "--out", str(out)]
+        assert main(["radar", "run", *args]) == 0
+        assert "3 rounds" in capsys.readouterr().out
+        assert len(parse_round_log(out.read_text(encoding="utf-8"))) == 3
+        assert filter_calls == []
+
+    def test_tracetree_once_filters_its_round_once(self, chain_files, tmp_path, filter_calls, capsys):
+        topo, dests = chain_files
+        args = ["--destinations", str(dests), "--transport", f"sim:{topo}", "--out", str(tmp_path / "one.rounds")]
+        assert main(["tracetree", "once", *args]) == 0
+        assert "3 distinct addresses" in capsys.readouterr().err
+        assert len(filter_calls) == 1
+
+
 class ClosingTransport(SimTransport):
     """Records close(); its sends fail when `fail` is set."""
 

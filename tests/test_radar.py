@@ -4,15 +4,18 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 from ipaddress import IPv4Address
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import CHAIN_DOC, assert_same_columns, perfbench_inet
+from conftest import CHAIN_DOC, assert_same_columns, ip, perfbench_inet
 from netradar import radar
 from netradar.baseline import traceroute_round
+from netradar.filtering import filter_tree
 from netradar.icmp import IcmpTransport
-from netradar.model import Ip, Star, TtlNode, parse_round_log, serialize_round
+from netradar.model import FilteredTree, Ip, Star, TtlNode, parse_address, parse_round_log, serialize_round
 from netradar.radar import (
     DatasetWriter,
     RadarConfig,
@@ -197,6 +200,59 @@ class TestRunRadar:
         transport = Interrupting(load_topology(dict(CHAIN_DOC)), after=10)
         dataset = run_radar(small_config([D], rounds=5), transport)
         assert 1 <= len(dataset.rounds) < 5
+
+
+class TestTreeOnFirstRead:
+    """A radar round's tree is filtered from its raw tree when it is first
+    read, once, and never while the round runs."""
+
+    def test_rounds_filter_nothing(self, filter_calls):
+        transport = SimTransport(load_topology(dict(CHAIN_DOC)))
+        rounds = list(radar.radar_rounds(small_config([D], rounds=5), transport))
+        assert len(rounds) == 5
+        assert filter_calls == []
+
+    def test_a_tree_read_twice_is_filtered_once(self, filter_calls):
+        [record] = radar.radar_rounds(small_config([D], rounds=1), SimTransport(load_topology(dict(CHAIN_DOC))))
+        tree = record.tree
+        assert record.tree is tree
+        assert filter_calls == [record.raw]
+        assert tree == filter_tree(record.raw, ip("10.0.0.1"))[0]
+
+    def test_a_replaced_tree_is_kept_unfiltered(self, filter_calls):
+        [record] = radar.radar_rounds(small_config([D], rounds=1), SimTransport(load_topology(dict(CHAIN_DOC))))
+        tree = FilteredTree(record.monitor, {}, {})
+        kept = replace(record, tree=tree, raw=None)
+        assert kept.tree is tree
+        assert kept.monitor == ip("10.0.0.1")
+        assert filter_calls == []
+
+    @staticmethod
+    def assert_trees_as_if_filtered_in_the_round(config, transport):
+        # the sink filters each round as it is written, as the radar
+        # itself did before its trees were built on first read
+        root, eager_trees = transport.monitor_hop, []
+        sink = SimpleNamespace(write=lambda record: eager_trees.append(filter_tree(record.raw, root)[0]))
+        dataset = run_radar(config, transport, sink)
+        assert len(dataset.rounds) == len(eager_trees) == config.rounds
+        for record, eager in zip(dataset.rounds, eager_trees):
+            assert record.tree == eager
+            assert list(record.tree.parents) == list(eager.parents)
+            assert list(record.tree.terminals.items()) == list(eager.terminals.items())
+
+    @pytest.mark.parametrize("seed", [3001, 3002, 3003])
+    def test_inet_trees_equal_eager_ones(self, seed):
+        # 12 rounds hold all four planted events (rounds 2, 3, 5 and 6)
+        inet = perfbench_inet()
+        net = inet.generate(seed, 200)
+        destinations = [parse_address(d) for d in net.destinations]
+        config = RadarConfig(destinations=destinations, inter_round_delay=inet.ROUND_DELAY, rounds=12)
+        self.assert_trees_as_if_filtered_in_the_round(config, SimTransport(load_topology(net.doc)))
+
+    def test_fan_trees_equal_eager_ones(self):
+        doc, destinations = fan_doc(chains=50, depth=10)
+        config = small_config(destinations, rounds=3, max_ttl=12)
+        self.assert_trees_as_if_filtered_in_the_round(config, SimTransport(load_topology(doc)))
 
 
 class TestCarriedTable:
